@@ -77,7 +77,10 @@ def _load_json(path: str, what: str):
 
 
 def _dump(payload, config: RunConfig) -> str:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity: bare tokens are not JSON
+        raise NumericError(f"result is not finite: {exc}") from None
     if config.out:
         Path(config.out).write_text(text, encoding="utf-8")
     else:

@@ -19,6 +19,7 @@ The boundary theta_L = 0 counts as sorting.
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -44,8 +45,8 @@ class CostFamily:
                 start at 0 with cost 0 and be strictly increasing.
 
     The type label (not the productivity number) selects the slope, so
-    negative theta_L never corrupts costs.  Constructors validate shape and
-    monotonicity but deliberately allow kappa_H >= kappa_L so that
+    negative theta_L never corrupts costs.  Constructors validate finiteness,
+    shape and monotonicity but deliberately allow kappa_H >= kappa_L so that
     :func:`check_decreasing_differences` has something to reject.
     """
 
@@ -58,6 +59,9 @@ class CostFamily:
     cost_H: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
+        numbers = (self.kappa_L, self.kappa_H, self.exponent, *self.efforts, *self.cost_L, *self.cost_H)
+        if not all(map(math.isfinite, numbers)):
+            raise InputError("cost family parameters and knots must be finite")
         if self.kind in ("linear", "power"):
             if self.kappa_L <= 0 or self.kappa_H <= 0:
                 raise InputError("cost slopes kappa_L, kappa_H must be positive")
@@ -190,7 +194,8 @@ class MarketParams:
 
     theta_L may be negative (screening); theta_H must be positive and exceed
     theta_L; lam is the population share of high types, strictly in (0, 1).
-    credit_cap, when present, is the largest fee any student can pay.
+    credit_cap, when present, is the largest fee any student can pay.  Every
+    number must be finite.
     """
 
     theta_L: float
@@ -201,6 +206,10 @@ class MarketParams:
     credit_cap: float | None = None
 
     def __post_init__(self):
+        for name in ("theta_L", "theta_H", "lam", "credit_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.theta_H <= 0:
             raise InputError(f"theta_H must be positive, got {self.theta_H}")
         if self.theta_H <= self.theta_L:

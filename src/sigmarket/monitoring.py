@@ -13,6 +13,7 @@ a signal is the pair (school, message).
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -29,6 +30,8 @@ class StepMonitoringPolicy:
             raise InputError("need exactly one more message than thresholds")
         if len(set(self.messages)) != len(self.messages):
             raise InputError("messages must be pairwise distinct")
+        if not all(map(math.isfinite, self.thresholds)):
+            raise InputError(f"thresholds must be finite, got {self.thresholds}")
         if any(t <= 0 for t in self.thresholds):
             raise InputError("thresholds must be positive (the base segment starts at 0)")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
@@ -93,6 +96,8 @@ class Policy:
     monitoring: StepMonitoringPolicy
 
     def __post_init__(self):
+        if not math.isfinite(self.fee):
+            raise InputError(f"fee must be finite, got {self.fee}")
         if self.fee < 0:
             raise InputError(f"fee must be nonnegative, got {self.fee}")
 

@@ -469,7 +469,6 @@ def _semipooling_outcome(
     q_h: float,
     w_l: float,
     label: str,
-    tol: float,
     boundary: bool = False,
 ) -> EquilibriumOutcome:
     if e_l > 0:
@@ -615,7 +614,7 @@ def semipooling_family(
         return FamilyResult(members=())
     boundary = abs(low_payoff - max(0.0, params.theta_L - fee_val)) <= tol
     member = _semipooling_outcome(
-        params, n, fee_val, e_l_val, e_h_val, q_val, w_l, label, tol, boundary
+        params, n, fee_val, e_l_val, e_h_val, q_val, w_l, label, boundary
     )
     return FamilyResult(members=(member,))
 
@@ -787,9 +786,13 @@ class AuditReport:
 
 
 def _audit_deviations(
-    outcome: EquilibriumOutcome, params: MarketParams, grids: DeviationGrid, tol: float
-) -> list[tuple[int, float, StepMonitoringPolicy, str]]:
-    """Candidate (school, fee, policy, template) deviations, deduplicated."""
+    outcome: EquilibriumOutcome, params: MarketParams, grids: DeviationGrid
+) -> list[tuple[float, StepMonitoringPolicy, str]]:
+    """Candidate (fee, policy, template) deviations, deduplicated.
+
+    The list is the same for every deviating school: it depends on the
+    profile only through its lowest fee.
+    """
     profile = outcome.profile
     cf = params.cost
     eps = grids.step
@@ -806,26 +809,25 @@ def _audit_deviations(
     reveal = StepMonitoringPolicy.informative_on_grid(
         [0.0] + positive[::stride] + ([positive[-1]] if positive[-1] not in positive[::stride] else [])
     )
-    devs: list[tuple[int, float, StepMonitoringPolicy, str]] = []
+    devs: list[tuple[float, StepMonitoringPolicy, str]] = []
     seen: set[tuple] = set()
 
-    def add(school: int, fee: float, mon: StepMonitoringPolicy, template: str):
+    def add(fee: float, mon: StepMonitoringPolicy, template: str):
         fee = min(max(fee, 0.0), fee_cap)  # students cannot pay beyond the cap
-        key = (school, round(fee, 12), mon.thresholds)
+        key = (round(fee, 12), mon.thresholds)
         if key in seen:
             return
         seen.add(key)
-        devs.append((school, fee, mon, template))
+        devs.append((fee, mon, template))
 
-    for i in range(profile.n):
-        add(i, f_min - cf.cost(LOW, eps) - gamma, cutoff_eps, "undercut_cutoff")
-        add(i, params.theta_H - cf.cost(HIGH, eps) - gamma, cutoff_eps, "extract_cutoff")
-        add(i, gamma, reveal, "reveal_tiny_fee")
-        add(i, f_min - gamma, reveal, "reveal_undercut")
-        for fee in fee_grid:
-            add(i, fee, StepMonitoringPolicy.uninformative(), "grid")
-            for t in positive:
-                add(i, fee, StepMonitoringPolicy.cutoff(t), "grid")
+    add(f_min - cf.cost(LOW, eps) - gamma, cutoff_eps, "undercut_cutoff")
+    add(params.theta_H - cf.cost(HIGH, eps) - gamma, cutoff_eps, "extract_cutoff")
+    add(gamma, reveal, "reveal_tiny_fee")
+    add(f_min - gamma, reveal, "reveal_undercut")
+    for fee in fee_grid:
+        add(fee, StepMonitoringPolicy.uninformative(), "grid")
+        for t in positive:
+            add(fee, StepMonitoringPolicy.cutoff(t), "grid")
     return devs
 
 
@@ -849,16 +851,34 @@ def deviation_audit(
     are re-answered by the deviator's *worst* enumerated continuation (the
     threat the equilibrium can legitimately lean on); the pruning is exact
     because the worst-case profit never exceeds the canonical one.
+
+    Schools whose policies are exactly equal (same fee, same monitoring map)
+    form a class, and each deviation is answered once per class, for its
+    lowest-index member.  Every member still gets its own entry: the shared
+    deviator profit minus that member's own on-path profit.  This is exact
+    because the candidate deviations do not depend on the deviating school,
+    and two members' deviation profiles are permutations of each other, so
+    the continuation play, canonical or worst case, gives the deviator the
+    same profit.  A symmetric audit thus costs O(n) constructions, not O(n^2).
     """
     if not grids.covers(outcome.profile):
         raise InputError("deviation grid must contain every policy threshold of the outcome")
     base_profile = outcome.profile
-    entries: list[AuditEntry] = []
-    for school, fee, mon, template in _audit_deviations(outcome, params, grids, tol):
-        attempt = base_profile.replace(school, Policy(fee=fee, monitoring=mon))
-        eq = construct_epbe(attempt, params, tol)
-        gain = _deviator_profit(attempt, params, school, eq) - outcome.profits[school]
-        entries.append(AuditEntry(school, fee, mon.thresholds, template, gain, "canonical"))
+    classes: dict[Policy, int] = {}  # policy -> lowest index posting it
+    rep_of = [classes.setdefault(policy, i) for i, policy in enumerate(base_profile)]
+    devs = _audit_deviations(outcome, params, grids)
+    shared: dict[int, list[float]] = {}  # representative -> deviator profit per deviation
+    for rep in classes.values():
+        profits = shared[rep] = []
+        for fee, mon, _ in devs:
+            attempt = base_profile.replace(rep, Policy(fee=fee, monitoring=mon))
+            eq = construct_epbe(attempt, params, tol)
+            profits.append(_deviator_profit(attempt, params, rep, eq))
+    entries = [
+        AuditEntry(school, fee, mon.thresholds, template, profit - outcome.profits[school], "canonical")
+        for school in range(base_profile.n)
+        for (fee, mon, template), profit in zip(devs, shared[rep_of[school]])
+    ]
     entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
 
     if not pessimistic:
@@ -867,6 +887,7 @@ def deviation_audit(
             max_gain=best.gain if best else 0.0, best=best, entries=tuple(entries)
         )
 
+    worst_profit: dict[tuple, float | None] = {}  # (representative, fee, thresholds) -> oracle's worst
     best_gain = float("-inf")
     best_entry: AuditEntry | None = None
     pess_entries: list[AuditEntry] = []
@@ -878,19 +899,22 @@ def deviation_audit(
                 best_gain = entry.gain
                 best_entry = entry
             continue
-        attempt = base_profile.replace(
-            entry.school, Policy(fee=entry.fee, monitoring=StepMonitoringPolicy(
-                thresholds=entry.thresholds,
-                messages=tuple(range(len(entry.thresholds) + 1)),
-            ))
-        )
-        oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
-        candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
-        if candidates:
-            worst = min(_deviator_profit(attempt, params, entry.school, eq) for eq in candidates)
-            gain = worst - outcome.profits[entry.school]
-        else:
-            gain = entry.gain
+        key = (rep_of[entry.school], entry.fee, entry.thresholds)
+        if key not in worst_profit:
+            rep = key[0]
+            attempt = base_profile.replace(
+                rep, Policy(fee=entry.fee, monitoring=StepMonitoringPolicy(
+                    thresholds=entry.thresholds,
+                    messages=tuple(range(len(entry.thresholds) + 1)),
+                ))
+            )
+            oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
+            candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
+            worst_profit[key] = (
+                min(_deviator_profit(attempt, params, rep, eq) for eq in candidates) if candidates else None
+            )
+        worst = worst_profit[key]
+        gain = entry.gain if worst is None else worst - outcome.profits[entry.school]
         pess = AuditEntry(
             entry.school, entry.fee, entry.thresholds, entry.template, gain, "pessimistic"
         )

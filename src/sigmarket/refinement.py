@@ -136,6 +136,7 @@ class Violation:
             "kind": self.kind,
             "signal": None if self.signal is None else self.signal.key(),
             "gap": self.gap,
+            "detail": self.detail,
         }
 
 

@@ -1,14 +1,17 @@
 import json
 
+import pytest
+
 from sigmarket import (
     CostFamily,
+    NumericError,
     Policy,
     PolicyProfile,
     StepMonitoringPolicy,
     construct_epbe,
     riley_effort,
 )
-from sigmarket.cli import main
+from sigmarket.cli import RunConfig, _dump, main
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -55,6 +58,29 @@ class TestSolve:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", "--params", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("solve", "theta_H", float("inf")),
+            ("solve", "theta_L", -float("inf")),
+            ("welfare", "kappa_L", float("nan")),
+        ],
+    )
+    def test_non_finite_input_exit_2(self, tmp_path, screening, command, field, value):
+        data = screening.with_(n_schools=2).to_dict()
+        (data["cost"] if field.startswith("kappa") else data)[field] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")  # bare Infinity / NaN tokens
+        out_path = tmp_path / "out.json"
+        assert main([command, "--params", str(path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+
+    def test_non_finite_result_is_not_written(self, tmp_path):
+        config = RunConfig(command="solve", params_path="", out=str(tmp_path / "out.json"))
+        with pytest.raises(NumericError):
+            _dump({"x": float("nan")}, config)
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestVerify:
     def test_constructed_bundle_passes(self, tmp_path, sorting):
@@ -78,6 +104,20 @@ class TestVerify:
         eq_path.write_text(json.dumps(payload), encoding="utf-8")
         code = main(["verify", "--params", write_params(tmp_path, sorting), "--profile", str(eq_path)])
         assert code == 1
+
+    def test_tampered_payoff_names_the_type(self, tmp_path, sorting):
+        prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
+        payload = construct_epbe(prof, sorting).to_dict()
+        payload["payoff_H"] += 0.5
+        eq_path = tmp_path / "eq.json"
+        eq_path.write_text(json.dumps(payload), encoding="utf-8")
+        out_path = tmp_path / "rep.json"
+        code = main(
+            ["verify", "--params", write_params(tmp_path, sorting), "--profile", str(eq_path), "--out", str(out_path)]
+        )
+        assert code == 1
+        violations = json.loads(out_path.read_text())["reports"]["pbe"]["violations"]
+        assert any(v["kind"] == "student_best_response" and "type H" in v["detail"] for v in violations)
 
 
 class TestOracleCompare:

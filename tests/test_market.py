@@ -60,6 +60,17 @@ class TestCost:
         with pytest.raises(InputError):
             CostFamily.tabulated([0.0, 1.0], [0.0, 1.0], [0.1, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        for make in (
+            lambda: CostFamily.linear(bad, 1.0),
+            lambda: CostFamily.power(2.0, 1.0, bad),
+            lambda: CostFamily.tabulated([0.0, 1.0, bad], [0.0, 2.0, 3.0], [0.0, 1.0, 1.5]),
+            lambda: CostFamily.tabulated([0.0, 1.0], [0.0, bad], [0.0, 1.0]),
+        ):
+            with pytest.raises(InputError, match="finite"):
+                make()
+
 
 class TestCostInverse:
     def test_hand_values(self):
@@ -147,6 +158,14 @@ class TestMarketParams:
             MarketParams(theta_L=1.0, theta_H=2.0, lam=1.0, cost=LIN)
         with pytest.raises(InputError):
             MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap=0.0)
+
+    @pytest.mark.parametrize("field", ["theta_L", "theta_H", "lam", "credit_cap"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap=1.0)
+        values[field] = bad
+        with pytest.raises(InputError, match=field):
+            MarketParams(**values)
 
     def test_regime_boundary(self):
         p = MarketParams(theta_L=0.0, theta_H=2.0, lam=0.5, cost=LIN)

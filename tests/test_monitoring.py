@@ -24,6 +24,14 @@ def step_policies():
     ).map(lambda ts: StepMonitoringPolicy(thresholds=tuple(sorted(ts)), messages=tuple(range(len(ts) + 1))))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_policy_rejected(bad):
+    with pytest.raises(InputError, match="finite"):
+        StepMonitoringPolicy.cutoff(bad)
+    with pytest.raises(InputError, match="finite"):
+        Policy(fee=bad, monitoring=StepMonitoringPolicy.uninformative())
+
+
 class TestMessageOf:
     def test_examples(self):
         uni = StepMonitoringPolicy.uninformative()

@@ -1,6 +1,7 @@
 import pytest
 
 from sigmarket import (
+    AuditReport,
     CostFamily,
     CreditFamily,
     DeviationGrid,
@@ -15,7 +16,9 @@ from sigmarket import (
     StepMonitoringPolicy,
     StrategyAtom,
     WageSchedule,
+    brute_force_equilibria,
     check_minimality,
+    construct_epbe,
     credit_monopoly_rpbe,
     deviation_audit,
     expected_type,
@@ -31,6 +34,7 @@ from sigmarket import (
     verify_pbe,
     welfare,
 )
+from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _deviator_profit
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -417,26 +421,108 @@ class TestSelectIIS:
             select_iis([], p, 2)
 
 
+def per_school_audit(outcome, params, grids, tol=1e-9):
+    """Reference audit: every school replays every deviation itself.
+
+    Returns the (canonical, pessimistic) reports that `deviation_audit`
+    must reproduce exactly while answering one school per class.
+    """
+    base = outcome.profile
+    entries = []
+    for school in range(base.n):
+        for fee, mon, template in _audit_deviations(outcome, params, grids):
+            attempt = base.replace(school, Policy(fee=fee, monitoring=mon))
+            eq = construct_epbe(attempt, params, tol)
+            gain = _deviator_profit(attempt, params, school, eq) - outcome.profits[school]
+            entries.append(AuditEntry(school, fee, mon.thresholds, template, gain, "canonical"))
+    entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
+    canonical = AuditReport(
+        max_gain=entries[0].gain if entries else 0.0, best=entries[0] if entries else None, entries=tuple(entries)
+    )
+    best_gain, best_entry, pess_entries = float("-inf"), None, []
+    for entry in entries:
+        if entry.gain <= max(best_gain, tol):
+            pess_entries.append(entry)
+            if entry.gain > best_gain:
+                best_gain, best_entry = entry.gain, entry
+            continue
+        mon = StepMonitoringPolicy(
+            thresholds=entry.thresholds, messages=tuple(range(len(entry.thresholds) + 1))
+        )
+        attempt = base.replace(entry.school, Policy(fee=entry.fee, monitoring=mon))
+        oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
+        candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
+        gain = entry.gain
+        if candidates:
+            worst = min(_deviator_profit(attempt, params, entry.school, eq) for eq in candidates)
+            gain = worst - outcome.profits[entry.school]
+        pess = AuditEntry(entry.school, entry.fee, entry.thresholds, entry.template, gain, "pessimistic")
+        pess_entries.append(pess)
+        if gain > best_gain:
+            best_gain, best_entry = gain, pess
+    pess_entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
+    return canonical, AuditReport(max_gain=best_gain, best=best_entry, entries=tuple(pess_entries))
+
+
 class TestDeviationAudit:
-    def planted(self, sorting):
+    def planted(self, sorting, n=2, high_at=None):
+        """n schools pooling everybody at fee 1.5; `high_at` puts every high type there."""
         prof = PolicyProfile.symmetric(
-            Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()), 2
+            Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()), n
         )
-        strat = PopulationStrategy(
-            low=tuple(StrategyAtom(i, 0.0, 0.5) for i in range(2)),
-            high=tuple(StrategyAtom(i, 0.0, 0.5) for i in range(2)),
+        low = tuple(StrategyAtom(i, 0.0, 1.0 / n) for i in range(n))
+        high = low if high_at is None else (StrategyAtom(high_at, 0.0, 1.0),)
+        strat = PopulationStrategy(low=low, high=high)
+        wages = WageSchedule(offers={Signal(i, 0): 1.5 for i in range(n)})
+        profits = tuple(
+            1.5 * (sorting.lam * strat.enrollment("H", i) + (1.0 - sorting.lam) * strat.enrollment("L", i))
+            for i in range(n)
         )
-        wages = WageSchedule(offers={Signal(i, 0): 1.5 for i in range(2)})
         return EquilibriumOutcome(
             profile=prof,
             on_path=strat,
             wages=wages,
-            profits=(0.75, 0.75),
+            profits=profits,
             enrollment=(1.0, 1.0),
             employment=(1.0, 1.0),
             payoffs=(0.0, 0.0),
             label="riley",
         )
+
+    def assert_matches_per_school(self, outcome, params):
+        grid = DeviationGrid.for_profile(outcome.profile, params)
+        canonical, pessimistic = per_school_audit(outcome, params, grid)
+        assert deviation_audit(outcome, params, grid).to_dict() == canonical.to_dict()
+        assert deviation_audit(outcome, params, grid, pessimistic=True).to_dict() == pessimistic.to_dict()
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_class_audit_matches_per_school_on_riley(self, sorting, screening, n):
+        for params in (sorting, screening):
+            self.assert_matches_per_school(riley_rpbe(params.with_(n_schools=n), n), params)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("theta_L", [1.0, 0.5])
+    def test_class_audit_matches_per_school_on_planted(self, sorting, n, theta_L):
+        # at theta_L = 0.5 the pessimistic pass replays the same deviation for several members
+        params = sorting.with_(theta_L=theta_L)
+        self.assert_matches_per_school(self.planted(params, n), params)
+
+    def test_class_audit_matches_per_school_on_two_classes(self, sorting):
+        """Schools 0 and 2 form one class, school 1 (other fee and cutoff) another."""
+        same = Policy(fee=0.5, monitoring=StepMonitoringPolicy.cutoff(riley_effort(sorting)))
+        other = Policy(fee=0.25, monitoring=StepMonitoringPolicy.cutoff(0.2))
+        profile = PolicyProfile.of(same, other, same)
+        eq = construct_epbe(profile, sorting)
+        outcome = _assemble_outcome(
+            profile, sorting, eq.strategy, eq.wages, (eq.payoff_L, eq.payoff_H), "constructed"
+        )
+        self.assert_matches_per_school(outcome, sorting)
+
+    def test_class_audit_subtracts_each_members_own_profit(self, sorting):
+        params = sorting.with_(theta_L=0.5)
+        outcome = self.planted(params, 2, high_at=0)
+        assert outcome.profits[0] != outcome.profits[1]
+        self.assert_matches_per_school(outcome, params)
 
     def test_riley_certified_both_modes(self, sorting, screening):
         for params in (sorting, screening):
