@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError, NumericError, ResourceError, SigMarketError
-from .market import MarketParams
+from .market import MarketParams, check_decreasing_differences
 from .monitoring import PolicyProfile
 from .outer import (
     CSV_COLUMNS,
@@ -76,6 +76,28 @@ def _load_json(path: str, what: str):
         raise InputError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
+def _regular(params: MarketParams) -> MarketParams:
+    """Reject a cost family without strict decreasing differences.
+
+    The check is exact on two points for linear and power costs, whose gap
+    c(L, e) - c(H, e) is (kappa_L - kappa_H) * e**p, and on the knots for
+    tabulated costs, whose gap is linear between knots.
+    """
+    cf = params.cost
+    report = check_decreasing_differences(cf, cf.efforts if cf.kind == "tabulated" else (0.0, 1.0))
+    if not report.passed:
+        v = report.violations[0]
+        raise InputError(
+            f"cost family breaks strict decreasing differences ({v.reason}): the gap "
+            f"c(L, e) - c(H, e) goes from {v.gap_lo} at effort {v.effort_lo} to {v.gap_hi} at {v.effort_hi}"
+        )
+    return params
+
+
+def _load_params(path: str) -> MarketParams:
+    return _regular(MarketParams.from_dict(_load_json(path, "params")))
+
+
 def _dump(payload, config: RunConfig) -> str:
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -127,7 +149,7 @@ def _solve_outcomes(params: MarketParams, tol: float):
 
 
 def cmd_solve(config: RunConfig) -> int:
-    params = MarketParams.from_dict(_load_json(config.params_path, "params"))
+    params = _load_params(config.params_path)
     outcomes = _solve_outcomes(params, config.tol)
     if config.fmt == "csv":
         rows = [outcome_csv_row(o, params) for o in outcomes]
@@ -138,7 +160,7 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    params = MarketParams.from_dict(_load_json(config.params_path, "params"))
+    params = _load_params(config.params_path)
     if not config.profile_path:
         raise InputError("verify needs --profile pointing at an equilibrium bundle")
     eq = SubgameEquilibrium.from_dict(_load_json(config.profile_path, "equilibrium bundle"))
@@ -156,7 +178,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_audit(config: RunConfig) -> int:
-    params = MarketParams.from_dict(_load_json(config.params_path, "params"))
+    params = _load_params(config.params_path)
     if params.n_schools >= 2:
         outcome = riley_rpbe(params, params.n_schools, config.tol)
     elif params.credit_cap is not None and params.credit_cap < params.theta_H:
@@ -177,7 +199,7 @@ def cmd_audit(config: RunConfig) -> int:
 
 
 def cmd_oracle_compare(config: RunConfig) -> int:
-    params = MarketParams.from_dict(_load_json(config.params_path, "params"))
+    params = _load_params(config.params_path)
     if not config.profile_path:
         raise InputError("oracle-compare needs --profile pointing at a policy profile")
     profile = PolicyProfile.from_list(_load_json(config.profile_path, "profile"))
@@ -201,7 +223,7 @@ def cmd_oracle_compare(config: RunConfig) -> int:
 
 def _sweep_points(spec: dict) -> list[MarketParams]:
     if "points" in spec:
-        return [MarketParams.from_dict(p) for p in spec["points"]]
+        return [_regular(MarketParams.from_dict(p)) for p in spec["points"]]
     if "base" not in spec:
         raise InputError("sweep file needs either 'points' or 'base' (+ optional 'vary')")
     base = spec["base"]
@@ -209,7 +231,7 @@ def _sweep_points(spec: dict) -> list[MarketParams]:
     points = [dict(base)]
     for key, values in vary.items():
         points = [dict(p, **{key: v}) for p in points for v in values]
-    return [MarketParams.from_dict(p) for p in points]
+    return [_regular(MarketParams.from_dict(p)) for p in points]
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -242,7 +264,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def cmd_welfare(config: RunConfig) -> int:
-    params = MarketParams.from_dict(_load_json(config.params_path, "params"))
+    params = _load_params(config.params_path)
     outcomes = _solve_outcomes(params, config.tol)
     reports = [
         {"label": o.label, "welfare": welfare(o, params).to_dict()} for o in outcomes

@@ -32,3 +32,32 @@ class ResourceError(SigMarketError):
 
 class InvariantViolation(SigMarketError):
     """An internal consistency guarantee failed; indicates a caller bug."""
+
+
+_REQUIRED = object()
+
+
+def require_object(data, where: str) -> None:
+    """Reject a JSON value that should have been an object."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
+
+
+def read_field(data, key: str, convert, where: str, default=_REQUIRED):
+    """convert(data[key]) for the from_dict parsers.
+
+    A missing key (unless a default is given) and a TypeError or ValueError
+    raised by the conversion both become an InputError naming the field and
+    `where` it was read; InputErrors from nested parsers pass through as-is.
+    """
+    require_object(data, where)
+    if key not in data:
+        if default is _REQUIRED:
+            raise InputError(f"{where} missing field {key!r}")
+        return default
+    try:
+        return convert(data[key])
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where} field {key!r} is malformed: {exc}") from None

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import InputError, NumericError, RangeError
+from .errors import InputError, NumericError, RangeError, read_field
 
 TypeLabel = Literal["L", "H"]
 
@@ -175,17 +175,20 @@ class CostFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostFamily":
-        try:
-            kind = data["kind"]
-            if kind == "linear":
-                return cls.linear(data["kappa_L"], data["kappa_H"])
-            if kind == "power":
-                return cls.power(data["kappa_L"], data["kappa_H"], data["exponent"])
-            if kind == "tabulated":
-                return cls.tabulated(data["efforts"], data["cost_L"], data["cost_H"])
-        except KeyError as exc:
-            raise InputError(f"cost family missing field {exc.args[0]!r}") from exc
-        raise InputError(f"unknown cost kind {data.get('kind')!r}")
+        def number(key: str) -> float:
+            return read_field(data, key, float, "cost family")
+
+        def knots(key: str) -> tuple[float, ...]:
+            return read_field(data, key, lambda v: tuple(float(x) for x in v), "cost family")
+
+        kind = read_field(data, "kind", lambda v: v, "cost family")
+        if kind == "linear":
+            return cls.linear(number("kappa_L"), number("kappa_H"))
+        if kind == "power":
+            return cls.power(number("kappa_L"), number("kappa_H"), number("exponent"))
+        if kind == "tabulated":
+            return cls.tabulated(knots("efforts"), knots("cost_L"), knots("cost_H"))
+        raise InputError(f"unknown cost kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -250,16 +253,16 @@ class MarketParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MarketParams":
-        for key in ("theta_L", "theta_H", "lambda", "cost"):
-            if key not in data:
-                raise InputError(f"market params missing field {key!r}")
+        where = "market params"
         return cls(
-            theta_L=float(data["theta_L"]),
-            theta_H=float(data["theta_H"]),
-            lam=float(data["lambda"]),
-            cost=CostFamily.from_dict(data["cost"]),
-            n_schools=int(data.get("n_schools", 1)),
-            credit_cap=None if data.get("credit_cap") is None else float(data["credit_cap"]),
+            theta_L=read_field(data, "theta_L", float, where),
+            theta_H=read_field(data, "theta_H", float, where),
+            lam=read_field(data, "lambda", float, where),
+            cost=read_field(data, "cost", CostFamily.from_dict, where),
+            n_schools=read_field(data, "n_schools", int, where, default=1),
+            credit_cap=read_field(
+                data, "credit_cap", lambda v: None if v is None else float(v), where, default=None
+            ),
         )
 
 

@@ -16,7 +16,7 @@ import bisect as _bisect
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, read_field
 from .market import CostFamily, TypeLabel
 
 
@@ -79,13 +79,11 @@ class StepMonitoringPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepMonitoringPolicy":
-        try:
-            return cls(
-                thresholds=tuple(float(t) for t in data["thresholds"]),
-                messages=tuple(int(m) for m in data["messages"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"monitoring policy missing field {exc.args[0]!r}") from exc
+        where = "monitoring policy"
+        return cls(
+            thresholds=read_field(data, "thresholds", lambda v: tuple(float(t) for t in v), where),
+            messages=read_field(data, "messages", lambda v: tuple(int(m) for m in v), where),
+        )
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,10 @@ class Policy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Policy":
-        try:
-            return cls(fee=float(data["fee"]), monitoring=StepMonitoringPolicy.from_dict(data["monitoring"]))
-        except KeyError as exc:
-            raise InputError(f"policy missing field {exc.args[0]!r}") from exc
+        return cls(
+            fee=read_field(data, "fee", float, "policy"),
+            monitoring=read_field(data, "monitoring", StepMonitoringPolicy.from_dict, "policy"),
+        )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ResourceError
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel
@@ -43,10 +44,15 @@ _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """Effort grid used to discretize student deviations.
+    """Effort grid handed to the verifiers, the oracle and the deviation audit.
 
-    Must contain 0 and every policy threshold of the profile under test;
-    wage_grid_resolution is reporting-only (verdicts are closed-form).
+    Must contain 0 and every policy threshold of the profile under test; the
+    verifiers check this.  It does not otherwise move a verdict: the best
+    response in verify_pbe is exact over band-minimum efforts, which are
+    exactly 0 and the thresholds.  Its length caps the oracle (at most 25
+    points), and its points span the audit's deviation search space (cutoff
+    thresholds and the effort-revealing policy).  wage_grid_resolution is
+    reporting-only (verdicts are closed-form).
     """
 
     effort_grid: tuple[float, ...]
@@ -189,7 +195,7 @@ def strictly_included(weak: WageInterval, strict: WageInterval, tol: float = DEF
 
 
 def _check_inputs(profile: PolicyProfile, eq: SubgameEquilibrium, grid: DeviationGrid):
-    if eq.profile.to_list() != profile.to_list():
+    if eq.profile != profile:
         raise InputError("equilibrium was built for a different profile")
     if not grid.covers(profile):
         raise InputError("deviation grid must contain every policy threshold")
@@ -216,15 +222,23 @@ def verify_pbe(
     grid: DeviationGrid,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
-    """Mutual best response + wage/belief consistency + Bayes on path."""
+    """Mutual best response + wage/belief consistency + Bayes on path.
+
+    The best response is exact: within a message band the wage is constant
+    and cost strictly rises with effort, so a type's best deviation payoff is
+    max(0, max over signals s of income(s) - fee - c(type, min_effort(s))).
+    The grid must still cover every policy threshold (checked), but its other
+    points never change a verdict or a gap.
+    """
     _check_inputs(profile, eq, grid)
     violations: list[Violation] = []
+    # (income - fee, band-minimum effort) of every signal, shared by both types
+    band_starts = [
+        (eq.wages.income(s) - profile[s.school].fee, profile.min_effort(s)) for s in profile.signals()
+    ]
 
     for type_label in (LOW, HIGH):
-        best = 0.0  # outside option
-        for i in range(profile.n):
-            for e in grid.effort_grid:
-                best = max(best, _payoff(profile, eq, params, type_label, i, e))
+        best = max([0.0] + [net - params.cost.cost(type_label, e) for net, e in band_starts])
         recomputed = 0.0
         for atom in eq.strategy.atoms(type_label):
             pay = _payoff(profile, eq, params, type_label, atom.school, atom.effort)
@@ -299,14 +313,17 @@ def verify_extended_d1(
 def _d1_belief_for_unsent(
     payoffs: dict[TypeLabel, float],
     fee: float,
-    min_effort: float,
+    costs: dict[TypeLabel, float],
     params: MarketParams,
     tol: float,
 ) -> float:
-    """Punishing belief at an unsent signal, respecting forced D1 exclusions."""
+    """Punishing belief at an unsent signal, respecting forced D1 exclusions.
+
+    costs holds each type's effort cost at the signal's band-minimum effort.
+    """
     sets = {}
     for t in (LOW, HIGH):
-        thr = payoffs[t] + fee + params.cost.cost(t, min_effort)
+        thr = payoffs[t] + fee + costs[t]
         sets[t] = _wage_sets_from_threshold(thr, params, tol)
     if strictly_included(sets[LOW].weak, sets[HIGH].strict, tol):
         return 1.0
@@ -381,9 +398,9 @@ def _remap_equilibrium(
         if r + q > 0.0:
             mu = r / (r + q)
         else:
-            mu = _d1_belief_for_unsent(
-                payoffs, red_profile[s.school].fee, red_profile.min_effort(s), params, tol
-            )
+            e = red_profile.min_effort(s)
+            costs = {t: params.cost.cost(t, e) for t in (LOW, HIGH)}
+            mu = _d1_belief_for_unsent(payoffs, red_profile[s.school].fee, costs, params, tol)
         beliefs[s] = mu
         posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
         offers[s] = posterior if posterior >= 0.0 else None
@@ -402,18 +419,32 @@ def _remap_equilibrium(
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-_Action = tuple[object, float]  # (school index or OUTSIDE, effort)
+class _Action(NamedTuple):
+    """A candidate action with its signal, fee and per-type effort cost.
+
+    The oracle builds the table of these once per profile; every support
+    pair reads it instead of recomputing signals and costs.
+    """
+
+    school: object  # school index, or OUTSIDE
+    effort: float
+    signal: Signal | None
+    fee: float
+    cost: dict[TypeLabel, float]
+    outlay: dict[TypeLabel, float]  # fee + cost; 0 for the outside option
 
 
-def _candidate_actions(profile: PolicyProfile) -> list[_Action]:
-    actions: list[_Action] = [(OUTSIDE, 0.0)]
+def _candidate_actions(profile: PolicyProfile, params: MarketParams) -> list[_Action]:
+    """The outside option, then one action per signal in `profile.signals()`
+    order: its school at the band-minimum effort."""
+    nothing = {LOW: 0.0, HIGH: 0.0}
+    actions = [_Action(OUTSIDE, 0.0, None, 0.0, nothing, nothing)]
     for i, policy in enumerate(profile):
-        actions.extend((i, start) for start in policy.monitoring.band_starts())
+        for start in policy.monitoring.band_starts():
+            cost = {t: params.cost.cost(t, start) for t in (LOW, HIGH)}
+            outlay = {t: policy.fee + cost[t] for t in (LOW, HIGH)}
+            actions.append(_Action(i, start, profile.signal_of(i, start), policy.fee, cost, outlay))
     return actions
-
-
-def _action_signal(profile: PolicyProfile, a: _Action) -> Signal | None:
-    return None if a[0] is OUTSIDE else profile.signal_of(a[0], a[1])
 
 
 def _posterior_income(r_mass: float, q_mass: float, params: MarketParams) -> float:
@@ -431,7 +462,6 @@ def _ratio_for_wage(w: float, params: MarketParams) -> float | None:
 
 
 def _solve_weights(
-    profile: PolicyProfile,
     params: MarketParams,
     sup_h: tuple[_Action, ...],
     sup_l: tuple[_Action, ...],
@@ -445,19 +475,13 @@ def _solve_weights(
     Knife-edge families (both types mixing through the same pooled signal)
     are emitted only at a deterministic symmetric representative.
     """
-    sig_h = [_action_signal(profile, a) for a in sup_h]
-    sig_l = [_action_signal(profile, a) for a in sup_l]
+    sig_h = [a.signal for a in sup_h]
+    sig_l = [a.signal for a in sup_l]
     if len(sup_h) == 2 and sig_h[0] == sig_h[1]:
         return []
     if len(sup_l) == 2 and sig_l[0] == sig_l[1]:
         return []
     shared = [s for s in sig_h if s is not None and s in sig_l]
-    cf = params.cost
-
-    def outlay(t: TypeLabel, a: _Action) -> float:
-        if a[0] is OUTSIDE:
-            return 0.0
-        return profile[a[0]].fee + cf.cost(t, a[1])
 
     def known_income(s: Signal | None, for_h: bool) -> float:
         # income at a signal not pooled between the two types
@@ -477,15 +501,15 @@ def _solve_weights(
         pooled_idx = [k for k in range(2) if sig_m[k] is not None and sig_m[k] == pure_sig]
         if not pooled_idx:
             # both incomes known: pure equality check, weights free -> uniform
-            pays = [known_income(sig_m[k], mixer_is_h) - outlay(t_m, sup_m[k]) for k in range(2)]
+            pays = [known_income(sig_m[k], mixer_is_h) - sup_m[k].outlay[t_m] for k in range(2)]
             if abs(pays[0] - pays[1]) > tol:
                 return []
             w = (0.5, 0.5)
             return [(w, (1.0,)) if mixer_is_h else ((1.0,), w)]
         k = pooled_idx[0]
         other = 1 - k
-        u_other = known_income(sig_m[other], mixer_is_h) - outlay(t_m, sup_m[other])
-        target = u_other + outlay(t_m, sup_m[k])
+        u_other = known_income(sig_m[other], mixer_is_h) - sup_m[other].outlay[t_m]
+        target = u_other + sup_m[k].outlay[t_m]
         ratio = _ratio_for_wage(target, params)
         if ratio is None or target <= 0.0:
             return []
@@ -502,7 +526,7 @@ def _solve_weights(
     # -- both mix --------------------------------------------------------------
     if not shared:
         for t_m, sup_m, for_h in ((HIGH, sup_h, True), (LOW, sup_l, False)):
-            pays = [known_income(_action_signal(profile, a), for_h) - outlay(t_m, a) for a in sup_m]
+            pays = [known_income(a.signal, for_h) - a.outlay[t_m] for a in sup_m]
             if abs(pays[0] - pays[1]) > tol:
                 return []
         return [((0.5, 0.5), (0.5, 0.5))]
@@ -510,8 +534,8 @@ def _solve_weights(
         s = shared[0]
         kh = sig_h.index(s)
         kl = sig_l.index(s)
-        target_h = known_income(sig_h[1 - kh], True) - outlay(HIGH, sup_h[1 - kh]) + outlay(HIGH, sup_h[kh])
-        target_l = known_income(sig_l[1 - kl], False) - outlay(LOW, sup_l[1 - kl]) + outlay(LOW, sup_l[kl])
+        target_h = known_income(sig_h[1 - kh], True) - sup_h[1 - kh].outlay[HIGH] + sup_h[kh].outlay[HIGH]
+        target_l = known_income(sig_l[1 - kl], False) - sup_l[1 - kl].outlay[LOW] + sup_l[kl].outlay[LOW]
         if abs(target_h - target_l) > tol:
             return []
         ratio = _ratio_for_wage(target_h, params)
@@ -538,26 +562,39 @@ def _solve_weights(
         pays = []
         for k in range(2):
             inc = incomes.get(sigs[k], known_income(sigs[k], for_h)) if sigs[k] is not None else 0.0
-            pays.append(inc - outlay(t_m, sup_m[k]))
+            pays.append(inc - sup_m[k].outlay[t_m])
         if abs(pays[0] - pays[1]) > tol:
             return []
     return [(wh, wl)]
 
 
+def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> dict[Signal, float]:
+    """PopulationStrategy.signal_mass, read off the action table."""
+    out: dict[Signal, float] = {}
+    for a, w in zip(support, weights):
+        if a.school is OUTSIDE or w == 0.0:
+            continue
+        out[a.signal] = out.get(a.signal, 0.0) + w
+    return out
+
+
 def _assemble_candidate(
     profile: PolicyProfile,
     params: MarketParams,
+    actions: list[_Action],
     sup_h: tuple[_Action, ...],
     weights_h: tuple[float, ...],
     sup_l: tuple[_Action, ...],
     weights_l: tuple[float, ...],
     tol: float,
 ) -> SubgameEquilibrium | None:
-    high = tuple(StrategyAtom(a[0], a[1], w) for a, w in zip(sup_h, weights_h))
-    low = tuple(StrategyAtom(a[0], a[1], w) for a, w in zip(sup_l, weights_l))
+    """Candidate equilibrium for one weighted support pair; `actions` is the
+    profile's full table from `_candidate_actions`."""
+    high = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_h, weights_h))
+    low = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_l, weights_l))
     strategy = PopulationStrategy(low=low, high=high)
-    mass_high = strategy.signal_mass(profile, HIGH)
-    mass_low = strategy.signal_mass(profile, LOW)
+    mass_high = _signal_mass(sup_h, weights_h)
+    mass_low = _signal_mass(sup_l, weights_l)
 
     incomes: dict[Signal, float] = {}
     beliefs: dict[Signal, float] = {}
@@ -572,10 +609,9 @@ def _assemble_candidate(
         incomes[s] = max(posterior, 0.0)
 
     def pay(t: TypeLabel, a: _Action) -> float:
-        if a[0] is OUTSIDE:
+        if a.school is OUTSIDE:
             return 0.0
-        s = _action_signal(profile, a)
-        return incomes[s] - profile[a[0]].fee - params.cost.cost(t, a[1])
+        return incomes[a.signal] - a.fee - a.cost[t]
 
     payoffs: dict[TypeLabel, float] = {}
     for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
@@ -584,10 +620,11 @@ def _assemble_candidate(
             return None
         payoffs[t] = vals[0]
 
-    for s in profile.signals():
+    for a in actions[1:]:  # every signal, at its band-minimum effort
+        s = a.signal
         if s in beliefs:
             continue
-        mu = _d1_belief_for_unsent(payoffs, profile[s.school].fee, profile.min_effort(s), params, tol)
+        mu = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
         posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
         beliefs[s] = mu
         offers[s] = posterior if posterior >= 0.0 else None
@@ -647,20 +684,18 @@ def brute_force_equilibria(
         raise InputError("support_cap must be at least 1")
     if any(p.fee > params.theta_H for p in profile):
         return []
-    actions = _candidate_actions(profile)
-    idx_supports = [
+    actions = _candidate_actions(profile, params)
+    supports = [
         combo
         for size in range(1, support_cap + 1)
-        for combo in itertools.combinations(range(len(actions)), size)
+        for combo in itertools.combinations(actions, size)
     ]
     results: list[SubgameEquilibrium] = []
     seen: set[tuple] = set()
-    for combo_h in idx_supports:
-        sup_h = tuple(actions[k] for k in combo_h)
-        for combo_l in idx_supports:
-            sup_l = tuple(actions[k] for k in combo_l)
-            for weights_h, weights_l in _solve_weights(profile, params, sup_h, sup_l, tol):
-                eq = _assemble_candidate(profile, params, sup_h, weights_h, sup_l, weights_l, tol)
+    for sup_h in supports:
+        for sup_l in supports:
+            for weights_h, weights_l in _solve_weights(params, sup_h, sup_l, tol):
+                eq = _assemble_candidate(profile, params, actions, sup_h, weights_h, sup_l, weights_l, tol)
                 if eq is None:
                     continue
                 if not verify_pbe(profile, eq, params, grids, tol).passed:

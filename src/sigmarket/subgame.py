@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, read_field, require_object
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, expected_type
 from .monitoring import PolicyProfile, Signal
 
@@ -109,17 +109,14 @@ class PopulationStrategy:
         def parse(entries):
             return tuple(
                 StrategyAtom(
-                    school=None if e["school"] is None else int(e["school"]),
-                    effort=float(e["effort"]),
-                    prob=float(e["prob"]),
+                    school=read_field(e, "school", lambda v: None if v is None else int(v), "strategy atom"),
+                    effort=read_field(e, "effort", float, "strategy atom"),
+                    prob=read_field(e, "prob", float, "strategy atom"),
                 )
                 for e in entries
             )
 
-        try:
-            return cls(low=parse(data["L"]), high=parse(data["H"]))
-        except KeyError as exc:
-            raise InputError(f"strategy missing field {exc.args[0]!r}") from exc
+        return cls(low=read_field(data, "L", parse, "strategy"), high=read_field(data, "H", parse, "strategy"))
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,11 @@ class WageSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WageSchedule":
-        return cls(offers={Signal.from_key(k): (None if v is None else float(v)) for k, v in data.items()})
+        def offer(v) -> float | None:
+            return None if v is None else float(v)
+
+        require_object(data, "wage schedule")
+        return cls(offers={Signal.from_key(k): read_field(data, k, offer, "wage schedule") for k in data})
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,8 @@ class BeliefSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BeliefSystem":
-        return cls(mu_high={Signal.from_key(k): float(v) for k, v in data.items()})
+        require_object(data, "belief system")
+        return cls(mu_high={Signal.from_key(k): read_field(data, k, float, "belief system") for k in data})
 
 
 ConstructionTag = Literal["semi_pooling", "separating"]
@@ -198,18 +200,16 @@ class SubgameEquilibrium:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SubgameEquilibrium":
-        try:
-            return cls(
-                profile=PolicyProfile.from_list(data["profile"]),
-                strategy=PopulationStrategy.from_dict(data["strategy"]),
-                wages=WageSchedule.from_dict(data["wages"]),
-                beliefs=BeliefSystem.from_dict(data["beliefs"]),
-                payoff_L=float(data["payoff_L"]),
-                payoff_H=float(data["payoff_H"]),
-                construction_tag=str(data["construction_tag"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"equilibrium missing field {exc.args[0]!r}") from exc
+        where = "equilibrium"
+        return cls(
+            profile=read_field(data, "profile", PolicyProfile.from_list, where),
+            strategy=read_field(data, "strategy", PopulationStrategy.from_dict, where),
+            wages=read_field(data, "wages", WageSchedule.from_dict, where),
+            beliefs=read_field(data, "beliefs", BeliefSystem.from_dict, where),
+            payoff_L=read_field(data, "payoff_L", float, where),
+            payoff_H=read_field(data, "payoff_H", float, where),
+            construction_tag=read_field(data, "construction_tag", str, where),
+        )
 
 
 def reservation(profile: PolicyProfile, params: MarketParams) -> tuple[float, float]:

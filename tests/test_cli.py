@@ -75,6 +75,40 @@ class TestSolve:
         assert main([command, "--params", str(path), "--out", str(out_path)]) == 2
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("field, value", [("kappa_L", "x"), ("theta_L", "abc")])
+    def test_non_numeric_field_exit_2(self, tmp_path, screening, capsys, field, value):
+        data = screening.with_(n_schools=2).to_dict()
+        (data["cost"] if field.startswith("kappa") else data)[field] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out_path = tmp_path / "out.json"
+        assert main(["solve", "--params", str(path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and repr(field) in captured.err
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            {"kind": "linear", "kappa_L": 1.0, "kappa_H": 2.0},
+            {"kind": "linear", "kappa_L": 2.0, "kappa_H": 2.0},
+            {"kind": "tabulated", "efforts": [0.0, 1.0, 2.0], "cost_L": [0.0, 1.0, 2.0], "cost_H": [0.0, 2.0, 4.0]},
+        ],
+        ids=["kappa_L<kappa_H", "kappa_L=kappa_H", "flipped_table"],
+    )
+    def test_cost_without_decreasing_differences_exit_2(self, tmp_path, screening, capsys, cost):
+        data = dict(screening.with_(n_schools=2).to_dict(), cost=cost)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        out_path = tmp_path / "out.json"
+        assert main(["solve", "--params", str(path), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+        assert "decreasing differences" in capsys.readouterr().err
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"points": [screening.to_dict(), data]}), encoding="utf-8")
+        assert main(["sweep", "--params", str(sweep), "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+
     def test_non_finite_result_is_not_written(self, tmp_path):
         config = RunConfig(command="solve", params_path="", out=str(tmp_path / "out.json"))
         with pytest.raises(NumericError):
@@ -143,6 +177,20 @@ class TestOracleCompare:
         payload = json.loads(out_path.read_text())
         assert payload["match"] is True
         assert payload["oracle_count"] >= 1
+
+
+    def test_non_numeric_fee_exit_2(self, tmp_path, screening, capsys):
+        params = screening.with_(n_schools=2)
+        prof = PolicyProfile.symmetric(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.5)), 2).to_list()
+        prof[1]["fee"] = [1]
+        prof_path = tmp_path / "profile.json"
+        prof_path.write_text(json.dumps(prof), encoding="utf-8")
+        out_path = tmp_path / "cmp.json"
+        args = ["oracle-compare", "--params", write_params(tmp_path, params), "--profile", str(prof_path)]
+        assert main(args + ["--out", str(out_path)]) == 2
+        assert not out_path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'fee'" in captured.err
 
 
 class TestSweep:

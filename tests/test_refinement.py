@@ -369,3 +369,138 @@ class TestBruteForce:
         grid = DeviationGrid.for_profile(prof, sorting)
         with pytest.raises(InputError):
             brute_force_equilibria(prof, sorting, grid, support_cap=3)
+
+
+def grid_scan_verify_pbe(profile, eq, params, grid, tol=1e-9):
+    """Reference verify_pbe with the grid-scan best response: every school at
+    every grid effort.  Everything after the best response is unchanged."""
+    from sigmarket.refinement import VerificationReport, Violation
+
+    def payoff(t, school, effort):
+        if school is None:
+            return 0.0
+        s = profile.signal_of(school, effort)
+        return eq.wages.income(s) - profile[school].fee - params.cost.cost(t, effort)
+
+    violations = []
+    for t in ("L", "H"):
+        best = 0.0
+        for i in range(profile.n):
+            for e in grid.effort_grid:
+                best = max(best, payoff(t, i, e))
+        recomputed = 0.0
+        for atom in eq.strategy.atoms(t):
+            pay = payoff(t, atom.school, atom.effort)
+            recomputed += atom.prob * pay
+            if pay < best - tol:
+                sig = None if atom.school is None else profile.signal_of(atom.school, atom.effort)
+                violations.append(Violation("student_best_response", sig, best - pay, f"type {t}"))
+        if abs(recomputed - eq.payoff(t)) > max(tol, 1e-9):
+            violations.append(
+                Violation(
+                    "student_best_response",
+                    None,
+                    abs(recomputed - eq.payoff(t)),
+                    f"stored payoff for type {t} off by recomputation",
+                )
+            )
+    for s in profile.signals():
+        mu = eq.beliefs.mu(s)
+        if not -tol <= mu <= 1.0 + tol:
+            violations.append(Violation("wage_belief_consistency", s, abs(mu - 0.5) - 0.5))
+            continue
+        posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
+        offer = eq.wages.offer(s)
+        if offer is None:
+            if posterior > tol:
+                violations.append(Violation("wage_belief_consistency", s, posterior))
+        elif abs(offer - posterior) > tol:
+            violations.append(Violation("wage_belief_consistency", s, abs(offer - posterior)))
+    mass_high = eq.strategy.signal_mass(profile, "H")
+    mass_low = eq.strategy.signal_mass(profile, "L")
+    for s in set(mass_high) | set(mass_low):
+        r = params.lam * mass_high.get(s, 0.0)
+        q = (1.0 - params.lam) * mass_low.get(s, 0.0)
+        mu_hat = r / (r + q)
+        if abs(eq.beliefs.mu(s) - mu_hat) > tol:
+            violations.append(Violation("bayes_on_path", s, abs(eq.beliefs.mu(s) - mu_hat)))
+    return VerificationReport.from_violations(violations)
+
+
+def oracle_candidates(profile, params, tol=1e-9):
+    """Every candidate the brute-force oracle assembles, before verification."""
+    import itertools
+
+    from sigmarket.refinement import _assemble_candidate, _candidate_actions, _solve_weights
+
+    actions = _candidate_actions(profile, params)
+    supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
+    for sup_h in supports:
+        for sup_l in supports:
+            for w_h, w_l in _solve_weights(params, sup_h, sup_l, tol):
+                eq = _assemble_candidate(profile, params, actions, sup_h, w_h, sup_l, w_l, tol)
+                if eq is not None:
+                    yield eq
+
+
+class TestExactBestResponse:
+    """verify_pbe takes each type's best deviation over band-minimum efforts;
+    on a threshold-covering grid that is the same float as scanning the grid."""
+
+    TABLE = CostFamily.tabulated(
+        [0.5 * j for j in range(9)], [2.0 * (0.5 * j) ** 1.5 for j in range(9)], [(0.5 * j) ** 1.5 for j in range(9)]
+    )
+    COSTS = (LIN, CostFamily.power(2.0, 1.0, 1.5), TABLE)
+
+    @staticmethod
+    def policy(fee, *thresholds):
+        return Policy(fee=fee, monitoring=StepMonitoringPolicy(tuple(thresholds), tuple(range(len(thresholds) + 1))))
+
+    def profiles(self):
+        p = self.policy
+        fixed = [
+            PolicyProfile.of(p(0.0)),
+            PolicyProfile.of(p(0.25, 0.5)),
+            PolicyProfile.of(p(0.1, 0.3, 0.9), p(0.0, 0.6)),
+            PolicyProfile.of(p(0.5, 0.4), p(0.0), p(0.2, 0.4, 1.1)),
+        ]
+        # tie-style draws: repeated fees and thresholds make identical schools
+        rng = np.random.default_rng(7)
+        ties = [
+            PolicyProfile.of(
+                *(
+                    p(float(rng.choice([0.0, 0.25, 0.5, 1.0])), *sorted(map(float, rng.choice([0.25, 0.5, 0.75, 1.0, 1.5], k, replace=False))))
+                    for k in rng.integers(0, 3, size=n)
+                )
+            )
+            for n in (2, 3, 3)
+        ]
+        return fixed + ties
+
+    def test_matches_grid_scan_on_every_oracle_candidate(self):
+        checked = failing = 0
+        for cost in self.COSTS:
+            for theta_l, lam in ((0.5, 0.5), (-1.0, 0.4)):
+                params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
+                for prof in self.profiles():
+                    grids = [DeviationGrid.for_profile(prof, params, n_points=k) for k in (4, 15, 21)]
+                    for eq in oracle_candidates(prof, params):
+                        for grid in grids:
+                            exact = verify_pbe(prof, eq, params, grid).to_dict()
+                            assert exact == grid_scan_verify_pbe(prof, eq, params, grid).to_dict()
+                            checked += 1
+                            failing += any(v["kind"] == "student_best_response" for v in exact["violations"])
+        assert failing > 1000 and checked - failing > 100
+
+    def test_zero_effort_band_counts(self, sorting):
+        """With everybody outside, the best deviation is enrolling at zero
+        effort for the wage theta_L, a band-0 signal."""
+        prof = PolicyProfile.of(self.policy(0.25, 0.75))
+        eq = idle_equilibrium(prof)
+        offers = {s: (1.0 if s.message == 0 else 2.0) for s in prof.signals()}
+        mus = {s: (0.0 if s.message == 0 else 1.0) for s in prof.signals()}
+        eq = SubgameEquilibrium(prof, eq.strategy, WageSchedule(offers), BeliefSystem(mus), 0.0, 0.0, "separating")
+        report = verify_pbe(prof, eq, sorting, DeviationGrid.for_profile(prof, sorting))
+        gaps = {v.detail: v.gap for v in report.violations}
+        # L: max(1 - 0.25, 2 - 0.25 - 2 * 0.75) = 0.75; H: max(0.75, 2 - 0.25 - 0.75) = 1
+        assert gaps == {"type L": pytest.approx(0.75), "type H": pytest.approx(1.0)}
