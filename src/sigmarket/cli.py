@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +25,8 @@ from .market import MarketParams, check_decreasing_differences
 from .monitoring import PolicyProfile
 from .outer import (
     CSV_COLUMNS,
+    CreditFamily,
+    EquilibriumOutcome,
     credit_monopoly_rpbe,
     deviation_audit,
     is_fierce,
@@ -58,7 +60,6 @@ class RunConfig:
     profile_path: str | None = None
     grid_points: int = 21
     tol: float = 1e-9
-    jobs: int = 1
     out: str | None = None
     fmt: str = "json"
     pessimistic: bool = False
@@ -124,15 +125,22 @@ def _write_csv(rows: list[list[str]], header, config: RunConfig, suffix: str = "
         sys.stdout.write(buf.getvalue())
 
 
+def _monopoly(params: MarketParams, tol: float) -> EquilibriumOutcome | CreditFamily:
+    """Monopoly solution at a one-school point, fee cap or not.
+
+    credit_monopoly_rpbe itself falls back to the unconstrained outcome when
+    the cap is slack.
+    """
+    if params.credit_cap is None:
+        return monopoly_rpbe(params, tol)
+    return credit_monopoly_rpbe(params, tol)
+
+
 def _solve_outcomes(params: MarketParams, tol: float):
     """Outcome bundle for one parameter point, per market structure."""
     if params.n_schools == 1:
-        if params.credit_cap is not None and params.credit_cap < params.theta_H:
-            result = credit_monopoly_rpbe(params, tol)
-            if hasattr(result, "sample"):
-                return list(result.sample(4))
-            return [result]
-        return [monopoly_rpbe(params.with_(credit_cap=None), tol)]
+        result = _monopoly(params, tol)
+        return result.sample(4) if isinstance(result, CreditFamily) else [result]
     n = params.n_schools
     outcomes = [riley_rpbe(params, n, tol)]
     for q_h in (0.25, 0.5, 0.75):
@@ -181,11 +189,10 @@ def cmd_audit(config: RunConfig) -> int:
     params = _load_params(config.params_path)
     if params.n_schools >= 2:
         outcome = riley_rpbe(params, params.n_schools, config.tol)
-    elif params.credit_cap is not None and params.credit_cap < params.theta_H:
-        result = credit_monopoly_rpbe(params, config.tol)
-        outcome = result.zero_effort_member() if hasattr(result, "sample") else result
     else:
-        outcome = monopoly_rpbe(params.with_(credit_cap=None), config.tol)
+        outcome = _monopoly(params, config.tol)
+        if isinstance(outcome, CreditFamily):
+            outcome = outcome.zero_effort_member()
     grid = DeviationGrid.for_profile(outcome.profile, params, n_points=config.grid_points)
     report = deviation_audit(outcome, params, grid, config.tol, pessimistic=config.pessimistic)
     payload = {
@@ -238,15 +245,7 @@ def cmd_sweep(config: RunConfig) -> int:
     spec = _load_json(config.params_path, "sweep")
     points = _sweep_points(spec)
 
-    def solve_point(params: MarketParams) -> list[list[str]]:
-        return [outcome_csv_row(o, params) for o in _solve_outcomes(params, config.tol)]
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(solve_point, points))
-    else:
-        chunks = [solve_point(p) for p in points]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [outcome_csv_row(o, p) for p in points for o in _solve_outcomes(p, config.tol)]
     _write_csv(rows, CSV_COLUMNS, config)
     return EXIT_OK
 
@@ -263,29 +262,43 @@ def _parse_range(text: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
+_SWEEP_TOP_LEVEL = ("theta_L", "theta_H", "lambda", "n_schools", "credit_cap")
+_SWEEP_COST = ("kappa_L", "kappa_H", "exponent")
+
+
+def _sweep_slot(data: dict, key: str) -> dict:
+    """The part of a params dict holding a swept field: the top level, or the
+    cost family for its scalars (kappa_L, kappa_H, and exponent for power)."""
+    if key in _SWEEP_TOP_LEVEL:
+        return data
+    if key in _SWEEP_COST and key in data["cost"]:
+        return data["cost"]
+    raise InputError(f"--sweep-param {key!r} is not a numeric field of these params")
+
+
 def cmd_welfare(config: RunConfig) -> int:
     params = _load_params(config.params_path)
+    key = config.sweep_param
+    _sweep_slot(params.to_dict(), key)  # reject the name before writing anything
+    values = _parse_range(config.sweep_range)
     outcomes = _solve_outcomes(params, config.tol)
     reports = [
         {"label": o.label, "welfare": welfare(o, params).to_dict()} for o in outcomes
     ]
     _dump(reports, config)
-    header = [config.sweep_param, "monopoly_welfare", "competition_welfare", "max_welfare"]
+    header = [key, "monopoly_welfare", "competition_welfare", "max_welfare"]
     rows = []
-    key = config.sweep_param
-    for value in _parse_range(config.sweep_range):
+    for value in values:
         d = params.to_dict()
-        d[key] = value
+        _sweep_slot(d, key)[key] = value
         try:
-            p = MarketParams.from_dict(d)
+            p = _regular(MarketParams.from_dict(d))
         except InputError:
-            continue
+            continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
-        if p1.credit_cap is not None and p1.credit_cap < p1.theta_H:
-            capped = credit_monopoly_rpbe(p1, config.tol)
-            mono_out = capped.zero_effort_member() if hasattr(capped, "sample") else capped
-        else:
-            mono_out = monopoly_rpbe(p1.with_(credit_cap=None), config.tol)
+        mono_out = _monopoly(p1, config.tol)
+        if isinstance(mono_out, CreditFamily):
+            mono_out = mono_out.zero_effort_member()
         mono = welfare(mono_out, p1)
         comp_n = p.n_schools if p.n_schools >= 2 else 2
         comp = welfare(riley_rpbe(p, comp_n, config.tol), p)
@@ -307,6 +320,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args never mutates the parser, so one build serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmarket",
@@ -326,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", default=None, help="policy profile / equilibrium bundle JSON")
         p.add_argument("--grid-points", type=int, default=21)
         p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--pessimistic", action="store_true")
@@ -338,15 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.tol <= 0:
         raise InputError(f"tol must be positive, got {args.tol}")
-    if args.jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {args.jobs}")
     return RunConfig(
         command=args.command,
         params_path=args.params,
         profile_path=args.profile,
         grid_points=args.grid_points,
         tol=args.tol,
-        jobs=args.jobs,
         out=args.out,
         fmt=args.fmt,
         pessimistic=args.pessimistic,

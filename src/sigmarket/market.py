@@ -266,9 +266,42 @@ class MarketParams:
         )
 
 
+# The belief -> wage rule.  A competitive labor market pays a graduate the
+# posterior expected productivity given the signal (Spence 1973).  Wages,
+# Bayes beliefs and pooling mixes are computed here and nowhere else, except
+# outer._mixed_wage, which keeps its own arithmetic (see there).
+
+
+def posterior_mean(mu: float, params: MarketParams) -> float:
+    """Expected productivity mu*theta_H + (1-mu)*theta_L under belief mu."""
+    return mu * params.theta_H + (1.0 - mu) * params.theta_L
+
+
+def wage_offer(mu: float, params: MarketParams) -> float | None:
+    """Competitive wage response to a belief: posterior mean, or no offer."""
+    w = posterior_mean(mu, params)
+    return w if w >= 0.0 else None
+
+
+def bayes_high(mass_high: float, mass_low: float, params: MarketParams) -> float:
+    """Bayes posterior that the sender is high, from each type's share at a signal."""
+    r = params.lam * mass_high
+    q = (1.0 - params.lam) * mass_low
+    return r / (r + q)
+
+
+def low_per_high(w: float, params: MarketParams) -> float:
+    """Low-type share per unit of high-type share whose pooled posterior mean is w.
+
+    Inverts the rule above: lam*theta_H + x*(1-lam)*theta_L = w*(lam + x*(1-lam)).
+    Meaningful for theta_L < w < theta_H.
+    """
+    return params.lam * (params.theta_H - w) / ((1.0 - params.lam) * (w - params.theta_L))
+
+
 def expected_type(params: MarketParams) -> float:
-    """Population-average productivity lam*theta_H + (1-lam)*theta_L."""
-    return params.lam * params.theta_H + (1.0 - params.lam) * params.theta_L
+    """Population-average productivity: the posterior mean at the prior lam."""
+    return posterior_mean(params.lam, params)
 
 
 def max_welfare(params: MarketParams) -> float:
@@ -278,18 +311,6 @@ def max_welfare(params: MarketParams) -> float:
     high types should be employed.
     """
     return expected_type(params) if params.is_sorting else params.lam * params.theta_H
-
-
-def cost(cf: CostFamily, type_label: TypeLabel, effort: float) -> float:
-    """Module-level alias for :meth:`CostFamily.cost`."""
-    return cf.cost(type_label, effort)
-
-
-def cost_inverse_effort(
-    cf: CostFamily, type_label: TypeLabel, target_cost: float, tol: float = DEFAULT_TOL
-) -> float:
-    """Module-level alias for :meth:`CostFamily.inverse`."""
-    return cf.inverse(type_label, target_cost, tol)
 
 
 @dataclass(frozen=True)

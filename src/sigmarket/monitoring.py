@@ -192,14 +192,6 @@ class PolicyProfile:
         return cls(policies=tuple(Policy.from_dict(d) for d in data))
 
 
-def message_of(policy: StepMonitoringPolicy, effort: float) -> int:
-    return policy.message_of(effort)
-
-
-def min_effort(policy: StepMonitoringPolicy, message: int) -> float:
-    return policy.min_effort(message)
-
-
 def min_cost(profile: PolicyProfile, cf: CostFamily, type_label: TypeLabel, s: Signal) -> float:
     """Cheapest total outlay c(type, e_{i,m}) + f_i to emit a signal."""
     return cf.cost(type_label, profile.min_effort(s)) + profile[s.school].fee

@@ -33,8 +33,10 @@ from .market import (
     MarketParams,
     TypeLabel,
     expected_type,
+    low_per_high,
     max_welfare,
     riley_effort,
+    wage_offer,
 )
 from .monitoring import Policy, PolicyProfile, Signal, StepMonitoringPolicy
 from .refinement import DeviationGrid, brute_force_equilibria
@@ -130,6 +132,12 @@ class EquilibriumOutcome:
             raise InputError(f"outcome missing field {exc.args[0]!r}") from exc
 
 
+def _school_profit(profile: PolicyProfile, params: MarketParams, strategy: PopulationStrategy, school: int) -> float:
+    """Fee times the enrolled population mass at one school."""
+    mass = params.lam * strategy.enrollment(HIGH, school) + (1.0 - params.lam) * strategy.enrollment(LOW, school)
+    return profile[school].fee * mass
+
+
 def _assemble_outcome(
     profile: PolicyProfile,
     params: MarketParams,
@@ -139,10 +147,6 @@ def _assemble_outcome(
     label: str,
     boundary: bool = False,
 ) -> EquilibriumOutcome:
-    profits = []
-    for i, policy in enumerate(profile):
-        mass = params.lam * strategy.enrollment(HIGH, i) + (1.0 - params.lam) * strategy.enrollment(LOW, i)
-        profits.append(policy.fee * mass)
     employment = []
     for t in (LOW, HIGH):
         employed = 0.0
@@ -156,17 +160,13 @@ def _assemble_outcome(
         profile=profile,
         on_path=strategy,
         wages=wages,
-        profits=tuple(profits),
+        profits=tuple(_school_profit(profile, params, strategy, i) for i in range(profile.n)),
         enrollment=(strategy.enrollment_total(LOW), strategy.enrollment_total(HIGH)),
         employment=(employment[0], employment[1]),
         payoffs=payoffs,
         label=label,
         boundary=boundary,
     )
-
-
-def _offer(posterior: float) -> float | None:
-    return posterior if posterior >= 0.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ class CreditFamily:
         mean = expected_type(params)
         if e_l > 0:
             mon = StepMonitoringPolicy.cutoff(e_l, below=0, above=1)
-            offers = {Signal(0, 0): _offer(params.theta_L), Signal(0, 1): mean}
+            offers = {Signal(0, 0): wage_offer(0.0, params), Signal(0, 1): mean}
             atom_effort = e_l
         else:
             mon = StepMonitoringPolicy.uninformative()
@@ -279,31 +279,8 @@ class CreditFamily:
         e_h = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l), tol)
         if e_h <= e_l + tol:
             return None
-        if e_l > 0:
-            mon = StepMonitoringPolicy(thresholds=(e_l, e_h), messages=(0, 1, 2))
-            low_sig, top_sig = Signal(0, 1), Signal(0, 2)
-            offers = {Signal(0, 0): _offer(params.theta_L), low_sig: w_l, top_sig: params.theta_H}
-        else:
-            mon = StepMonitoringPolicy.cutoff(e_h, below=0, above=1)
-            low_sig, top_sig = Signal(0, 0), Signal(0, 1)
-            offers = {low_sig: w_l, top_sig: params.theta_H}
-        profile = PolicyProfile.of(Policy(fee=self.fee, monitoring=mon))
-        strategy = PopulationStrategy(
-            low=(StrategyAtom(0, e_l, 1.0),),
-            high=(StrategyAtom(0, e_l, q_h), StrategyAtom(0, e_h, 1.0 - q_h)),
-        )
-        payoffs = (
-            w_l - self.fee - cf.cost(LOW, e_l),
-            params.theta_H - self.fee - cf.cost(HIGH, e_h),
-        )
-        return _assemble_outcome(
-            profile,
-            params,
-            strategy,
-            WageSchedule(offers=offers),
-            payoffs,
-            "credit_family",
-            boundary=abs(slack) <= tol,
+        return _semipooling_outcome(
+            params, 1, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol
         )
 
     def sample(self, num: int = 5) -> list[EquilibriumOutcome]:
@@ -342,7 +319,7 @@ def credit_monopoly_rpbe(
     if cap >= mean:
         if params.is_sorting:
             return monopoly_rpbe(params.with_(credit_cap=None), tol)
-        alpha = params.lam * (params.theta_H - cap) / ((1.0 - params.lam) * (cap - params.theta_L))
+        alpha = low_per_high(cap, params)
         mono = StepMonitoringPolicy.uninformative()
         profile = PolicyProfile.of(Policy(fee=cap, monitoring=mono))
         sig = Signal(0, mono.messages[0])
@@ -414,7 +391,7 @@ def riley_rpbe(params: MarketParams, n: int, tol: float = DEFAULT_TOL) -> Equili
         payoff_l = 0.0
     offers = {}
     for i in range(n):
-        offers[Signal(i, 0)] = _offer(params.theta_L)
+        offers[Signal(i, 0)] = wage_offer(0.0, params)
         offers[Signal(i, 1)] = params.theta_H
     strategy = PopulationStrategy(low=low, high=high)
     payoffs = (payoff_l, params.theta_H - params.cost.cost(HIGH, e_r))
@@ -423,12 +400,9 @@ def riley_rpbe(params: MarketParams, n: int, tol: float = DEFAULT_TOL) -> Equili
 
 def _mixed_wage(q_h: float, params: MarketParams) -> float:
     """Wage of the pooled message when a fraction q_h of high types hides in it."""
+    # = posterior_mean(bayes_high(q_h, 1.0, params), params), inline since that route moves emitted wages' last bits
     num = params.lam * q_h * params.theta_H + (1.0 - params.lam) * params.theta_L
     return num / (params.lam * q_h + 1.0 - params.lam)
-
-
-def _q_h_for_wage(w_l: float, params: MarketParams) -> float:
-    return (1.0 - params.lam) * (w_l - params.theta_L) / (params.lam * (params.theta_H - w_l))
 
 
 @dataclass(frozen=True)
@@ -488,7 +462,7 @@ def _semipooling_outcome(
     offers = {}
     for i in range(n):
         if e_l > 0:
-            offers[Signal(i, 0)] = _offer(params.theta_L)
+            offers[Signal(i, 0)] = wage_offer(0.0, params)
         offers[Signal(i, mid_msg)] = w_l
         offers[Signal(i, top_msg)] = params.theta_H
     strategy = PopulationStrategy(low=low, high=high)
@@ -562,7 +536,7 @@ def semipooling_family(
             w_l = required + cf.cost(HIGH, e_l_val)
             if not params.theta_L < w_l < params.theta_H:
                 return FamilyResult(members=())
-            q_val = _q_h_for_wage(w_l, params)
+            q_val = 1.0 / low_per_high(w_l, params)
         e_h_val = e_r
         label = "semipooling_zero_fee"
     elif variant == "with_fee":
@@ -597,7 +571,7 @@ def semipooling_family(
             w_l = fee_val + cf.cost(LOW, e_l_val)
             if not params.theta_L < w_l < params.theta_H:
                 return FamilyResult(members=())
-            q_val = _q_h_for_wage(w_l, params)
+            q_val = 1.0 / low_per_high(w_l, params)
         e_h_val = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l_val), tol)
         label = "semipooling_with_fee"
     else:
@@ -831,11 +805,6 @@ def _audit_deviations(
     return devs
 
 
-def _deviator_profit(profile: PolicyProfile, params: MarketParams, school: int, eq) -> float:
-    mass = params.lam * eq.strategy.enrollment(HIGH, school) + (1.0 - params.lam) * eq.strategy.enrollment(LOW, school)
-    return profile[school].fee * mass
-
-
 def deviation_audit(
     outcome: EquilibriumOutcome,
     params: MarketParams,
@@ -873,7 +842,7 @@ def deviation_audit(
         for fee, mon, _ in devs:
             attempt = base_profile.replace(rep, Policy(fee=fee, monitoring=mon))
             eq = construct_epbe(attempt, params, tol)
-            profits.append(_deviator_profit(attempt, params, rep, eq))
+            profits.append(_school_profit(attempt, params, eq.strategy, rep))
     entries = [
         AuditEntry(school, fee, mon.thresholds, template, profit - outcome.profits[school], "canonical")
         for school in range(base_profile.n)
@@ -911,7 +880,7 @@ def deviation_audit(
             oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
             candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
             worst_profit[key] = (
-                min(_deviator_profit(attempt, params, rep, eq) for eq in candidates) if candidates else None
+                min(_school_profit(attempt, params, eq.strategy, rep) for eq in candidates) if candidates else None
             )
         worst = worst_profit[key]
         gain = entry.gain if worst is None else worst - outcome.profits[entry.school]

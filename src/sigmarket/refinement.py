@@ -28,7 +28,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, ResourceError
-from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel
+from .market import (
+    HIGH,
+    LOW,
+    DEFAULT_TOL,
+    MarketParams,
+    TypeLabel,
+    bayes_high,
+    low_per_high,
+    posterior_mean,
+    riley_effort,
+    wage_offer,
+)
 from .monitoring import Policy, PolicyProfile, Signal, reduce_minimal
 from .subgame import (
     OUTSIDE,
@@ -51,20 +62,16 @@ class DeviationGrid:
     response in verify_pbe is exact over band-minimum efforts, which are
     exactly 0 and the thresholds.  Its length caps the oracle (at most 25
     points), and its points span the audit's deviation search space (cutoff
-    thresholds and the effort-revealing policy).  wage_grid_resolution is
-    reporting-only (verdicts are closed-form).
+    thresholds and the effort-revealing policy).
     """
 
     effort_grid: tuple[float, ...]
-    wage_grid_resolution: float = 1e-3
 
     def __post_init__(self):
         if not self.effort_grid or self.effort_grid[0] != 0.0:
             raise InputError("effort grid must start at 0")
         if any(b <= a for a, b in zip(self.effort_grid, self.effort_grid[1:])):
             raise InputError("effort grid must be strictly ascending")
-        if self.wage_grid_resolution <= 0:
-            raise InputError("wage_grid_resolution must be positive")
 
     @classmethod
     def for_profile(
@@ -73,15 +80,12 @@ class DeviationGrid:
         params: MarketParams,
         n_points: int = 21,
         e_max: float | None = None,
-        wage_grid_resolution: float = 1e-3,
     ) -> "DeviationGrid":
         """Evenly spaced grid over [0, e_max] plus every policy threshold.
 
         e_max defaults to a span comfortably covering all thresholds and the
         separating effort scale theta_H / kappa-ish implied by the cost family.
         """
-        from .market import riley_effort
-
         thresholds = profile.thresholds()
         if e_max is None:
             scale = riley_effort(params)
@@ -98,7 +102,7 @@ class DeviationGrid:
         for x in grid[1:]:
             if x - dedup[-1] > 1e-12:
                 dedup.append(x)
-        return cls(effort_grid=tuple(dedup), wage_grid_resolution=wage_grid_resolution)
+        return cls(effort_grid=tuple(dedup))
 
     def covers(self, profile: PolicyProfile, slack: float = 1e-12) -> bool:
         return all(
@@ -263,7 +267,7 @@ def verify_pbe(
         if not -tol <= mu <= 1.0 + tol:
             violations.append(Violation("wage_belief_consistency", s, abs(mu - 0.5) - 0.5))
             continue
-        posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
+        posterior = posterior_mean(mu, params)
         offer = eq.wages.offer(s)
         if offer is None:
             if posterior > tol:
@@ -274,9 +278,7 @@ def verify_pbe(
     mass_high = eq.strategy.signal_mass(profile, HIGH)
     mass_low = eq.strategy.signal_mass(profile, LOW)
     for s in set(mass_high) | set(mass_low):
-        r = params.lam * mass_high.get(s, 0.0)
-        q = (1.0 - params.lam) * mass_low.get(s, 0.0)
-        mu_hat = r / (r + q)
+        mu_hat = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
         if abs(eq.beliefs.mu(s) - mu_hat) > tol:
             violations.append(Violation("bayes_on_path", s, abs(eq.beliefs.mu(s) - mu_hat)))
 
@@ -393,17 +395,14 @@ def _remap_equilibrium(
     beliefs: dict[Signal, float] = {}
     offers: dict[Signal, float | None] = {}
     for s in red_profile.signals():
-        r = params.lam * mass_high.get(s, 0.0)
-        q = (1.0 - params.lam) * mass_low.get(s, 0.0)
-        if r + q > 0.0:
-            mu = r / (r + q)
+        if s in mass_high or s in mass_low:
+            mu = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
         else:
             e = red_profile.min_effort(s)
             costs = {t: params.cost.cost(t, e) for t in (LOW, HIGH)}
             mu = _d1_belief_for_unsent(payoffs, red_profile[s.school].fee, costs, params, tol)
         beliefs[s] = mu
-        posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
-        offers[s] = posterior if posterior >= 0.0 else None
+        offers[s] = wage_offer(mu, params)
     return SubgameEquilibrium(
         profile=red_profile,
         strategy=strategy,
@@ -445,20 +444,6 @@ def _candidate_actions(profile: PolicyProfile, params: MarketParams) -> list[_Ac
             outlay = {t: policy.fee + cost[t] for t in (LOW, HIGH)}
             actions.append(_Action(i, start, profile.signal_of(i, start), policy.fee, cost, outlay))
     return actions
-
-
-def _posterior_income(r_mass: float, q_mass: float, params: MarketParams) -> float:
-    w = (params.lam * r_mass * params.theta_H + (1.0 - params.lam) * q_mass * params.theta_L) / (
-        params.lam * r_mass + (1.0 - params.lam) * q_mass
-    )
-    return max(w, 0.0)
-
-
-def _ratio_for_wage(w: float, params: MarketParams) -> float | None:
-    """(1-lam)Q / (lam R) ratio making the pooled posterior equal w."""
-    if not params.theta_L < w < params.theta_H:
-        return None
-    return (params.theta_H - w) / (w - params.theta_L)
 
 
 def _solve_weights(
@@ -510,14 +495,11 @@ def _solve_weights(
         other = 1 - k
         u_other = known_income(sig_m[other], mixer_is_h) - sup_m[other].outlay[t_m]
         target = u_other + sup_m[k].outlay[t_m]
-        ratio = _ratio_for_wage(target, params)
-        if ratio is None or target <= 0.0:
+        if not max(params.theta_L, 0.0) < target < params.theta_H:
             return []
-        if mixer_is_h:
-            # pooled mass: R = p (weight on pooled action), Q = 1
-            p = (1.0 - params.lam) / (params.lam * ratio)
-        else:
-            p = ratio * params.lam / (1.0 - params.lam)
+        # the pooled signal holds weight p of the mixer and all of the other type
+        low_share = low_per_high(target, params)
+        p = 1.0 / low_share if mixer_is_h else low_share
         if not _EDGE < p < 1.0 - _EDGE:
             return []
         w2 = (p, 1.0 - p) if k == 0 else (1.0 - p, p)
@@ -538,17 +520,16 @@ def _solve_weights(
         target_l = known_income(sig_l[1 - kl], False) - sup_l[1 - kl].outlay[LOW] + sup_l[kl].outlay[LOW]
         if abs(target_h - target_l) > tol:
             return []
-        ratio = _ratio_for_wage(target_h, params)
-        if ratio is None or target_h <= 0.0:
+        if not max(params.theta_L, 0.0) < target_h < params.theta_H:
             return []
         # one ratio constraint, one degree of freedom: symmetric representative
-        for r_weight in (0.5,):
-            q_weight = ratio * params.lam * r_weight / (1.0 - params.lam)
-            if _EDGE < q_weight < 1.0 - _EDGE:
-                wh = (r_weight, 1.0 - r_weight) if kh == 0 else (1.0 - r_weight, r_weight)
-                wl = (q_weight, 1.0 - q_weight) if kl == 0 else (1.0 - q_weight, q_weight)
-                return [(wh, wl)]
-        return []
+        r_weight = 0.5
+        q_weight = low_per_high(target_h, params) * r_weight
+        if not _EDGE < q_weight < 1.0 - _EDGE:
+            return []
+        wh = (r_weight, 1.0 - r_weight) if kh == 0 else (1.0 - r_weight, r_weight)
+        wl = (q_weight, 1.0 - q_weight) if kl == 0 else (1.0 - q_weight, q_weight)
+        return [(wh, wl)]
     # two pooled signals: only the equal-mass symmetric member survives strict
     # decreasing differences (equal efforts, equal fees); try it and let the
     # verifier be the judge.
@@ -557,7 +538,7 @@ def _solve_weights(
     for s in shared:
         r = wh[sig_h.index(s)]
         q = wl[sig_l.index(s)]
-        incomes[s] = _posterior_income(r, q, params)
+        incomes[s] = max(posterior_mean(bayes_high(r, q, params), params), 0.0)
     for t_m, sup_m, sigs, for_h in ((HIGH, sup_h, sig_h, True), (LOW, sup_l, sig_l, False)):
         pays = []
         for k in range(2):
@@ -596,22 +577,17 @@ def _assemble_candidate(
     mass_high = _signal_mass(sup_h, weights_h)
     mass_low = _signal_mass(sup_l, weights_l)
 
-    incomes: dict[Signal, float] = {}
     beliefs: dict[Signal, float] = {}
     offers: dict[Signal, float | None] = {}
     for s in set(mass_high) | set(mass_low):
-        r = params.lam * mass_high.get(s, 0.0)
-        q = (1.0 - params.lam) * mass_low.get(s, 0.0)
-        mu = r / (r + q)
-        posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
-        beliefs[s] = mu
-        offers[s] = posterior if posterior >= 0.0 else None
-        incomes[s] = max(posterior, 0.0)
+        beliefs[s] = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
+        offers[s] = wage_offer(beliefs[s], params)
 
     def pay(t: TypeLabel, a: _Action) -> float:
         if a.school is OUTSIDE:
             return 0.0
-        return incomes[a.signal] - a.fee - a.cost[t]
+        w = offers[a.signal]
+        return (0.0 if w is None else w) - a.fee - a.cost[t]
 
     payoffs: dict[TypeLabel, float] = {}
     for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
@@ -624,10 +600,8 @@ def _assemble_candidate(
         s = a.signal
         if s in beliefs:
             continue
-        mu = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
-        posterior = mu * params.theta_H + (1.0 - mu) * params.theta_L
-        beliefs[s] = mu
-        offers[s] = posterior if posterior >= 0.0 else None
+        beliefs[s] = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
+        offers[s] = wage_offer(beliefs[s], params)
 
     pooled = any(s in mass_low for s in mass_high)
     return SubgameEquilibrium(

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import InputError, InvariantViolation, read_field, require_object
-from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, expected_type
-from .monitoring import PolicyProfile, Signal
+from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, bayes_high, expected_type, low_per_high, wage_offer
+from .monitoring import PolicyProfile, Signal, min_cost
 
 OUTSIDE = None  # destination sentinel for the outside option
 
@@ -157,10 +157,6 @@ class BeliefSystem:
         if s not in self.mu_high:
             raise InputError(f"signal {s.key()} not covered by belief system")
         return self.mu_high[s]
-
-    def expected_type(self, s: Signal, params: MarketParams) -> float:
-        m = self.mu(s)
-        return m * params.theta_H + (1.0 - m) * params.theta_L
 
     def to_dict(self) -> dict:
         return {s.key(): m for s, m in sorted(self.mu_high.items(), key=lambda kv: (kv[0].school, kv[0].message))}
@@ -309,26 +305,19 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
 def _mixing_weight(w_bar: float, params: MarketParams, tol: float) -> tuple[float, float]:
     """Low-type mimic probability and pooled wage for an indifference wage w_bar.
 
-    Solves lam*theta_H + q*(1-lam)*theta_L = w_bar * (lam + q*(1-lam)); the
-    q <= 1 direction is exactly w_bar >= mean productivity.  When w_bar sits
-    within tol of an endpoint (theta_H, or the mean), the weight snaps to the
-    exact boundary and the wage to the Bayes-consistent value, so root-finding
-    residue in w_bar never leaves spurious support atoms; the payoff error
-    this introduces is bounded by the wage gap, hence by tol.
+    q is the low-per-high share pooling at w_bar (low_per_high); q <= 1 is
+    exactly w_bar >= mean productivity.  When w_bar sits within tol of an
+    endpoint (theta_H, or the mean), the weight snaps to the exact boundary
+    and the wage to the Bayes-consistent value, so root-finding residue in
+    w_bar never leaves spurious support atoms; the payoff error this
+    introduces is bounded by the wage gap, hence by tol.
     """
     mean = expected_type(params)
     if w_bar >= params.theta_H - tol:
         return 0.0, params.theta_H
     if w_bar <= mean + tol:
         return 1.0, mean
-    q = (params.lam * (params.theta_H - w_bar)) / ((1.0 - params.lam) * (w_bar - params.theta_L))
-    return q, w_bar
-
-
-def _offer(mu: float, params: MarketParams) -> float | None:
-    """Competitive wage response to a belief: posterior mean, or no offer."""
-    w = mu * params.theta_H + (1.0 - mu) * params.theta_L
-    return w if w >= 0.0 else None
+    return low_per_high(w_bar, params), w_bar
 
 
 def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DEFAULT_TOL) -> SubgameEquilibrium:
@@ -342,18 +331,13 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
             raise InputError(f"school {i} fee {p.fee} exceeds theta_H={params.theta_H}")
     fr = mimic_frontier(profile, params, tol)
     cf = params.cost
-    mean = expected_type(params)
-
-    def total_cost(type_label: TypeLabel, s: Signal) -> float:
-        return cf.cost(type_label, profile.min_effort(s)) + profile[s.school].fee
-
     c_low_star = fr.cost_low_marginal
     c_high_star = fr.cost_high_marginal
     gain = params.theta_H - fr.u_low
 
     pooling = True
     for s in fr.high_signals:
-        if gain > total_cost(HIGH, s) - c_high_star + c_low_star + tol:
+        if gain > min_cost(profile, cf, HIGH, s) - c_high_star + c_low_star + tol:
             pooling = False
             break
 
@@ -368,7 +352,7 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
             low_atoms.extend(StrategyAtom(i, fr.marginal_effort, q * share) for i in fr.marginal_schools)
         if q < 1.0:
             low_atoms.extend(_reservation_atoms(profile, params, 1.0 - q))
-        mu_marginal = params.lam / (params.lam + (1.0 - params.lam) * q) if q > 0.0 else 1.0
+        mu_marginal = bayes_high(1.0, q, params)
         for s in fr.low_signals:
             beliefs[s] = 0.0
         for s in fr.marginal_signals:
@@ -377,14 +361,14 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
             beliefs[s] = 1.0
         # Wages follow beliefs except at the marginal signal, where the
         # construction pins max(w_bar, mean); the two agree by choice of q.
-        offers = {s: _offer(beliefs[s], params) for s in profile.signals()}
+        offers = {s: wage_offer(beliefs[s], params) for s in profile.signals()}
         for s in fr.marginal_signals:
             offers[s] = pooled_wage
         payoff_H = pooled_wage - c_high_star
         payoff_L = pooled_wage - c_low_star if q >= 1.0 else fr.u_low
         tag = "semi_pooling"
     else:
-        costs_high = {s: total_cost(HIGH, s) for s in fr.high_signals}
+        costs_high = {s: min_cost(profile, cf, HIGH, s) for s in fr.high_signals}
         cheapest = min(costs_high.values())
         winners = sorted(
             (s for s, c in costs_high.items() if c <= cheapest + tol),
@@ -396,7 +380,7 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
         top_wage = set(fr.high_signals)  # the cheapest winners are all in here
         for s in profile.signals():
             beliefs[s] = 1.0 if s in top_wage else 0.0
-        offers = {s: _offer(beliefs[s], params) for s in profile.signals()}
+        offers = {s: wage_offer(beliefs[s], params) for s in profile.signals()}
         payoff_H = params.theta_H - cheapest
         payoff_L = fr.u_low
         tag = "separating"

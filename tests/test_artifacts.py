@@ -1,0 +1,215 @@
+"""Byte-identity guard for the CLI artifacts.
+
+Each case runs one command through `cli.main` on the inline inputs below and
+compares the exit code and the sha256 of every file the command writes with
+the values recorded in DIGESTS.  A refactor that must keep outputs identical
+keeps every digest; a change that alters an artifact on purpose re-records the
+digest and says why.
+
+The inputs are chosen so that together they emit every outcome label (the
+credit family's pooling and partial members and both semi-pooling variants
+included), use all three cost kinds, and include a profile of three identical
+schools.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from sigmarket.cli import main
+
+LINEAR = {"kind": "linear", "kappa_L": 2.0, "kappa_H": 1.0}
+POWER = {"kind": "power", "kappa_L": 3.0, "kappa_H": 1.0, "exponent": 1.5}
+TABULATED = {
+    "kind": "tabulated",
+    "efforts": [0.0, 0.5, 1.0, 2.0, 4.0],
+    "cost_L": [0.0, 1.0, 2.2, 4.6, 9.5],
+    "cost_H": [0.0, 0.5, 1.0, 2.0, 4.0],
+}
+
+
+def market(theta_L, theta_H, lam, cost, n=1, cap=None):
+    return {"theta_L": theta_L, "theta_H": theta_H, "lambda": lam, "cost": cost, "n_schools": n, "credit_cap": cap}
+
+
+def policy(fee, thresholds):
+    return {"fee": fee, "monitoring": {"thresholds": thresholds, "messages": list(range(len(thresholds) + 1))}}
+
+
+PARAMS = {
+    "monopoly_sorting": market(1.0, 2.0, 0.5, LINEAR),
+    "monopoly_screening": market(-1.0, 2.0, 0.5, LINEAR),
+    "credit_family": market(1.0, 2.0, 0.5, LINEAR, cap=1.2),
+    "credit_family_power": market(-0.5, 2.0, 0.5, {**POWER, "kappa_L": 2.0, "exponent": 2.0}, cap=0.5),
+    "monopoly_credit": market(-1.0, 2.0, 0.5, LINEAR, cap=1.0),
+    "zero_fee": market(0.5, 2.0, 0.9, {**LINEAR, "kappa_H": 0.5}, n=2),
+    "with_fee": market(-1.0, 2.0, 0.5, LINEAR, n=2),
+    "with_fee_power": market(-0.2, 2.0, 0.3, {**POWER, "kappa_L": 2.0}, n=3),
+    "with_fee_tabulated": market(0.25, 2.0, 0.4, TABULATED, n=2),
+}
+
+# (params, profile) pairs for oracle-compare and verify
+PROFILES = {
+    "sorting_two": (market(1.0, 2.0, 0.5, LINEAR, n=2), [policy(0.1, [0.3]), policy(0.3, [0.25, 0.6])]),
+    "screening_two": (market(-1.0, 2.0, 0.5, LINEAR, n=2), [policy(0.0, [0.5, 1.0]), policy(0.25, [0.75])]),
+    "tie_three": (market(0.5, 2.0, 0.5, LINEAR, n=3), [policy(0.25, [0.5])] * 3),
+    "two_classes": (
+        market(0.0, 1.0, 0.75, LINEAR, n=3),
+        [policy(0.25, [0.25, 0.75]), policy(0.25, [0.25, 0.75]), policy(0.0, [0.5])],
+    ),
+    "power_two": (market(-0.5, 2.5, 0.4, POWER, n=2), [policy(0.2, [0.4, 0.9]), policy(0.2, [0.9])]),
+    "tabulated_one": (market(0.25, 2.0, 0.6, TABULATED), [policy(0.5, [0.5, 1.0, 2.0])]),
+    "pooling_one": (market(0.5, 2.0, 0.6, LINEAR), [policy(0.5, [1.5])]),
+    "pooling_two": (
+        market(-0.5, 2.0, 0.7, {**LINEAR, "kappa_L": 3.0}, n=2),
+        [policy(0.0, [1.2]), policy(0.3, [0.4])],
+    ),
+}
+
+AUDITED = ("monopoly_sorting", "credit_family", "monopoly_credit", "with_fee", "with_fee_power")
+
+
+def write(path, payload) -> str:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def run_solve(tmp_path, name, fmt):
+    out = tmp_path / f"out.{fmt}"
+    code = main(["solve", "--params", write(tmp_path / "params.json", PARAMS[name]), "--format", fmt, "--out", str(out)])
+    return code, [out]
+
+
+def run_sweep(tmp_path):
+    out = tmp_path / "sweep.csv"
+    spec = write(tmp_path / "sweep.json", {"points": list(PARAMS.values())})
+    return main(["sweep", "--params", spec, "--out", str(out)]), [out]
+
+
+def run_welfare(tmp_path):
+    out = tmp_path / "welfare.json"
+    params = write(tmp_path / "params.json", PARAMS["with_fee"])
+    code = main(["welfare", "--params", params, "--sweep-range", "0.1:0.9:5", "--out", str(out)])
+    return code, [out, tmp_path / "welfare_plot.csv"]
+
+
+def run_audit(tmp_path, name, pessimistic):
+    out = tmp_path / "audit.json"
+    argv = ["audit", "--params", write(tmp_path / "params.json", PARAMS[name]), "--out", str(out)]
+    return main(argv + (["--pessimistic"] if pessimistic else [])), [out]
+
+
+def run_oracle(tmp_path, name):
+    params, profile = PROFILES[name]
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-compare", "--params", write(tmp_path / "params.json", params)]
+    argv += ["--profile", write(tmp_path / "profile.json", profile), "--grid-points", "15", "--out", str(out)]
+    return main(argv), [out]
+
+
+def run_verify(tmp_path, name):
+    run_oracle(tmp_path, name)
+    bundle = write(tmp_path / "bundle.json", json.loads((tmp_path / "oracle.json").read_text())["constructed"])
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--params", str(tmp_path / "params.json"), "--profile", bundle]
+    return main(argv + ["--grid-points", "15", "--out", str(out)]), [out]
+
+
+CASES = {
+    **{f"solve-{name}-{fmt}": (run_solve, name, fmt) for name in PARAMS for fmt in ("json", "csv")},
+    "sweep": (run_sweep,),
+    "welfare": (run_welfare,),
+    **{
+        f"audit-{name}-{mode}": (run_audit, name, mode == "pessimistic")
+        for name in AUDITED
+        for mode in ("canonical", "pessimistic")
+    },
+    **{f"oracle-compare-{name}": (run_oracle, name) for name in PROFILES},
+    **{f"verify-{name}": (run_verify, name) for name in PROFILES},
+}
+
+# case -> (exit code, sha256 of the written files, concatenated in order)
+DIGESTS = {
+    "audit-credit_family-canonical": (0, "3081947614bdf3b497767cc2ea2eead1ef237b8e72c49da514f3bfc0817898fc"),
+    "audit-credit_family-pessimistic": (0, "3081947614bdf3b497767cc2ea2eead1ef237b8e72c49da514f3bfc0817898fc"),
+    "audit-monopoly_credit-canonical": (0, "3e7d435572bb4001a81f2f98a14ada5e564828263acee84b07165d451745210d"),
+    "audit-monopoly_credit-pessimistic": (0, "3e7d435572bb4001a81f2f98a14ada5e564828263acee84b07165d451745210d"),
+    "audit-monopoly_sorting-canonical": (0, "e79d1175d2edb2f56e2377079e7ab3c848528adf4450f9eeea136211d3f5370c"),
+    "audit-monopoly_sorting-pessimistic": (0, "e79d1175d2edb2f56e2377079e7ab3c848528adf4450f9eeea136211d3f5370c"),
+    "audit-with_fee-canonical": (0, "95eb5ee3693fa19e55ef01298c5d623a2fe0338cd62f63b2f56d7365fcc9dde3"),
+    "audit-with_fee-pessimistic": (0, "95eb5ee3693fa19e55ef01298c5d623a2fe0338cd62f63b2f56d7365fcc9dde3"),
+    "audit-with_fee_power-canonical": (0, "95eb5ee3693fa19e55ef01298c5d623a2fe0338cd62f63b2f56d7365fcc9dde3"),
+    "audit-with_fee_power-pessimistic": (0, "95eb5ee3693fa19e55ef01298c5d623a2fe0338cd62f63b2f56d7365fcc9dde3"),
+    "oracle-compare-pooling_one": (0, "1829be42f80f18c3593eb6b9d7f521cac99f849b8fb0d35f8f0c08483365507b"),
+    "oracle-compare-pooling_two": (0, "5b46d9eb88a0621a73d0358cac933d0d4b1feafde076947a1e437bdb9008d5dc"),
+    "oracle-compare-power_two": (0, "15883990c409dae883eb44721f0109b296ce7985a3b9cd77a3a1db6995f77b6d"),
+    "oracle-compare-screening_two": (0, "af5aec8326102c2dc14682b40c2a002b7847586d2818b600c35860de629f018c"),
+    "oracle-compare-sorting_two": (0, "92250ca4fc50f5393c764f318231fa1c78183887e4641b6d0d15c90ea2702720"),
+    "oracle-compare-tabulated_one": (0, "9c6c9c77419ab71251b5f36f9dd885cf232a97cc9e2a32c5d63e0f9250473163"),
+    "oracle-compare-tie_three": (1, "23b0586eaa5b03a8f7d14ef308557796eb50a40385c66a59bbc2ef7d0862a8ba"),
+    "oracle-compare-two_classes": (0, "5afabad92b6d511546d48f4ee1cc62e3fddfc41d08f39debfc101484ba7a0883"),
+    "solve-credit_family-csv": (0, "c52bb70e1a996b35f76ae89cb97598b0f1c6e202a513c5d7587749fabb8f1ddb"),
+    "solve-credit_family-json": (0, "f6426ef72afc60c7212ab1bbcc4c171a66144563918f82beef30ed2676bb82b3"),
+    "solve-credit_family_power-csv": (0, "f8bd622b6c28ec74beb022df1c14232959e9cacc5b124d274b55ac6cd9252e10"),
+    "solve-credit_family_power-json": (0, "1e30d81da922f84519992a6bb28a4d09ea8bdc9de0b0d3b5976bf009b2b74bd6"),
+    "solve-monopoly_credit-csv": (0, "534c63e409eb2d19e6646c8df04924a92a3b2f9f672363a128a21a536b741e5b"),
+    "solve-monopoly_credit-json": (0, "2e5f5406bcb30f8320d3d8e7ba82aa8a20bffbecfc352ba94b397826e6d40efe"),
+    "solve-monopoly_screening-csv": (0, "71419241dd2f12190def6c79c49ba4c1104c1720d3cefacb55ca20d193c7444e"),
+    "solve-monopoly_screening-json": (0, "17048a0127048634cd83d00ddc8ca561a34d193e8ee7a3be995dec50f9313586"),
+    "solve-monopoly_sorting-csv": (0, "a6b5d50263b26804db280293008306abcbc3c08de0192d9585b20fc1837ef1f9"),
+    "solve-monopoly_sorting-json": (0, "b11c06eba461e962e28abc7e22bb7554f90e1555bc7cc36601086e99bf0b6819"),
+    "solve-with_fee-csv": (0, "16d0a995678d74ae8e22102f14b75d1dde1ae4e141f7e5a7c53212417cd9262a"),
+    "solve-with_fee-json": (0, "60d666e041619af0777a0d1df1e6c48e2f95d3af4135891ad378b99fa762f466"),
+    "solve-with_fee_power-csv": (0, "3d7f0193ae4b8f36ebe8fb133c73b5852a7a77217fc9cf2344a16ba72e708df7"),
+    "solve-with_fee_power-json": (0, "8a39595fcd01e78a67974ba634422bfa729f243eb7e1bfd77c3c1ce2049550e0"),
+    "solve-with_fee_tabulated-csv": (0, "5ec937960d67c20298b574312bcd6d3edf08817fb813137d786f58fbbfc3e6e9"),
+    "solve-with_fee_tabulated-json": (0, "04f2efba581f049582e216c88a976618c5fdddc94a97caf81d605a0b99ef96a6"),
+    "solve-zero_fee-csv": (0, "e1e972fadce601cdd592946d6c2bae87ad4c5f85429798322d526f04d15b93af"),
+    "solve-zero_fee-json": (0, "1ffab93dd96a0c97bb9db977b0c50a3520df0e627ef7565cb73ddb5d1675df40"),
+    "sweep": (0, "21f4cd7c498ea716156fd4351165ba8ee658819444491230cb62c58c99f52638"),
+    "verify-pooling_one": (0, "5628562d332a780da997bb36e19a222edb0c2f8003d77f6847a32714d32aba76"),
+    "verify-pooling_two": (0, "5628562d332a780da997bb36e19a222edb0c2f8003d77f6847a32714d32aba76"),
+    "verify-power_two": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
+    "verify-screening_two": (0, "85a30543ba1ee4538c66292c2b4c890f8d1e3f404c9759e490ead853179aa928"),
+    "verify-sorting_two": (0, "64e85e17e4b8315337420a7178fe2d6147c53e23b20e4a0f087627a89a7455bb"),
+    "verify-tabulated_one": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
+    "verify-tie_three": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
+    "verify-two_classes": (0, "4f19b9a0b06a8b45a8f89e34174e62ec38e5213a0760a7e558e3489d4d47dafa"),
+    "welfare": (0, "7e28a246e3d7ff340c2de79b11fd6b5a205a11068d7d210603cd6632aa6c3911"),
+}
+
+
+def digest(paths) -> str:
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_bytes_unchanged(tmp_path, case):
+    runner, *args = CASES[case]
+    code, outputs = runner(tmp_path, *args)
+    assert (code, digest(outputs)) == DIGESTS[case]
+
+
+def test_inputs_cover_every_outcome_label(tmp_path):
+    seen = {}
+    for name in PARAMS:
+        run_solve(tmp_path, name, "json")
+        for outcome in json.loads((tmp_path / "out.json").read_text()):
+            seen.setdefault(outcome["label"], set()).add(len(outcome["on_path"]["H"]))
+    assert set(seen) == {
+        "monopoly_sorting",
+        "monopoly_screening",
+        "monopoly_credit",
+        "riley",
+        "semipooling_zero_fee",
+        "semipooling_with_fee",
+        "credit_family",
+    }
+    assert seen["credit_family"] == {1, 2}  # pooling and partial members
+    kinds = {p["cost"]["kind"] for p in PARAMS.values()} | {p["cost"]["kind"] for p, _ in PROFILES.values()}
+    assert kinds == {"linear", "power", "tabulated"}
+    assert any(len(prof) == 3 and len({json.dumps(p) for p in prof}) == 1 for _, prof in PROFILES.values())

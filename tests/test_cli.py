@@ -11,7 +11,7 @@ from sigmarket import (
     construct_epbe,
     riley_effort,
 )
-from sigmarket.cli import RunConfig, _dump, main
+from sigmarket.cli import RunConfig, _dump, build_parser, main
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -208,11 +208,16 @@ class TestSweep:
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         assert main(["sweep", "--params", spec_path, "--out", str(out_a)]) == 0
-        assert main(["sweep", "--params", spec_path, "--out", str(out_b), "--jobs", "3"]) == 0
+        assert main(["sweep", "--params", spec_path, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         lines = out_a.read_text().splitlines()
         assert lines[0].startswith("theta_L,theta_H,lambda,n_schools")
         assert len(lines) > 6
+
+    def test_jobs_flag_is_gone(self, tmp_path, screening):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--params", self.sweep_spec(tmp_path, screening), "--jobs", "3"])
+        assert exc.value.code == 2
 
     def test_bad_spec_exit_2(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -243,6 +248,24 @@ class TestWelfareCommand:
         plot = (tmp_path / "welfare_plot.csv").read_text().splitlines()
         assert plot[0] == "lambda,monopoly_welfare,competition_welfare,max_welfare"
         assert len(plot) == 8
+
+    def test_cost_field_sweep_moves_the_rows(self, tmp_path, sorting):
+        params_path = write_params(tmp_path, sorting.with_(n_schools=2))
+        out_path = tmp_path / "welfare.json"
+        argv = ["welfare", "--params", params_path, "--out", str(out_path)]
+        assert main(argv + ["--sweep-param", "kappa_L", "--sweep-range", "1.5:3:4"]) == 0
+        rows = (tmp_path / "welfare_plot.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        # the riley effort, hence competition welfare, depends on kappa_L
+        assert len({row.split(",")[2] for row in rows}) == 4
+
+    @pytest.mark.parametrize("name", ["bogus", "exponent", "cost", "kind"])
+    def test_unknown_sweep_param_exit_2(self, tmp_path, sorting, capsys, name):
+        out_path = tmp_path / "welfare.json"
+        argv = ["welfare", "--params", write_params(tmp_path, sorting), "--out", str(out_path)]
+        assert main(argv + ["--sweep-param", name, "--sweep-range", "1.5:3:4"]) == 2
+        assert not out_path.exists() and not (tmp_path / "welfare_plot.csv").exists()
+        assert repr(name) in capsys.readouterr().err
 
     def test_bad_range_exit_2(self, tmp_path, screening):
         code = main(
@@ -287,3 +310,7 @@ class TestJsonRoundTrips:
         main(["solve", "--params", params_path, "--out", str(a)])
         main(["solve", "--params", params_path, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()

@@ -7,11 +7,13 @@ from sigmarket import (
     InputError,
     MarketParams,
     RangeError,
+    bayes_high,
     check_decreasing_differences,
-    cost,
-    cost_inverse_effort,
     expected_type,
+    low_per_high,
+    posterior_mean,
     riley_effort,
+    wage_offer,
 )
 
 LIN = CostFamily.linear(2.0, 1.0)
@@ -35,11 +37,32 @@ class TestExpectedType:
         assert p.theta_L < expected_type(p) < p.theta_H
 
 
+class TestWageRule:
+    def test_hand_values(self):
+        p = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN)
+        assert posterior_mean(1.0, p) == 2.0 and posterior_mean(0.0, p) == -1.0
+        assert wage_offer(0.5, p) == 0.5 and wage_offer(0.0, p) is None
+        assert bayes_high(1.0, 1.0, p) == 0.5 and bayes_high(1.0, 0.0, p) == 1.0
+        assert low_per_high(0.5, p) == 1.0  # a full pool earns the mean
+
+    @given(
+        theta_h=st.floats(0.5, 5.0),
+        gap=st.floats(0.1, 5.0),
+        lam=st.floats(0.05, 0.95),
+        share=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=60)
+    def test_low_per_high_inverts_bayes(self, theta_h, gap, lam, share):
+        p = MarketParams(theta_L=theta_h - gap, theta_H=theta_h, lam=lam, cost=LIN)
+        w = p.theta_L + share * gap
+        assert posterior_mean(bayes_high(1.0, low_per_high(w, p), p), p) == pytest.approx(w, rel=1e-9, abs=1e-12)
+
+
 class TestCost:
     def test_normalization_and_linearity(self):
-        assert cost(LIN, "H", 0.0) == 0.0
-        assert cost(LIN, "L", 0.5) == 1.0
-        assert cost(CostFamily.power(2.0, 1.0, 2.0), "H", 3.0) == 9.0
+        assert LIN.cost("H", 0.0) == 0.0
+        assert LIN.cost("L", 0.5) == 1.0
+        assert CostFamily.power(2.0, 1.0, 2.0).cost("H", 3.0) == 9.0
 
     def test_tabulated_interpolates(self):
         tab = CostFamily.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 5.0], [0.0, 1.0, 2.0])
@@ -50,7 +73,7 @@ class TestCost:
 
     def test_negative_effort_rejected(self):
         with pytest.raises(InputError):
-            cost(LIN, "L", -0.1)
+            LIN.cost("L", -0.1)
 
     def test_bad_constructions(self):
         with pytest.raises(InputError):
@@ -74,9 +97,9 @@ class TestCost:
 
 class TestCostInverse:
     def test_hand_values(self):
-        assert cost_inverse_effort(LIN, "L", 1.0) == pytest.approx(0.5, abs=1e-9)
-        assert cost_inverse_effort(LIN, "H", 0.0) == 0.0
-        assert cost_inverse_effort(CostFamily.power(2.0, 1.0, 2.0), "H", 9.0) == pytest.approx(
+        assert LIN.inverse("L", 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert LIN.inverse("H", 0.0) == 0.0
+        assert CostFamily.power(2.0, 1.0, 2.0).inverse("H", 9.0) == pytest.approx(
             3.0, abs=1e-8
         )
 

@@ -34,7 +34,7 @@ from sigmarket import (
     verify_pbe,
     welfare,
 )
-from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _deviator_profit
+from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _school_profit
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -282,7 +282,8 @@ class TestSemipooling:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from sigmarket.outer import _mixed_wage, _q_h_for_wage
+        from sigmarket import low_per_high
+        from sigmarket.outer import _mixed_wage
 
         @given(
             lam=st.floats(0.05, 0.95),
@@ -297,7 +298,7 @@ class TestSemipooling:
             # raw formula ranges over (theta_L, theta_H); the equilibrium
             # filters are what pin members above max(theta_L, 0)
             assert p.theta_L < w < p.theta_H
-            assert _q_h_for_wage(w, p) == pytest.approx(q, rel=1e-9)
+            assert 1.0 / low_per_high(w, p) == pytest.approx(q, rel=1e-9)
 
         check()
 
@@ -433,7 +434,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
         for fee, mon, template in _audit_deviations(outcome, params, grids):
             attempt = base.replace(school, Policy(fee=fee, monitoring=mon))
             eq = construct_epbe(attempt, params, tol)
-            gain = _deviator_profit(attempt, params, school, eq) - outcome.profits[school]
+            gain = _school_profit(attempt, params, eq.strategy, school) - outcome.profits[school]
             entries.append(AuditEntry(school, fee, mon.thresholds, template, gain, "canonical"))
     entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
     canonical = AuditReport(
@@ -454,7 +455,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
         candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
         gain = entry.gain
         if candidates:
-            worst = min(_deviator_profit(attempt, params, entry.school, eq) for eq in candidates)
+            worst = min(_school_profit(attempt, params, eq.strategy, entry.school) for eq in candidates)
             gain = worst - outcome.profits[entry.school]
         pess = AuditEntry(entry.school, entry.fee, entry.thresholds, entry.template, gain, "pessimistic")
         pess_entries.append(pess)

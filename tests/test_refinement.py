@@ -233,24 +233,6 @@ class TestVerifyExtendedD1:
         grid = DeviationGrid.for_profile(prof, sorting)
         assert verify_extended_d1(prof, eq, sorting, grid).passed
 
-    def test_wage_grid_resolution_never_changes_verdicts(self, screening):
-        prof = PolicyProfile.of(
-            Policy(fee=0.1, monitoring=StepMonitoringPolicy.cutoff(0.4)),
-            Policy(fee=0.3, monitoring=StepMonitoringPolicy.cutoff(0.8)),
-        )
-        params = screening.with_(n_schools=2)
-        eq = construct_epbe(prof, params)
-        fine = DeviationGrid.for_profile(prof, params, wage_grid_resolution=1e-3)
-        finer = DeviationGrid.for_profile(prof, params, wage_grid_resolution=5e-4)
-        assert (
-            verify_extended_d1(prof, eq, params, fine).to_dict()
-            == verify_extended_d1(prof, eq, params, finer).to_dict()
-        )
-        assert (
-            verify_pbe(prof, eq, params, fine).to_dict()
-            == verify_pbe(prof, eq, params, finer).to_dict()
-        )
-
 
 class TestCheckMinimality:
     def test_pooled_single_message_passes(self, sorting):
