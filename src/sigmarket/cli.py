@@ -17,10 +17,9 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, NumericError, ResourceError, SigMarketError
+from .errors import InputError, NumericError, ResourceError, SigMarketError, read_field, require_object
 from .market import MarketParams, check_decreasing_differences
 from .monitoring import PolicyProfile
 from .outer import (
@@ -51,20 +50,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params_path: str
-    profile_path: str | None = None
-    grid_points: int = 21
-    tol: float = 1e-9
-    out: str | None = None
-    fmt: str = "json"
-    pessimistic: bool = False
-    sweep_param: str = "lambda"
-    sweep_range: str = "0.05:0.95:19"
 
 
 def _load_json(path: str, what: str):
@@ -99,25 +84,25 @@ def _load_params(path: str) -> MarketParams:
     return _regular(MarketParams.from_dict(_load_json(path, "params")))
 
 
-def _dump(payload, config: RunConfig) -> str:
+def _dump(payload, out: str | None) -> str:
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:  # NaN or infinity: bare tokens are not JSON
         raise NumericError(f"result is not finite: {exc}") from None
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return text
 
 
-def _write_csv(rows: list[list[str]], header, config: RunConfig, suffix: str = "") -> None:
+def _write_csv(rows: list[list[str]], header, out: str | None, suffix: str = "") -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    if config.out:
-        path = Path(config.out)
+    if out:
+        path = Path(out)
         if suffix:
             path = path.with_name(path.stem + suffix + ".csv")
         path.write_text(buf.getvalue(), encoding="utf-8")
@@ -156,63 +141,58 @@ def _solve_outcomes(params: MarketParams, tol: float):
     return outcomes
 
 
-def cmd_solve(config: RunConfig) -> int:
-    params = _load_params(config.params_path)
-    outcomes = _solve_outcomes(params, config.tol)
-    if config.fmt == "csv":
-        rows = [outcome_csv_row(o, params) for o in outcomes]
-        _write_csv(rows, CSV_COLUMNS, config)
+def cmd_solve(args: argparse.Namespace) -> int:
+    params = _load_params(args.params)
+    outcomes = _solve_outcomes(params, args.tol)
+    if args.format == "csv":
+        _write_csv([outcome_csv_row(o, params) for o in outcomes], CSV_COLUMNS, args.out)
     else:
-        _dump([o.to_dict() for o in outcomes], config)
+        _dump([o.to_dict() for o in outcomes], args.out)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    params = _load_params(config.params_path)
-    if not config.profile_path:
-        raise InputError("verify needs --profile pointing at an equilibrium bundle")
-    eq = SubgameEquilibrium.from_dict(_load_json(config.profile_path, "equilibrium bundle"))
+def cmd_verify(args: argparse.Namespace) -> int:
+    params = _load_params(args.params)
+    eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
     profile = eq.profile
-    grid = DeviationGrid.for_profile(profile, params, n_points=config.grid_points)
+    grid = DeviationGrid.for_profile(profile, params, n_points=args.grid_points)
     reports = {
-        "pbe": verify_pbe(profile, eq, params, grid, config.tol),
-        "extended_d1": verify_extended_d1(profile, eq, params, grid, config.tol),
-        "minimality": check_minimality(profile, eq, params, grid, config.tol),
+        "pbe": verify_pbe(profile, eq, params, grid, args.tol),
+        "extended_d1": verify_extended_d1(profile, eq, params, grid, args.tol),
+        "minimality": check_minimality(profile, eq, params, grid, args.tol),
     }
     # minimality is a property of the posted policies, reported but not fatal
     passed = reports["pbe"].passed and reports["extended_d1"].passed
-    _dump({"passed": passed, "reports": {k: r.to_dict() for k, r in reports.items()}}, config)
+    _dump({"passed": passed, "reports": {k: r.to_dict() for k, r in reports.items()}}, args.out)
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def cmd_audit(config: RunConfig) -> int:
-    params = _load_params(config.params_path)
+def cmd_audit(args: argparse.Namespace) -> int:
+    params = _load_params(args.params)
     if params.n_schools >= 2:
-        outcome = riley_rpbe(params, params.n_schools, config.tol)
+        outcome = riley_rpbe(params, params.n_schools, args.tol)
     else:
-        outcome = _monopoly(params, config.tol)
+        outcome = _monopoly(params, args.tol)
         if isinstance(outcome, CreditFamily):
             outcome = outcome.zero_effort_member()
-    grid = DeviationGrid.for_profile(outcome.profile, params, n_points=config.grid_points)
-    report = deviation_audit(outcome, params, grid, config.tol, pessimistic=config.pessimistic)
+    grid = DeviationGrid.for_profile(outcome.profile, params, n_points=args.grid_points)
+    report = deviation_audit(outcome, params, grid, args.tol, pessimistic=args.pessimistic)
     payload = {
         "label": outcome.label,
         "max_gain": report.max_gain,
-        "certified": report.max_gain <= config.tol,
+        "certified": report.max_gain <= args.tol,
         "best": None if report.best is None else report.best.to_dict(),
     }
-    _dump(payload, config)
-    return EXIT_OK if report.max_gain <= config.tol else EXIT_VERIFICATION
+    _dump(payload, args.out)
+    return EXIT_OK if report.max_gain <= args.tol else EXIT_VERIFICATION
 
 
-def cmd_oracle_compare(config: RunConfig) -> int:
-    params = _load_params(config.params_path)
-    if not config.profile_path:
-        raise InputError("oracle-compare needs --profile pointing at a policy profile")
-    profile = PolicyProfile.from_list(_load_json(config.profile_path, "profile"))
-    grid = DeviationGrid.for_profile(profile, params, n_points=config.grid_points)
-    constructed = construct_epbe(profile, params, config.tol)
-    oracle = brute_force_equilibria(profile, params, grid, support_cap=2, tol=config.tol)
+def cmd_oracle_compare(args: argparse.Namespace) -> int:
+    params = _load_params(args.params)
+    profile = PolicyProfile.from_list(_load_json(args.profile, "profile"))
+    grid = DeviationGrid.for_profile(profile, params, n_points=args.grid_points)
+    constructed = construct_epbe(profile, params, args.tol)
+    oracle = brute_force_equilibria(profile, params, grid, support_cap=2, tol=args.tol)
     match_index = next(
         (k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq, profile)), None
     )
@@ -223,30 +203,62 @@ def cmd_oracle_compare(config: RunConfig) -> int:
             "oracle_count": len(oracle),
             "constructed": constructed.to_dict(),
         },
-        config,
+        args.out,
     )
     return EXIT_OK if match_index is not None else EXIT_VERIFICATION
 
 
+_SWEEP_TOP_LEVEL = ("theta_L", "theta_H", "lambda", "n_schools", "credit_cap")
+_SWEEP_COST = ("kappa_L", "kappa_H", "exponent")
+
+
+def _sweep_slot(data: dict, key: str) -> dict:
+    """The part of a params dict holding a swept field: the top level, or the
+    cost family for its scalars (kappa_L, kappa_H, and exponent for power)."""
+    if key in _SWEEP_TOP_LEVEL:
+        return data
+    if key in _SWEEP_COST:
+        cost = read_field(data, "cost", lambda v: v, "params")
+        require_object(cost, "params field 'cost'")
+        if key in cost:
+            return cost
+    raise InputError(f"cannot sweep {key!r}: not a numeric field of these params")
+
+
+def _with_field(data: dict, key: str, value) -> dict:
+    """A copy of a params dict, cost object included, with one swept field set."""
+    copy = dict(data)
+    if isinstance(copy.get("cost"), dict):
+        copy["cost"] = dict(copy["cost"])
+    _sweep_slot(copy, key)[key] = value
+    return copy
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _sweep_points(spec: dict) -> list[MarketParams]:
     if "points" in spec:
-        return [_regular(MarketParams.from_dict(p)) for p in spec["points"]]
+        return [_regular(MarketParams.from_dict(p)) for p in _array(spec["points"], "sweep file field 'points'")]
     if "base" not in spec:
         raise InputError("sweep file needs either 'points' or 'base' (+ optional 'vary')")
-    base = spec["base"]
-    vary: dict = spec.get("vary", {})
-    points = [dict(base)]
+    base, vary = spec["base"], spec.get("vary", {})
+    require_object(base, "sweep file field 'base'")
+    require_object(vary, "sweep file field 'vary'")
+    points = [base]
     for key, values in vary.items():
-        points = [dict(p, **{key: v}) for p in points for v in values]
+        _sweep_slot(base, key)  # reject the name even when a value list is empty
+        points = [_with_field(p, key, v) for p in points for v in _array(values, f"sweep file 'vary' entry {key!r}")]
     return [_regular(MarketParams.from_dict(p)) for p in points]
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    spec = _load_json(config.params_path, "sweep")
-    points = _sweep_points(spec)
-
-    rows = [outcome_csv_row(o, p) for p in points for o in _solve_outcomes(p, config.tol)]
-    _write_csv(rows, CSV_COLUMNS, config)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    points = _sweep_points(_load_json(args.params, "sweep"))
+    rows = [outcome_csv_row(o, p) for p in points for o in _solve_outcomes(p, args.tol)]
+    _write_csv(rows, CSV_COLUMNS, args.out)
     return EXIT_OK
 
 
@@ -262,61 +274,69 @@ def _parse_range(text: str) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-_SWEEP_TOP_LEVEL = ("theta_L", "theta_H", "lambda", "n_schools", "credit_cap")
-_SWEEP_COST = ("kappa_L", "kappa_H", "exponent")
-
-
-def _sweep_slot(data: dict, key: str) -> dict:
-    """The part of a params dict holding a swept field: the top level, or the
-    cost family for its scalars (kappa_L, kappa_H, and exponent for power)."""
-    if key in _SWEEP_TOP_LEVEL:
-        return data
-    if key in _SWEEP_COST and key in data["cost"]:
-        return data["cost"]
-    raise InputError(f"--sweep-param {key!r} is not a numeric field of these params")
-
-
-def cmd_welfare(config: RunConfig) -> int:
-    params = _load_params(config.params_path)
-    key = config.sweep_param
+def cmd_welfare(args: argparse.Namespace) -> int:
+    params = _load_params(args.params)
+    key = args.sweep_param
     _sweep_slot(params.to_dict(), key)  # reject the name before writing anything
-    values = _parse_range(config.sweep_range)
-    outcomes = _solve_outcomes(params, config.tol)
+    values = _parse_range(args.sweep_range)
+    outcomes = _solve_outcomes(params, args.tol)
     reports = [
         {"label": o.label, "welfare": welfare(o, params).to_dict()} for o in outcomes
     ]
-    _dump(reports, config)
+    _dump(reports, args.out)
     header = [key, "monopoly_welfare", "competition_welfare", "max_welfare"]
     rows = []
     for value in values:
-        d = params.to_dict()
-        _sweep_slot(d, key)[key] = value
         try:
-            p = _regular(MarketParams.from_dict(d))
+            p = _regular(MarketParams.from_dict(_with_field(params.to_dict(), key, value)))
         except InputError:
             continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
-        mono_out = _monopoly(p1, config.tol)
+        mono_out = _monopoly(p1, args.tol)
         if isinstance(mono_out, CreditFamily):
             mono_out = mono_out.zero_effort_member()
         mono = welfare(mono_out, p1)
         comp_n = p.n_schools if p.n_schools >= 2 else 2
-        comp = welfare(riley_rpbe(p, comp_n, config.tol), p)
+        comp = welfare(riley_rpbe(p, comp_n, args.tol), p)
         rows.append(
             [format(value, ".12g")]
             + [format(x, ".12g") for x in (mono.total, comp.total, mono.max_welfare)]
         )
-    _write_csv(rows, header, config, suffix="_plot")
+    _write_csv(rows, header, args.out, suffix="_plot")
     return EXIT_OK
 
 
+def _positive(text: str) -> float:
+    """argparse type for --tol: a number > 0 (NaN is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+# Options beyond --params, --tol and --out, each taken only by the commands naming it below.
+_FLAGS = {
+    "--profile": {"required": True, "help": "policy profile / equilibrium bundle JSON"},
+    "--grid-points": {"type": int, "default": 21},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--pessimistic": {"action": "store_true"},
+    "--sweep-param": {"default": "lambda"},
+    "--sweep-range": {"default": "0.05:0.95:19"},
+}
+
+# command -> (handler, help text, the _FLAGS it reads)
 COMMANDS = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "oracle-compare": cmd_oracle_compare,
-    "welfare": cmd_welfare,
-    "audit": cmd_audit,
+    "solve": (cmd_solve, "solve the design game at one parameter point", ("--format",)),
+    "verify": (cmd_verify, "check an equilibrium bundle (PBE, extended D1, minimality)", ("--profile", "--grid-points")),
+    "sweep": (cmd_sweep, "iterate a parameter grid file and emit the outcome CSV", ()),
+    "oracle-compare": (
+        cmd_oracle_compare, "construct an equilibrium and match it against brute force", ("--profile", "--grid-points")
+    ),
+    "welfare": (cmd_welfare, "welfare report plus plot-data CSV over a parameter range", ("--sweep-param", "--sweep-range")),
+    "audit": (cmd_audit, "replay school deviations against the solved outcome", ("--grid-points", "--pessimistic")),
 }
 
 
@@ -327,47 +347,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve and verify equilibria of the school signaling-design game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve the design game at one parameter point"),
-        ("verify", "check an equilibrium bundle (PBE, extended D1, minimality)"),
-        ("sweep", "iterate a parameter grid file and emit the outcome CSV"),
-        ("oracle-compare", "construct an equilibrium and match it against brute force"),
-        ("welfare", "welfare report plus plot-data CSV over a parameter range"),
-        ("audit", "replay school deviations against the solved outcome"),
-    ):
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--params", required=True, help="market parameters JSON file")
-        p.add_argument("--profile", default=None, help="policy profile / equilibrium bundle JSON")
-        p.add_argument("--grid-points", type=int, default=21)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_positive, default=1e-9)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-        p.add_argument("--pessimistic", action="store_true")
-        p.add_argument("--sweep-param", default="lambda")
-        p.add_argument("--sweep-range", default="0.05:0.95:19")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.tol <= 0:
-        raise InputError(f"tol must be positive, got {args.tol}")
-    return RunConfig(
-        command=args.command,
-        params_path=args.params,
-        profile_path=args.profile,
-        grid_points=args.grid_points,
-        tol=args.tol,
-        out=args.out,
-        fmt=args.fmt,
-        pessimistic=args.pessimistic,
-        sweep_param=args.sweep_param,
-        sweep_range=args.sweep_range,
-    )
-
-
-def run(config: RunConfig) -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)  # a malformed command line exits 2 here
     try:
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -377,17 +370,6 @@ def run(config: RunConfig) -> int:
     except SigMarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, read_field
 from .market import (
     HIGH,
     LOW,
@@ -117,19 +117,24 @@ class EquilibriumOutcome:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EquilibriumOutcome":
-        try:
-            return cls(
-                profile=PolicyProfile.from_list(data["profile"]),
-                on_path=PopulationStrategy.from_dict(data["on_path"]),
-                wages=WageSchedule.from_dict(data["wages"]),
-                profits=tuple(float(x) for x in data["profits"]),
-                enrollment=(float(data["enrollment"]["L"]), float(data["enrollment"]["H"])),
-                employment=(float(data["employment"]["L"]), float(data["employment"]["H"])),
-                payoffs=(float(data["payoffs"]["L"]), float(data["payoffs"]["H"])),
-                label=str(data["label"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"outcome missing field {exc.args[0]!r}") from exc
+        where = "outcome"
+
+        def by_type(key: str) -> tuple[float, float]:
+            def pair(v) -> tuple[float, float]:
+                return read_field(v, LOW, float, f"{where} {key}"), read_field(v, HIGH, float, f"{where} {key}")
+
+            return read_field(data, key, pair, where)
+
+        return cls(
+            profile=read_field(data, "profile", PolicyProfile.from_list, where),
+            on_path=read_field(data, "on_path", PopulationStrategy.from_dict, where),
+            wages=read_field(data, "wages", WageSchedule.from_dict, where),
+            profits=read_field(data, "profits", lambda v: tuple(float(x) for x in v), where),
+            enrollment=by_type("enrollment"),
+            employment=by_type("employment"),
+            payoffs=by_type("payoffs"),
+            label=read_field(data, "label", str, where),
+        )
 
 
 def _school_profit(profile: PolicyProfile, params: MarketParams, strategy: PopulationStrategy, school: int) -> float:
@@ -504,40 +509,25 @@ def semipooling_family(
     e_r = riley_effort(params, tol)
     floor = max(params.theta_L, 0.0)
 
+    # The pooled wage is base + c(anchor, e_l): net of the pooled effort, the
+    # anchor type earns exactly base (high types: their separating payoff, so
+    # they are indifferent; low types: the fee, so they end at zero payoff).
     if variant == "zero_fee":
-        fee_val = 0.0
         if fee not in (None, 0.0):
             raise InputError("zero_fee variant does not take a fee")
-        required = params.theta_H - cf.cost(HIGH, e_r)
+        fee_val, anchor, e_l_cap = 0.0, HIGH, e_r
+        base = params.theta_H - cf.cost(HIGH, e_r)  # the high types' separating payoff
         sup_w = expected_type(params)
-        if required >= sup_w - tol:
+        if base >= sup_w - tol:
             return FamilyResult(
                 members=(),
                 certificate=BoundCertificate(
                     reason="pooled wage is capped by mean productivity below the "
                     "high types' separating payoff",
                     sup_pooled_wage=sup_w,
-                    required_pooled_wage=required,
+                    required_pooled_wage=base,
                 ),
             )
-        if q_h is not None:
-            if not 0.0 < q_h < 1.0:
-                raise InputError(f"q_h must lie strictly in (0, 1), got {q_h}")
-            w_l = _mixed_wage(q_h, params)
-            budget = w_l - required
-            if budget < -tol:
-                return FamilyResult(members=())
-            e_l_val = cf.inverse(HIGH, max(budget, 0.0), tol) if budget > tol else 0.0
-            q_val = q_h
-        else:
-            if e_l < 0 or e_l >= e_r:
-                raise InputError(f"e_l must lie in [0, riley effort), got {e_l}")
-            e_l_val = e_l
-            w_l = required + cf.cost(HIGH, e_l_val)
-            if not params.theta_L < w_l < params.theta_H:
-                return FamilyResult(members=())
-            q_val = 1.0 / low_per_high(w_l, params)
-        e_h_val = e_r
         label = "semipooling_zero_fee"
     elif variant == "with_fee":
         if fee is None or fee <= 0:
@@ -554,28 +544,30 @@ def semipooling_family(
             )
         if not mild_fee_set(params, n).contains(fee):
             return FamilyResult(members=())
-        fee_val = fee
-        if q_h is not None:
-            if not 0.0 < q_h < 1.0:
-                raise InputError(f"q_h must lie strictly in (0, 1), got {q_h}")
-            w_l = _mixed_wage(q_h, params)
-            budget = w_l - fee_val  # low types end exactly at zero payoff
-            if budget < -tol:
-                return FamilyResult(members=())
-            e_l_val = cf.inverse(LOW, max(budget, 0.0), tol) if budget > tol else 0.0
-            q_val = q_h
-        else:
-            if e_l < 0:
-                raise InputError(f"e_l must be nonnegative, got {e_l}")
-            e_l_val = e_l
-            w_l = fee_val + cf.cost(LOW, e_l_val)
-            if not params.theta_L < w_l < params.theta_H:
-                return FamilyResult(members=())
-            q_val = 1.0 / low_per_high(w_l, params)
-        e_h_val = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l_val), tol)
+        fee_val = base = fee
+        anchor, e_l_cap = LOW, float("inf")
         label = "semipooling_with_fee"
     else:
         raise InputError(f"unknown variant {variant!r}")
+
+    if q_h is not None:
+        if not 0.0 < q_h < 1.0:
+            raise InputError(f"q_h must lie strictly in (0, 1), got {q_h}")
+        w_l = _mixed_wage(q_h, params)
+        budget = w_l - base
+        if budget < -tol:
+            return FamilyResult(members=())
+        e_l_val = cf.inverse(anchor, max(budget, 0.0), tol) if budget > tol else 0.0
+        q_val = q_h
+    else:
+        if not 0.0 <= e_l < e_l_cap:
+            raise InputError(f"e_l must lie in [0, {e_l_cap}), got {e_l}")
+        e_l_val = e_l
+        w_l = base + cf.cost(anchor, e_l_val)
+        if not params.theta_L < w_l < params.theta_H:
+            return FamilyResult(members=())
+        q_val = 1.0 / low_per_high(w_l, params)
+    e_h_val = e_r if anchor == HIGH else cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l_val), tol)
 
     low_payoff = w_l - fee_val - cf.cost(LOW, e_l_val)
     checks = (

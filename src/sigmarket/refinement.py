@@ -95,8 +95,7 @@ class DeviationGrid:
         pts = {0.0, float(e_max)}
         step = e_max / (n_points - 1)
         pts.update(round(k * step, 15) for k in range(n_points))
-        pts.update(t for t in thresholds if t <= e_max)
-        pts.update(t for t in thresholds if t > e_max)  # never drop a threshold
+        pts.update(thresholds)  # every threshold, also those beyond e_max
         grid = sorted(pts)
         dedup = [grid[0]]
         for x in grid[1:]:
@@ -345,10 +344,14 @@ def check_minimality(
     one (reduce_minimal) still supports the same on-path outcome as a refined
     equilibrium of the reduced subgame.  When the merge would hand some type
     a profitable deviation (the usual reason an unsent band exists at all),
-    the retained partition is necessary and the school passes.
+    the retained partition is necessary and the school passes.  A grid that
+    covers the profile covers every reduced one, since reduce_minimal keeps
+    a subset of the band starts, so one grid serves every school.
     """
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
+    if grid is None:
+        grid = DeviationGrid.for_profile(profile, params)
     for i, policy in enumerate(profile):
         sent_i = {s.message for s in sent if s.school == i}
         if not sent_i:
@@ -359,14 +362,9 @@ def check_minimality(
             continue
         red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
         red_eq = _remap_equilibrium(red_profile, eq, params, tol)
-        red_grid = DeviationGrid.for_profile(
-            red_profile,
-            params,
-            n_points=len(grid.effort_grid) if grid is not None else 21,
-        )
         ok = (
-            verify_pbe(red_profile, red_eq, params, red_grid, tol).passed
-            and verify_extended_d1(red_profile, red_eq, params, red_grid, tol).passed
+            verify_pbe(red_profile, red_eq, params, grid, tol).passed
+            and verify_extended_d1(red_profile, red_eq, params, grid, tol).passed
         )
         if ok:
             violations.append(

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from sigmarket import (
     construct_epbe,
     riley_effort,
 )
-from sigmarket.cli import RunConfig, _dump, build_parser, main
+from sigmarket.cli import COMMANDS, _dump, build_parser, main
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -53,7 +54,7 @@ class TestSolve:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"theta_L": 1.0, "theta_H": 2.0}), encoding="utf-8")
         assert main(["solve", "--params", str(bad)]) == 2
-        assert "lambda" in capsys.readouterr().err or True
+        assert "lambda" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", "--params", str(tmp_path / "nope.json")]) == 2
@@ -110,9 +111,8 @@ class TestSolve:
         assert not out_path.exists()
 
     def test_non_finite_result_is_not_written(self, tmp_path):
-        config = RunConfig(command="solve", params_path="", out=str(tmp_path / "out.json"))
         with pytest.raises(NumericError):
-            _dump({"x": float("nan")}, config)
+            _dump({"x": float("nan")}, str(tmp_path / "out.json"))
         assert not (tmp_path / "out.json").exists()
 
 
@@ -219,10 +219,73 @@ class TestSweep:
             main(["sweep", "--params", self.sweep_spec(tmp_path, screening), "--jobs", "3"])
         assert exc.value.code == 2
 
+    def write_vary(self, tmp_path, base, vary):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "vary": vary}), encoding="utf-8")
+        return str(path)
+
+    def test_cost_field_vary_moves_the_rows(self, tmp_path, sorting):
+        spec = self.write_vary(tmp_path, sorting.with_(n_schools=2).to_dict(), {"kappa_L": [2, 3, 4]})
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", spec, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        kappa_l = header.split(",").index("kappa_L")
+        by_point = {}
+        for row in rows:
+            cells = row.split(",")
+            by_point.setdefault(cells.pop(kappa_l), []).append(tuple(cells))
+        assert sorted(by_point) == ["2", "3", "4"]
+        # the rest of each point's rows (riley effort, payoffs, welfare) moves with kappa_L
+        assert len({tuple(v) for v in by_point.values()}) == 3
+
+    def test_unknown_vary_key_exit_2(self, tmp_path, screening, capsys):
+        spec = self.write_vary(tmp_path, screening.to_dict(), {"bogus": [2, 3]})
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", spec, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vary", [{"kappa_L": [2, 3]}, {"lambda": [0.3, 0.5]}])
+    def test_base_without_cost_exit_2(self, tmp_path, screening, capsys, vary):
+        base = screening.to_dict()
+        del base["cost"]
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", self.write_vary(tmp_path, base, vary), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "'cost'" in capsys.readouterr().err
+
+    def test_vary_points_do_not_share_the_cost(self, screening):
+        from sigmarket.cli import _sweep_points
+
+        base = screening.to_dict()
+        points = _sweep_points({"base": base, "vary": {"kappa_L": [2.5, 3.0], "lambda": [0.3, 0.6]}})
+        assert [(p.cost.kappa_L, p.lam) for p in points] == [(2.5, 0.3), (2.5, 0.6), (3.0, 0.3), (3.0, 0.6)]
+        assert base == screening.to_dict()
+
     def test_bad_spec_exit_2(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"vary": {}}), encoding="utf-8")
         assert main(["sweep", "--params", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"points": 3}, "'points'"),
+            ({"base": "params", "vary": {"lambda": 0.5}}, "'lambda'"),
+            ({"base": "params", "vary": [0.5]}, "'vary'"),
+            ({"base": [1, 2], "vary": {"lambda": [0.5]}}, "'base'"),
+        ],
+        ids=["points_not_array", "values_not_array", "vary_not_object", "base_not_object"],
+    )
+    def test_malformed_spec_exit_2(self, tmp_path, screening, capsys, spec, named):
+        if spec.get("base") == "params":
+            spec = dict(spec, base=screening.to_dict())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
 
 
 class TestWelfareCommand:
@@ -314,3 +377,35 @@ class TestJsonRoundTrips:
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_each_command_takes_only_its_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS)
+    for name, (_, _, flags) in COMMANDS.items():
+        options = {o for action in sub.choices[name]._actions for o in action.option_strings}
+        assert options == set(flags) | {"--params", "--tol", "--out", "-h", "--help"}, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--format", "json"],
+        ["solve", "--pessimistic"],
+        ["audit", "--profile", "p.json"],
+        ["verify"],
+        ["oracle-compare"],
+        ["solve", "--tol", "0"],
+        ["solve", "--tol", "-1e-9"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "abc"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rejected_command_line_exit_2(tmp_path, screening, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--params", write_params(tmp_path, screening), "--out", str(out), *argv[1:]])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "usage:" in capsys.readouterr().err

@@ -193,6 +193,25 @@ class TestRiley:
             riley_rpbe(sorting, 1)
 
 
+class TestOutcomeFromDict:
+    def test_round_trip(self, screening):
+        out = riley_rpbe(screening, 2)
+        assert EquilibriumOutcome.from_dict(out.to_dict()).to_dict() == out.to_dict()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("profits", ["x"]), ("payoffs", [0, 0]), ("enrollment", {"L": 1.0}), ("label", None)],
+    )
+    def test_malformed_field_is_input_error(self, screening, field, value):
+        data = riley_rpbe(screening, 2).to_dict()
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(InputError, match=field):
+            EquilibriumOutcome.from_dict(data)
+
+
 class TestSemipooling:
     PARAMS = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
 
