@@ -127,7 +127,7 @@ def _solve_outcomes(params: MarketParams, tol: float):
         result = _monopoly(params, tol)
         return result.sample(4) if isinstance(result, CreditFamily) else [result]
     n = params.n_schools
-    outcomes = [riley_rpbe(params, n, tol)]
+    outcomes = [riley_rpbe(params, n)]
     for q_h in (0.25, 0.5, 0.75):
         outcomes.extend(semipooling_family(params, n, "zero_fee", q_h=q_h, tol=tol))
     if not is_fierce(params, n).fierce:
@@ -170,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     if params.n_schools >= 2:
-        outcome = riley_rpbe(params, params.n_schools, args.tol)
+        outcome = riley_rpbe(params, params.n_schools)
     else:
         outcome = _monopoly(params, args.tol)
         if isinstance(outcome, CreditFamily):
@@ -297,7 +297,7 @@ def cmd_welfare(args: argparse.Namespace) -> int:
             mono_out = mono_out.zero_effort_member()
         mono = welfare(mono_out, p1)
         comp_n = p.n_schools if p.n_schools >= 2 else 2
-        comp = welfare(riley_rpbe(p, comp_n, args.tol), p)
+        comp = welfare(riley_rpbe(p, comp_n), p)
         rows.append(
             [format(value, ".12g")]
             + [format(x, ".12g") for x in (mono.total, comp.total, mono.max_welfare)]

@@ -19,11 +19,7 @@ class RangeError(InputError):
 
 
 class NumericError(SigMarketError, ArithmeticError):
-    """A numerical routine failed to converge or hit a degenerate system."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A numerical result is unusable, e.g. not finite."""
 
 
 class ResourceError(SigMarketError):

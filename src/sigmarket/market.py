@@ -1,4 +1,4 @@
-"""Market primitives: types, effort-cost families, and scalar root finding.
+"""Market primitives: types, effort-cost families and their closed-form inverses.
 
 A market is populated by a unit mass of students who are privately either
 low- or high-productivity (theta_L may be negative, theta_H > 0), a fraction
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import InputError, NumericError, RangeError, read_field
+from .errors import InputError, RangeError, read_field
 
 TypeLabel = Literal["L", "H"]
 
@@ -31,7 +31,6 @@ LOW: TypeLabel = "L"
 HIGH: TypeLabel = "H"
 
 DEFAULT_TOL = 1e-9
-_BISECTION_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,7 @@ class CostFamily:
             return self._slope(type_label) * effort
         if self.kind == "power":
             return self._slope(type_label) * effort**self.exponent
-        table = self.cost_H if type_label == HIGH else self.cost_L
-        eff = self.efforts
+        table, eff = self._table(type_label), self.efforts
         if effort > eff[-1]:
             raise RangeError(f"effort {effort} beyond tabulated range [0, {eff[-1]}]")
         j = _bisect.bisect_right(eff, effort) - 1
@@ -121,40 +119,49 @@ class CostFamily:
         w = (effort - eff[j]) / (eff[j + 1] - eff[j])
         return table[j] + w * (table[j + 1] - table[j])
 
-    def inverse(self, type_label: TypeLabel, target_cost: float, tol: float = DEFAULT_TOL) -> float:
-        """Effort e with |c(type, e) - target_cost| <= tol.
+    def _table(self, type_label: TypeLabel) -> tuple[float, ...]:
+        return self.cost_H if type_label == HIGH else self.cost_L
 
-        Doubling-bracket bisection; derivative-free and deterministic for any
-        monotone continuous cost.  Returns 0 exactly when target_cost == 0.
+    def inverse(self, type_label: TypeLabel, target_cost: float) -> float:
+        """Effort e with c(type, e) = target_cost, in closed form.
+
+        linear: t / kappa; power: (t / kappa)**(1 / exponent); tabulated: the
+        knot segment holding t is found by bisecting the cost table and then
+        interpolated linearly, so a knot cost maps to its knot exactly.
+        Returns 0 exactly when target_cost == 0.  A tabulated target above the
+        type's last knot cost raises RangeError.
         """
+        if type_label not in (LOW, HIGH):
+            raise InputError(f"type must be 'L' or 'H', got {type_label!r}")
         if target_cost < 0:
             raise InputError(f"target cost must be nonnegative, got {target_cost}")
-        if tol <= 0:
-            raise InputError("tol must be positive")
-        if target_cost == 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
+        if self.kind == "linear":
+            return target_cost / self._slope(type_label)
+        if self.kind == "power":
+            return (target_cost / self._slope(type_label)) ** (1.0 / self.exponent)
+        table, eff = self._table(type_label), self.efforts
+        if target_cost > table[-1]:
+            raise RangeError(f"target cost {target_cost} beyond tabulated range")
+        j = _bisect.bisect_left(table, target_cost)
+        if table[j] == target_cost:
+            return eff[j]
+        w = (target_cost - table[j - 1]) / (table[j] - table[j - 1])
+        return eff[j - 1] + w * (eff[j] - eff[j - 1])
+
+    def affordable_count(self, type_label: TypeLabel, efforts: tuple[float, ...], budget: float) -> int:
+        """How many of the ascending `efforts` cost the type at most `budget`.
+
+        Cost rises with effort, so these efforts are a prefix, found by
+        bisection on exact cost comparisons.  A tabulated family is never
+        extrapolated: a budget above the type's last knot cost raises
+        RangeError, as inverse does, and otherwise an effort beyond the last
+        knot is over budget without being priced.
+        """
         if self.kind == "tabulated":
-            if target_cost > (self.cost_H if type_label == HIGH else self.cost_L)[-1]:
-                raise RangeError(f"target cost {target_cost} beyond tabulated range")
-            hi = self.efforts[-1]
-        else:
-            for _ in range(_BISECTION_CAP):
-                if self.cost(type_label, hi) >= target_cost:
-                    break
-                hi *= 2.0
-            else:
-                raise NumericError("could not bracket target cost", bracket=(lo, hi))
-        for _ in range(_BISECTION_CAP):
-            mid = 0.5 * (lo + hi)
-            resid = self.cost(type_label, mid) - target_cost
-            if abs(resid) <= tol:
-                return mid
-            if resid < 0:
-                lo = mid
-            else:
-                hi = mid
-        raise NumericError("bisection did not converge", bracket=(lo, hi))
+            if budget > self._table(type_label)[-1]:
+                raise RangeError(f"budget {budget} beyond tabulated range")
+            efforts = efforts[: _bisect.bisect_right(efforts, self.efforts[-1])]
+        return _bisect.bisect_right(efforts, budget, key=lambda e: self.cost(type_label, e))
 
     def to_dict(self) -> dict:
         if self.kind == "linear":
@@ -354,7 +361,7 @@ def check_decreasing_differences(cf: CostFamily, grid) -> DecreasingDifferencesR
     return DecreasingDifferencesReport(passed=not violations, violations=tuple(violations))
 
 
-def riley_effort(params: MarketParams, tol: float = DEFAULT_TOL) -> float:
+def riley_effort(params: MarketParams) -> float:
     """Cheapest fully separating effort.
 
     The unique e with c(L, e) = theta_H - max(theta_L, 0): the smallest effort
@@ -363,4 +370,4 @@ def riley_effort(params: MarketParams, tol: float = DEFAULT_TOL) -> float:
     Positive because theta_H > max(theta_L, 0).
     """
     target = params.theta_H - max(params.theta_L, 0.0)
-    return params.cost.inverse(LOW, target, tol)
+    return params.cost.inverse(LOW, target)

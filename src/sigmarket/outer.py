@@ -281,7 +281,7 @@ class CreditFamily:
             return None
         if params.is_sorting and w_l - cf.cost(LOW, e_l) < params.theta_L - tol:
             return None
-        e_h = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l), tol)
+        e_h = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l))
         if e_h <= e_l + tol:
             return None
         return _semipooling_outcome(
@@ -316,8 +316,6 @@ def credit_monopoly_rpbe(
     if params.credit_cap is None:
         raise InputError("params.credit_cap must be set")
     cap = params.credit_cap
-    if cap <= 0:
-        raise InputError(f"credit cap must be positive, got {cap}")
     if cap >= params.theta_H:
         return monopoly_rpbe(params.with_(credit_cap=None), tol)
     mean = expected_type(params)
@@ -335,9 +333,9 @@ def credit_monopoly_rpbe(
         wages = WageSchedule(offers={sig: cap})
         return _assemble_outcome(profile, params, strategy, wages, (0.0, 0.0), "monopoly_credit")
     cf = params.cost
-    e_prime = cf.inverse(LOW, mean - cap, tol)
+    e_prime = cf.inverse(LOW, mean - cap)
     cap_eff = max(cap, params.theta_L, 0.0)
-    e_limit = e_prime if cap_eff == cap else cf.inverse(LOW, mean - cap_eff, tol)
+    e_limit = e_prime if cap_eff == cap else cf.inverse(LOW, mean - cap_eff)
     return CreditFamily(params=params, fee=cap, e_prime=e_prime, e_limit=e_limit)
 
 
@@ -374,7 +372,7 @@ def is_fierce(params: MarketParams, n: int) -> FierceVerdict:
     return FierceVerdict(fierce=bool(reasons), reasons=tuple(reasons))
 
 
-def riley_rpbe(params: MarketParams, n: int, tol: float = DEFAULT_TOL) -> EquilibriumOutcome:
+def riley_rpbe(params: MarketParams, n: int) -> EquilibriumOutcome:
     """Cheapest separating outcome under competition: zero fees everywhere.
 
     Each school posts a two-message cutoff at the separating effort; high
@@ -383,7 +381,7 @@ def riley_rpbe(params: MarketParams, n: int, tol: float = DEFAULT_TOL) -> Equili
     """
     if n < 2:
         raise InputError(f"competition solver needs n >= 2 schools, got {n}")
-    e_r = riley_effort(params, tol)
+    e_r = riley_effort(params)
     mon = StepMonitoringPolicy.cutoff(e_r, below=0, above=1)
     profile = PolicyProfile.symmetric(Policy(fee=0.0, monitoring=mon), n)
     share = 1.0 / n
@@ -506,7 +504,6 @@ def semipooling_family(
     if (e_l is None) == (q_h is None):
         raise InputError("provide exactly one of e_l, q_h as the free parameter")
     cf = params.cost
-    e_r = riley_effort(params, tol)
     floor = max(params.theta_L, 0.0)
 
     # The pooled wage is base + c(anchor, e_l): net of the pooled effort, the
@@ -515,6 +512,7 @@ def semipooling_family(
     if variant == "zero_fee":
         if fee not in (None, 0.0):
             raise InputError("zero_fee variant does not take a fee")
+        e_r = riley_effort(params)
         fee_val, anchor, e_l_cap = 0.0, HIGH, e_r
         base = params.theta_H - cf.cost(HIGH, e_r)  # the high types' separating payoff
         sup_w = expected_type(params)
@@ -557,7 +555,7 @@ def semipooling_family(
         budget = w_l - base
         if budget < -tol:
             return FamilyResult(members=())
-        e_l_val = cf.inverse(anchor, max(budget, 0.0), tol) if budget > tol else 0.0
+        e_l_val = cf.inverse(anchor, max(budget, 0.0)) if budget > tol else 0.0
         q_val = q_h
     else:
         if not 0.0 <= e_l < e_l_cap:
@@ -567,7 +565,7 @@ def semipooling_family(
         if not params.theta_L < w_l < params.theta_H:
             return FamilyResult(members=())
         q_val = 1.0 / low_per_high(w_l, params)
-    e_h_val = e_r if anchor == HIGH else cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l_val), tol)
+    e_h_val = e_r if anchor == HIGH else cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l_val))
 
     low_payoff = w_l - fee_val - cf.cost(LOW, e_l_val)
     checks = (

@@ -10,12 +10,12 @@ Geometry, per school i with fee f_i:
 
 * reservation payoff  u_low = max(0, theta_L - f_min)  from enrolling at the
   cheapest school with zero effort, or staying out;
-* e_star_i solves theta_H - c(L, e) - f_i = u_low: the largest effort a low
-  type might rationally exert at i (schools priced out of even zero effort
-  contribute nothing);
-* each school's marginal signal is the message band containing e_star_i; the
-  market-wide marginal effort is the largest band-bottom so reachable, and
-  the marginal schools I* are the cheapest ones attaining it.
+* each school's marginal signal is its last band whose start s satisfies
+  c(L, s) <= theta_H - f_i - u_low, the most a low type would pay at i for
+  the top wage (a school whose budget is negative has none).  Costs are
+  compared exactly, without an inverse, so a start costing exactly the
+  budget counts.  The market-wide marginal effort is the largest such band
+  start, and the marginal schools I* are the cheapest ones attaining it.
 
 Signals then split into the marginal set S* (band bottom exactly at the
 marginal effort, school in I*), the high set S*+ (band bottom strictly above)
@@ -232,15 +232,13 @@ def _reservation_atoms(profile: PolicyProfile, params: MarketParams, weight: flo
 class FrontierReport:
     """Signal geometry of a profile from the low type's viewpoint.
 
-    e_star maps school -> maximal rationalizable low-type effort (-inf when
-    the school cannot attract anyone even at the top wage).  marginal_effort
-    is the band-bottom of the market-wide marginal signal; marginal_schools
-    are the cheapest schools attaining it.
+    marginal_effort is the largest start s of a band the low type would pay
+    for at the top wage, c(L, s) <= theta_H - f_i - u_low, over all schools;
+    marginal_schools are the cheapest schools attaining it.
     """
 
     f_min: float
     u_low: float
-    e_star: tuple[float, ...]
     marginal_effort: float
     marginal_schools: tuple[int, ...]
     marginal_signals: tuple[Signal, ...]
@@ -254,21 +252,18 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
     """Partition a profile's signals into marginal / high / low sets."""
     f_min, u_low = reservation(profile, params)
     cf = params.cost
-    e_star: list[float] = []
     band_bottom: list[float] = []  # minimum effort of each school's marginal band
     band_message: list[int | None] = []
     for policy in profile:
         budget = params.theta_H - policy.fee - u_low
         if budget < 0.0:
-            e_star.append(float("-inf"))
             band_bottom.append(float("-inf"))
             band_message.append(None)
             continue
-        e_i = cf.inverse(LOW, budget, tol) if budget > 0.0 else 0.0
-        m_i = policy.monitoring.message_of(e_i)
-        e_star.append(e_i)
-        band_bottom.append(policy.monitoring.min_effort(m_i))
-        band_message.append(m_i)
+        mon = policy.monitoring
+        j = cf.affordable_count(LOW, mon.thresholds, budget)
+        band_bottom.append(mon.band_starts()[j])
+        band_message.append(mon.messages[j])
     marginal_effort = max(band_bottom)
     if marginal_effort == float("-inf"):
         raise InvariantViolation("no school can attract the low type at any wage")
@@ -291,7 +286,6 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
     return FrontierReport(
         f_min=f_min,
         u_low=u_low,
-        e_star=tuple(e_star),
         marginal_effort=marginal_effort,
         marginal_schools=marginal_schools,
         marginal_signals=marginal_signals,
@@ -308,8 +302,9 @@ def _mixing_weight(w_bar: float, params: MarketParams, tol: float) -> tuple[floa
     q is the low-per-high share pooling at w_bar (low_per_high); q <= 1 is
     exactly w_bar >= mean productivity.  When w_bar sits within tol of an
     endpoint (theta_H, or the mean), the weight snaps to the exact boundary
-    and the wage to the Bayes-consistent value, so root-finding residue in
-    w_bar never leaves spurious support atoms; the payoff error this
+    and the wage to the Bayes-consistent value, so floating-point residue in
+    w_bar = c(L, e*) + f + u_low (at a knife edge it rounds to within an ulp
+    of theta_H) never leaves spurious support atoms; the payoff error this
     introduces is bounded by the wage gap, hence by tol.
     """
     mean = expected_type(params)

@@ -144,30 +144,30 @@ DIGESTS = {
     "oracle-compare-pooling_one": (0, "1829be42f80f18c3593eb6b9d7f521cac99f849b8fb0d35f8f0c08483365507b"),
     "oracle-compare-pooling_two": (0, "5b46d9eb88a0621a73d0358cac933d0d4b1feafde076947a1e437bdb9008d5dc"),
     "oracle-compare-power_two": (0, "15883990c409dae883eb44721f0109b296ce7985a3b9cd77a3a1db6995f77b6d"),
-    "oracle-compare-screening_two": (0, "af5aec8326102c2dc14682b40c2a002b7847586d2818b600c35860de629f018c"),
+    "oracle-compare-screening_two": (0, "3a22e4552bf06ff0dc0fcd6bc9805710d42139faefb94c93dc6e5645d11006b0"),
     "oracle-compare-sorting_two": (0, "92250ca4fc50f5393c764f318231fa1c78183887e4641b6d0d15c90ea2702720"),
     "oracle-compare-tabulated_one": (0, "9c6c9c77419ab71251b5f36f9dd885cf232a97cc9e2a32c5d63e0f9250473163"),
     "oracle-compare-tie_three": (1, "23b0586eaa5b03a8f7d14ef308557796eb50a40385c66a59bbc2ef7d0862a8ba"),
     "oracle-compare-two_classes": (0, "5afabad92b6d511546d48f4ee1cc62e3fddfc41d08f39debfc101484ba7a0883"),
-    "solve-credit_family-csv": (0, "c52bb70e1a996b35f76ae89cb97598b0f1c6e202a513c5d7587749fabb8f1ddb"),
-    "solve-credit_family-json": (0, "f6426ef72afc60c7212ab1bbcc4c171a66144563918f82beef30ed2676bb82b3"),
-    "solve-credit_family_power-csv": (0, "f8bd622b6c28ec74beb022df1c14232959e9cacc5b124d274b55ac6cd9252e10"),
-    "solve-credit_family_power-json": (0, "1e30d81da922f84519992a6bb28a4d09ea8bdc9de0b0d3b5976bf009b2b74bd6"),
+    "solve-credit_family-csv": (0, "59cdedde626f14e3db4d3670a389922f87c0b440a474c9b98a1b190e890e4bd7"),
+    "solve-credit_family-json": (0, "560da6353973e10b055f408e4bc5c65e3fb254aaca05887fb67653750f4b0933"),
+    "solve-credit_family_power-csv": (0, "cc9acbde35ae7d798f873872314287cb27cd0f68d83bf8b292eaf97ac0708bcc"),
+    "solve-credit_family_power-json": (0, "1d7d51b67ce0ac2d790c58834d9359b1fae559f0ae4bca356c672865f3493fea"),
     "solve-monopoly_credit-csv": (0, "534c63e409eb2d19e6646c8df04924a92a3b2f9f672363a128a21a536b741e5b"),
     "solve-monopoly_credit-json": (0, "2e5f5406bcb30f8320d3d8e7ba82aa8a20bffbecfc352ba94b397826e6d40efe"),
     "solve-monopoly_screening-csv": (0, "71419241dd2f12190def6c79c49ba4c1104c1720d3cefacb55ca20d193c7444e"),
     "solve-monopoly_screening-json": (0, "17048a0127048634cd83d00ddc8ca561a34d193e8ee7a3be995dec50f9313586"),
     "solve-monopoly_sorting-csv": (0, "a6b5d50263b26804db280293008306abcbc3c08de0192d9585b20fc1837ef1f9"),
     "solve-monopoly_sorting-json": (0, "b11c06eba461e962e28abc7e22bb7554f90e1555bc7cc36601086e99bf0b6819"),
-    "solve-with_fee-csv": (0, "16d0a995678d74ae8e22102f14b75d1dde1ae4e141f7e5a7c53212417cd9262a"),
-    "solve-with_fee-json": (0, "60d666e041619af0777a0d1df1e6c48e2f95d3af4135891ad378b99fa762f466"),
-    "solve-with_fee_power-csv": (0, "3d7f0193ae4b8f36ebe8fb133c73b5852a7a77217fc9cf2344a16ba72e708df7"),
-    "solve-with_fee_power-json": (0, "8a39595fcd01e78a67974ba634422bfa729f243eb7e1bfd77c3c1ce2049550e0"),
-    "solve-with_fee_tabulated-csv": (0, "5ec937960d67c20298b574312bcd6d3edf08817fb813137d786f58fbbfc3e6e9"),
-    "solve-with_fee_tabulated-json": (0, "04f2efba581f049582e216c88a976618c5fdddc94a97caf81d605a0b99ef96a6"),
-    "solve-zero_fee-csv": (0, "e1e972fadce601cdd592946d6c2bae87ad4c5f85429798322d526f04d15b93af"),
-    "solve-zero_fee-json": (0, "1ffab93dd96a0c97bb9db977b0c50a3520df0e627ef7565cb73ddb5d1675df40"),
-    "sweep": (0, "21f4cd7c498ea716156fd4351165ba8ee658819444491230cb62c58c99f52638"),
+    "solve-with_fee-csv": (0, "10fd707ab6b28b4c920deb964fc1e275d29a7bf2bbb7f19a58367ba5fc959ba9"),
+    "solve-with_fee-json": (0, "7d4d3c45d6fdef66a9bca80e50adc6de3c4bfee464901313dbc7757d4cc7c4c2"),
+    "solve-with_fee_power-csv": (0, "6215a61d210f71f663054430423965f4651dfadfc8f85b736fe1853b82338aee"),
+    "solve-with_fee_power-json": (0, "d3376d91afb88c67b35a8589047511e76c632c57e83335630327c833dcd3d94e"),
+    "solve-with_fee_tabulated-csv": (0, "b42b71962db3128911c83d5f56b5e967a0905ba81babf4b378d6836bac62a2a7"),
+    "solve-with_fee_tabulated-json": (0, "0ef952354fc8e8fdbf2d8bda4a76f314b20a69971d9f874685f1187be4da69e3"),
+    "solve-zero_fee-csv": (0, "924db70c8c4338af5ce6f507cfd9ca4f2ddfb4ab64277d0259a5d130f0d762c0"),
+    "solve-zero_fee-json": (0, "5aa29a78acd470c36fc895b670f331ea633be0403609e554c739ae3f4f7f2e80"),
+    "sweep": (0, "720d87f888f288ee5b510d1ccba01b4e12d8909a775d8d3c360da82da3d49bbc"),
     "verify-pooling_one": (0, "5628562d332a780da997bb36e19a222edb0c2f8003d77f6847a32714d32aba76"),
     "verify-pooling_two": (0, "5628562d332a780da997bb36e19a222edb0c2f8003d77f6847a32714d32aba76"),
     "verify-power_two": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
@@ -176,7 +176,7 @@ DIGESTS = {
     "verify-tabulated_one": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
     "verify-tie_three": (0, "ad7155e9ad2364365dcfc0855f17a4317fe2605a49baf100a679849e51c5923a"),
     "verify-two_classes": (0, "4f19b9a0b06a8b45a8f89e34174e62ec38e5213a0760a7e558e3489d4d47dafa"),
-    "welfare": (0, "7e28a246e3d7ff340c2de79b11fd6b5a205a11068d7d210603cd6632aa6c3911"),
+    "welfare": (0, "b2779d3f50f51e5d38b252fd48ddce08c9dd2d31b3593caf40a456f3c5bfa89f"),
 }
 
 

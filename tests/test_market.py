@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from sigmarket import (
 )
 
 LIN = CostFamily.linear(2.0, 1.0)
+TAB = CostFamily.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 5.0], [0.0, 1.0, 2.0])
 
 
 class TestExpectedType:
@@ -108,13 +111,57 @@ class TestCostInverse:
     def test_round_trip(self, effort, kind):
         cf = LIN if kind == "linear" else CostFamily.power(2.0, 1.0, 1.7)
         target = cf.cost("L", effort)
-        back = cf.inverse("L", target, tol=1e-10)
+        back = cf.inverse("L", target)
         assert cf.cost("L", back) == pytest.approx(target, abs=1e-10)
 
     def test_tabulated_out_of_range(self):
         tab = CostFamily.tabulated([0.0, 1.0], [0.0, 2.0], [0.0, 1.0])
         with pytest.raises(RangeError):
             tab.inverse("L", 3.0)
+
+    def test_closed_forms_are_exact(self):
+        assert LIN.inverse("L", 1.0) == 0.5
+        assert LIN.inverse("H", 3.0) == 3.0
+        assert CostFamily.power(2.0, 1.0, 2.0).inverse("H", 9.0) == 3.0
+        assert CostFamily.power(2.0, 1.0, 2.0).inverse("L", 8.0) == 2.0
+        assert TAB.inverse("L", 3.5) == 1.5  # halfway along the (1, 2) -> (2, 5) segment
+        assert TAB.inverse("H", 0.0) == 0.0
+
+    def test_tabulated_knot_cost_maps_to_its_knot(self):
+        for type_label, table in (("L", TAB.cost_L), ("H", TAB.cost_H)):
+            assert [TAB.inverse(type_label, c) for c in table] == list(TAB.efforts)
+
+    def test_tabulated_above_last_knot_raises(self):
+        for type_label, table in (("L", TAB.cost_L), ("H", TAB.cost_H)):
+            assert TAB.inverse(type_label, table[-1]) == TAB.efforts[-1]
+            with pytest.raises(RangeError):
+                TAB.inverse(type_label, math.nextafter(table[-1], math.inf))
+
+    @given(
+        kind=st.sampled_from(["linear", "power", "tabulated"]),
+        type_label=st.sampled_from(["L", "H"]),
+        share=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200)
+    def test_closed_form_round_trip(self, kind, type_label, share):
+        cf = {"linear": LIN, "power": CostFamily.power(2.0, 1.0, 1.7), "tabulated": TAB}[kind]
+        top = (TAB.cost_L if type_label == "L" else TAB.cost_H)[-1] if kind == "tabulated" else 1e6
+        target = share * top
+        assert cf.cost(type_label, cf.inverse(type_label, target)) == pytest.approx(target, rel=1e-14, abs=1e-300)
+
+
+class TestAffordableCount:
+    def test_exact_comparison_counts_the_knife_edge(self):
+        # c(L, 1) = 2 exactly: an effort costing the budget is affordable
+        assert LIN.affordable_count("L", (0.5, 1.0, 1.5), 2.0) == 2
+        assert LIN.affordable_count("L", (0.5, math.nextafter(1.0, 2.0)), 2.0) == 1
+        assert LIN.affordable_count("L", (), 2.0) == 0
+
+    def test_tabulated_is_never_extrapolated(self):
+        # efforts beyond the last knot are over any budget the table covers
+        assert TAB.affordable_count("L", (1.0, 2.0, 3.0), 5.0) == 2
+        with pytest.raises(RangeError):
+            TAB.affordable_count("L", (), 5.5)
 
 
 class TestDecreasingDifferences:

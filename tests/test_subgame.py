@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,18 @@ from sigmarket import (
     MarketParams,
     Policy,
     PolicyProfile,
+    RangeError,
     Signal,
     StepMonitoringPolicy,
     SubgameEquilibrium,
     construct_epbe,
     mimic_frontier,
     reservation,
+    riley_rpbe,
     verify_extended_d1,
     verify_pbe,
 )
+from sigmarket.outer import _audit_deviations
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -46,26 +51,95 @@ class TestMimicFrontier:
         prof = PolicyProfile.of(uninformative(0.0))
         fr = mimic_frontier(prof, sorting)
         assert fr.u_low == 1.0
-        assert fr.e_star[0] == pytest.approx(0.5, abs=1e-9)
+        assert fr.marginal_signals == (Signal(0, 0),)
+        assert fr.marginal_schools == (0,)
         assert fr.marginal_effort == 0.0
         assert fr.high_signals == ()
 
     def test_two_school_partition(self, sorting):
         prof = PolicyProfile.of(cutoff(0.0, 0.4), cutoff(0.0, 0.6))
         fr = mimic_frontier(prof, sorting.with_(n_schools=2))
-        assert fr.e_star == (pytest.approx(0.5), pytest.approx(0.5))
         assert fr.marginal_effort == 0.4
         assert fr.marginal_schools == (0,)
         assert fr.marginal_signals == (Signal(0, 1),)
         assert fr.high_signals == (Signal(1, 1),)
         assert set(fr.low_signals) == {Signal(0, 0), Signal(1, 0)}
+        # both frontiers sit at c(L, e) = 1, i.e. e = 0.5: a cutoff there is reachable
+        at_frontier = PolicyProfile.of(cutoff(0.0, 0.4), cutoff(0.0, 0.5))
+        fr = mimic_frontier(at_frontier, sorting.with_(n_schools=2))
+        assert fr.marginal_effort == 0.5
+        assert fr.marginal_schools == (1,)
+        assert fr.marginal_signals == (Signal(1, 1),)
 
     def test_priced_out_school_excluded(self, sorting):
         # school 1 charges more than theta_H minus the reservation payoff
         prof = PolicyProfile.of(uninformative(0.0), cutoff(1.5, 0.1))
         fr = mimic_frontier(prof, sorting.with_(n_schools=2))
-        assert fr.e_star[1] == float("-inf")
+        # school 1's band at 0.1 would be affordable, but its fee alone is not
+        assert fr.marginal_effort == 0.0
+        assert fr.marginal_signals == (Signal(0, 0),)
         assert fr.marginal_schools == (0,)
+
+
+# Each family prices the low type's effort at 2 exactly at the listed threshold.
+KNIFE_EDGES = {
+    "linear": (LIN, 1.0),
+    "power": (CostFamily.power(0.5, 0.25, 2.0), 2.0),
+    "tabulated": (CostFamily.tabulated([0.0, 0.5, 1.25, 3.0], [0.0, 1.0, 2.0, 5.0], [0.0, 0.4, 0.9, 2.5]), 1.25),
+}
+
+
+class TestExactFrontier:
+    @pytest.mark.parametrize("kind", sorted(KNIFE_EDGES))
+    def test_band_costing_exactly_the_budget_is_marginal(self, screening, kind):
+        # the screening_two case: fee 0 and u_low = 0 leave a budget of theta_H = 2 = c(L, t)
+        cf, t = KNIFE_EDGES[kind]
+        params = screening.with_(cost=cf)
+        assert cf.cost("L", t) == params.theta_H
+        prof = PolicyProfile.of(cutoff(0.0, t))
+        fr = mimic_frontier(prof, params)
+        assert fr.marginal_effort == t
+        assert fr.marginal_signals == (Signal(0, 1),)
+        assert fr.high_signals == ()
+        eq = construct_epbe(prof, params)
+        assert eq.construction_tag == "semi_pooling"
+        assert {(a.school, a.effort, a.prob) for a in eq.strategy.low} == {(None, 0.0, 1.0)}  # q = 0
+        assert {(a.school, a.effort, a.prob) for a in eq.strategy.high} == {(0, t, 1.0)}
+        assert eq.wages.offer(Signal(0, 1)) == params.theta_H
+        grid = DeviationGrid.for_profile(prof, params)
+        assert verify_pbe(prof, eq, params, grid).passed
+        assert verify_extended_d1(prof, eq, params, grid).passed
+
+        beyond = PolicyProfile.of(cutoff(0.0, math.nextafter(t, math.inf)))
+        assert mimic_frontier(beyond, params).marginal_effort == 0.0
+        assert construct_epbe(beyond, params).construction_tag == "separating"
+
+    def test_tabulated_range_errors_unchanged(self, sorting):
+        tab = KNIFE_EDGES["tabulated"][0]
+        params = sorting.with_(cost=tab, n_schools=2)
+        # a threshold past the last knot is over a budget the table covers
+        fr = mimic_frontier(PolicyProfile.of(cutoff(0.0, 4.0), cutoff(0.0, 0.5)), params)
+        assert fr.marginal_signals == (Signal(1, 1),)
+        assert fr.high_signals == (Signal(0, 1),)
+        # a budget past the last knot cost is outside the table
+        with pytest.raises(RangeError):
+            mimic_frontier(PolicyProfile.of(uninformative(0.0)), params.with_(theta_H=7.0, n_schools=1))
+
+    @pytest.mark.parametrize("theta_L", [1.0, -1.0])
+    def test_audit_profiles_need_no_inverse(self, monkeypatch, sorting, theta_L):
+        params = sorting.with_(theta_L=theta_L, n_schools=4)
+        outcome = riley_rpbe(params, 4)
+        grid = DeviationGrid.for_profile(outcome.profile, params)
+        devs = _audit_deviations(outcome, params, grid)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("construct_epbe called CostFamily.inverse")
+
+        monkeypatch.setattr(CostFamily, "inverse", no_inverse)
+        for fee, mon, _ in devs:
+            for school in range(params.n_schools):
+                construct_epbe(outcome.profile.replace(school, Policy(fee=fee, monitoring=mon)), params)
+        assert len(devs) > 20
 
 
 class TestConstructEpbe:
