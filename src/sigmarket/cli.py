@@ -110,21 +110,21 @@ def _write_csv(rows: list[list[str]], header, out: str | None, suffix: str = "")
         sys.stdout.write(buf.getvalue())
 
 
-def _monopoly(params: MarketParams, tol: float) -> EquilibriumOutcome | CreditFamily:
+def _monopoly(params: MarketParams) -> EquilibriumOutcome | CreditFamily:
     """Monopoly solution at a one-school point, fee cap or not.
 
     credit_monopoly_rpbe itself falls back to the unconstrained outcome when
     the cap is slack.
     """
     if params.credit_cap is None:
-        return monopoly_rpbe(params, tol)
-    return credit_monopoly_rpbe(params, tol)
+        return monopoly_rpbe(params)
+    return credit_monopoly_rpbe(params)
 
 
 def _solve_outcomes(params: MarketParams, tol: float):
     """Outcome bundle for one parameter point, per market structure."""
     if params.n_schools == 1:
-        result = _monopoly(params, tol)
+        result = _monopoly(params)
         return result.sample(4) if isinstance(result, CreditFamily) else [result]
     n = params.n_schools
     outcomes = [riley_rpbe(params, n)]
@@ -172,7 +172,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if params.n_schools >= 2:
         outcome = riley_rpbe(params, params.n_schools)
     else:
-        outcome = _monopoly(params, args.tol)
+        outcome = _monopoly(params)
         if isinstance(outcome, CreditFamily):
             outcome = outcome.zero_effort_member()
     grid = DeviationGrid.for_profile(outcome.profile, params, n_points=args.grid_points)
@@ -292,7 +292,7 @@ def cmd_welfare(args: argparse.Namespace) -> int:
         except InputError:
             continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
-        mono_out = _monopoly(p1, args.tol)
+        mono_out = _monopoly(p1)
         if isinstance(mono_out, CreditFamily):
             mono_out = mono_out.zero_effort_member()
         mono = welfare(mono_out, p1)

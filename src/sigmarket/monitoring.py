@@ -7,7 +7,8 @@ list t_1 < ... < t_k and k+1 distinct message ids: M(e) = m_j on [t_j, t_{j+1})
 with t_0 = 0 and m_k from t_k on.  k = 0 is the uninformative policy.
 
 Message ids are opaque school-local ints; firms observe the school anyway, so
-a signal is the pair (school, message).
+a signal is the tuple (school, message): `Signal` is a named tuple, so it
+hashes, compares and sorts as that plain pair.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, read_field
 from .market import CostFamily, TypeLabel
@@ -110,9 +112,12 @@ class Policy:
         )
 
 
-@dataclass(frozen=True)
-class Signal:
-    """A (school, message) pair; all the market ever observes about a student."""
+class Signal(NamedTuple):
+    """The (school, message) tuple; all the market ever observes about a student.
+
+    As a tuple it hashes as hash((school, message)) and sorts by school, then
+    message.
+    """
 
     school: int
     message: int

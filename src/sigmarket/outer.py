@@ -179,7 +179,7 @@ def _assemble_outcome(
 # ---------------------------------------------------------------------------
 
 
-def monopoly_rpbe(params: MarketParams, tol: float = DEFAULT_TOL) -> EquilibriumOutcome:
+def monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome:
     """Unconstrained monopoly: uninformative policy, full surplus extraction.
 
     Sorting: fee = mean productivity, everyone enrolls at zero effort.
@@ -300,9 +300,7 @@ class CreditFamily:
         return members
 
 
-def credit_monopoly_rpbe(
-    params: MarketParams, tol: float = DEFAULT_TOL
-) -> EquilibriumOutcome | CreditFamily:
+def credit_monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome | CreditFamily:
     """Monopoly under a fee cap K.
 
     Slack cap (K >= theta_H, or sorting with K >= mean) falls back to the
@@ -317,11 +315,11 @@ def credit_monopoly_rpbe(
         raise InputError("params.credit_cap must be set")
     cap = params.credit_cap
     if cap >= params.theta_H:
-        return monopoly_rpbe(params.with_(credit_cap=None), tol)
+        return monopoly_rpbe(params.with_(credit_cap=None))
     mean = expected_type(params)
     if cap >= mean:
         if params.is_sorting:
-            return monopoly_rpbe(params.with_(credit_cap=None), tol)
+            return monopoly_rpbe(params.with_(credit_cap=None))
         alpha = low_per_high(cap, params)
         mono = StepMonitoringPolicy.uninformative()
         profile = PolicyProfile.of(Policy(fee=cap, monitoring=mono))
@@ -645,9 +643,7 @@ def mild_fee_set(params: MarketParams, n: int) -> FeeSet:
     return FeeSet(points=(), intervals=(FeeInterval(lo=0.0, hi=hi, closed_lo=True, closed_hi=True),))
 
 
-def select_iis(
-    family: list[EquilibriumOutcome] | FamilyResult, params: MarketParams, n: int
-) -> EquilibriumOutcome:
+def select_iis(family: list[EquilibriumOutcome] | FamilyResult) -> EquilibriumOutcome:
     """Selection rule for fierce competition: keep the separating outcome.
 
     Requiring non-enrollees' play to depend on a deviating school only

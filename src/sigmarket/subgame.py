@@ -136,7 +136,7 @@ class WageSchedule:
         return 0.0 if w is None else w
 
     def to_dict(self) -> dict:
-        return {s.key(): w for s, w in sorted(self.offers.items(), key=lambda kv: (kv[0].school, kv[0].message))}
+        return {s.key(): w for s, w in sorted(self.offers.items())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "WageSchedule":
@@ -159,7 +159,7 @@ class BeliefSystem:
         return self.mu_high[s]
 
     def to_dict(self) -> dict:
-        return {s.key(): m for s, m in sorted(self.mu_high.items(), key=lambda kv: (kv[0].school, kv[0].message))}
+        return {s.key(): m for s, m in sorted(self.mu_high.items())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BeliefSystem":
@@ -214,13 +214,14 @@ def reservation(profile: PolicyProfile, params: MarketParams) -> tuple[float, fl
     return f_min, max(0.0, params.theta_L - f_min)
 
 
-def _reservation_atoms(profile: PolicyProfile, params: MarketParams, weight: float) -> list[StrategyAtom]:
+def _reservation_atoms(
+    profile: PolicyProfile, params: MarketParams, f_min: float, weight: float
+) -> list[StrategyAtom]:
     """The reservation play: zero effort at the cheapest schools, or outside.
 
-    Low types enroll when theta_L covers the cheapest fee (ties resolved
+    Low types enroll when theta_L covers the cheapest fee f_min (ties resolved
     toward enrolling, so the boundary theta_L == f_min stays in school).
     """
-    f_min, _ = reservation(profile, params)
     if params.theta_L - f_min >= 0.0:
         cheapest = [i for i, p in enumerate(profile) if p.fee == f_min]
         share = weight / len(cheapest)
@@ -253,35 +254,33 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
     f_min, u_low = reservation(profile, params)
     cf = params.cost
     band_bottom: list[float] = []  # minimum effort of each school's marginal band
-    band_message: list[int | None] = []
+    band_index: list[int] = []  # that band's index in the school's policy
     for policy in profile:
         budget = params.theta_H - policy.fee - u_low
         if budget < 0.0:
             band_bottom.append(float("-inf"))
-            band_message.append(None)
+            band_index.append(-1)
             continue
         mon = policy.monitoring
         j = cf.affordable_count(LOW, mon.thresholds, budget)
         band_bottom.append(mon.band_starts()[j])
-        band_message.append(mon.messages[j])
+        band_index.append(j)
     marginal_effort = max(band_bottom)
     if marginal_effort == float("-inf"):
         raise InvariantViolation("no school can attract the low type at any wage")
     achievers = [i for i in range(profile.n) if band_bottom[i] >= marginal_effort - tol]
     best_fee = min(profile[i].fee for i in achievers)
     marginal_schools = tuple(i for i in achievers if profile[i].fee <= best_fee + tol)
-    marginal_signals = tuple(Signal(i, band_message[i]) for i in marginal_schools)
+    marginal_signals = tuple(Signal(i, profile[i].monitoring.messages[band_index[i]]) for i in marginal_schools)
+    skip = [band_index[i] if i in marginal_schools else -1 for i in range(profile.n)]  # marginal band per school
     high: list[Signal] = []
     low: list[Signal] = []
-    marginal = set(marginal_signals)
-    for s in profile.signals():
-        if s in marginal:
-            continue
-        e_s = profile.min_effort(s)
-        if e_s > marginal_effort + tol:
-            high.append(s)
-        else:
-            low.append(s)
+    for i, policy in enumerate(profile):
+        mon = policy.monitoring
+        for j, (start, m) in enumerate(zip(mon.band_starts(), mon.messages)):
+            if j == skip[i]:
+                continue
+            (high if start > marginal_effort + tol else low).append(Signal(i, m))
     i0 = marginal_schools[0]
     return FrontierReport(
         f_min=f_min,
@@ -336,7 +335,7 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
             pooling = False
             break
 
-    beliefs: dict[Signal, float] = {}
+    w_low, w_high = wage_offer(0.0, params), wage_offer(1.0, params)
     if pooling:
         w_bar = c_low_star + fr.u_low
         q, pooled_wage = _mixing_weight(w_bar, params, tol)
@@ -346,39 +345,33 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
         if q > 0.0:
             low_atoms.extend(StrategyAtom(i, fr.marginal_effort, q * share) for i in fr.marginal_schools)
         if q < 1.0:
-            low_atoms.extend(_reservation_atoms(profile, params, 1.0 - q))
-        mu_marginal = bayes_high(1.0, q, params)
-        for s in fr.low_signals:
-            beliefs[s] = 0.0
-        for s in fr.marginal_signals:
-            beliefs[s] = mu_marginal
-        for s in fr.high_signals:
-            beliefs[s] = 1.0
+            low_atoms.extend(_reservation_atoms(profile, params, fr.f_min, 1.0 - q))
         # Wages follow beliefs except at the marginal signal, where the
         # construction pins max(w_bar, mean); the two agree by choice of q.
-        offers = {s: wage_offer(beliefs[s], params) for s in profile.signals()}
-        for s in fr.marginal_signals:
-            offers[s] = pooled_wage
+        mu_star, w_star = bayes_high(1.0, q, params), pooled_wage
         payoff_H = pooled_wage - c_high_star
         payoff_L = pooled_wage - c_low_star if q >= 1.0 else fr.u_low
         tag = "semi_pooling"
     else:
         costs_high = {s: min_cost(profile, cf, HIGH, s) for s in fr.high_signals}
         cheapest = min(costs_high.values())
-        winners = sorted(
-            (s for s, c in costs_high.items() if c <= cheapest + tol),
-            key=lambda s: (s.school, s.message),
-        )
+        winners = sorted(s for s, c in costs_high.items() if c <= cheapest + tol)
         share = 1.0 / len(winners)
         high_atoms = [StrategyAtom(s.school, profile.min_effort(s), share) for s in winners]
-        low_atoms = _reservation_atoms(profile, params, 1.0)
-        top_wage = set(fr.high_signals)  # the cheapest winners are all in here
-        for s in profile.signals():
-            beliefs[s] = 1.0 if s in top_wage else 0.0
-        offers = {s: wage_offer(beliefs[s], params) for s in profile.signals()}
+        low_atoms = _reservation_atoms(profile, params, fr.f_min, 1.0)
+        # The marginal signals are priced as low ones: only the high set,
+        # which holds every winner, pays the top wage.
+        mu_star, w_star = 0.0, w_low
         payoff_H = params.theta_H - cheapest
         payoff_L = fr.u_low
         tag = "separating"
+
+    beliefs = dict.fromkeys(fr.low_signals, 0.0)
+    beliefs.update(dict.fromkeys(fr.marginal_signals, mu_star))
+    beliefs.update(dict.fromkeys(fr.high_signals, 1.0))
+    offers = dict.fromkeys(fr.low_signals, w_low)
+    offers.update(dict.fromkeys(fr.marginal_signals, w_star))
+    offers.update(dict.fromkeys(fr.high_signals, w_high))
 
     return SubgameEquilibrium(
         profile=profile,

@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from sigmarket import DeviationGrid, EquilibriumOutcome, MarketParams, deviation_audit, riley_rpbe
 from sigmarket.cli import main
 
 LINEAR = {"kind": "linear", "kappa_L": 2.0, "kappa_H": 1.0}
@@ -192,6 +193,86 @@ def test_artifact_bytes_unchanged(tmp_path, case):
     runner, *args = CASES[case]
     code, outputs = runner(tmp_path, *args)
     assert (code, digest(outputs)) == DIGESTS[case]
+
+
+# The CLI audit artifact keeps only the best entry, so the pins above miss a
+# change in any other entry.  These pin the whole AuditReport: the riley
+# outcome in sorting and screening markets with linear and power costs, and a
+# planted outcome pooling everybody at the monopoly fee.
+AUDIT_MARKETS = {
+    f"{market}-{kind}": (theta_L, cost)
+    for market, theta_L in (("sorting", 1.0), ("screening", -1.0))
+    for kind, cost in (("linear", LINEAR), ("power", POWER))
+}
+
+
+def planted_pooling(n):
+    mean = 1.5  # the monopoly fee: mean productivity of the sorting market below
+    atoms = [{"school": i, "effort": 0.0, "prob": 1.0 / n} for i in range(n)]
+    return {
+        "profile": [policy(mean, [])] * n,
+        "on_path": {"L": atoms, "H": atoms},
+        "wages": {f"{i}:0": mean for i in range(n)},
+        "profits": [mean / n] * n,
+        "enrollment": {"L": 1.0, "H": 1.0},
+        "employment": {"L": 1.0, "H": 1.0},
+        "payoffs": {"L": 0.0, "H": 0.0},
+        "label": "planted_pooling",
+    }
+
+
+def audit_inputs(case):
+    """(params, outcome) of an audit case named '<outcome>-<n>-<mode>'."""
+    name, n, _ = case.rsplit("-", 2)
+    if name == "planted":
+        params = MarketParams.from_dict(market(1.0, 2.0, 0.5, LINEAR, n=int(n)))
+        return params, EquilibriumOutcome.from_dict(planted_pooling(int(n)))
+    theta_L, cost = AUDIT_MARKETS[name.removeprefix("riley-")]
+    params = MarketParams.from_dict(market(theta_L, 2.0, 0.5, cost, n=int(n)))
+    return params, riley_rpbe(params, int(n))
+
+
+# case -> sha256 of the report's sorted-key JSON, every entry included.  A riley
+# outcome has no profitable deviation to replay, so its two modes pin the same report.
+AUDIT_REPORTS = {
+    "planted-2-canonical": "0a79322563e9f484e5c55415b3e27b7349eb54668cb48bad4563225efaa44201",
+    "planted-2-pessimistic": "95a5f11b25ca4d1106917f145cb02419174055946de6538f70ff1cd2a9812045",
+    "planted-4-canonical": "52cd9c45344729a2a69196d774474de6c4f9904d38f52ac273a24a6acaf6a13a",
+    "planted-4-pessimistic": "e21449438eec07c9c22d99767df02172a88e5349a31202ebe2021731797fcaef",
+    "riley-screening-linear-2-canonical": "32fe6a69479d25bcd93c0fc07433526733bb1d3c3e62c539c4226db6d19edb8e",
+    "riley-screening-linear-2-pessimistic": "32fe6a69479d25bcd93c0fc07433526733bb1d3c3e62c539c4226db6d19edb8e",
+    "riley-screening-linear-4-canonical": "99049030a4bb03e24211fb7d762ce058c477c2a3ef4f378f2681cf9e7e42b48b",
+    "riley-screening-linear-4-pessimistic": "99049030a4bb03e24211fb7d762ce058c477c2a3ef4f378f2681cf9e7e42b48b",
+    "riley-screening-linear-8-canonical": "25e087738a3a7dc9117451fc2898594ee9c3c57f50d1dfe7acd80019633155b0",
+    "riley-screening-linear-8-pessimistic": "25e087738a3a7dc9117451fc2898594ee9c3c57f50d1dfe7acd80019633155b0",
+    "riley-screening-power-2-canonical": "05d989739be18d5c79d7be4a29a82a68ae3a85a269d1103098d9fa37c81581b2",
+    "riley-screening-power-2-pessimistic": "05d989739be18d5c79d7be4a29a82a68ae3a85a269d1103098d9fa37c81581b2",
+    "riley-screening-power-4-canonical": "918840a0c6b4fa2386d4e9cc37bb8eabf7106340f70c025d95b9cb3d45a34aad",
+    "riley-screening-power-4-pessimistic": "918840a0c6b4fa2386d4e9cc37bb8eabf7106340f70c025d95b9cb3d45a34aad",
+    "riley-screening-power-8-canonical": "0178e88b0441335ed8b91c264fbc27858570916bc1d9bf3717799d8d37c48572",
+    "riley-screening-power-8-pessimistic": "0178e88b0441335ed8b91c264fbc27858570916bc1d9bf3717799d8d37c48572",
+    "riley-sorting-linear-2-canonical": "103600f05c93ccdb5cdc6168f31b8f498a8815cfdf249bbd9a2d821c0c11162b",
+    "riley-sorting-linear-2-pessimistic": "103600f05c93ccdb5cdc6168f31b8f498a8815cfdf249bbd9a2d821c0c11162b",
+    "riley-sorting-linear-4-canonical": "af8b28ce23d78b011e8fc85993039adb722c3a8af9c1ec04afd52de812cd1d7f",
+    "riley-sorting-linear-4-pessimistic": "af8b28ce23d78b011e8fc85993039adb722c3a8af9c1ec04afd52de812cd1d7f",
+    "riley-sorting-linear-8-canonical": "84a5d1cd29fcc1adf71884fedc67da0f7cbc5a3c38ccc79356a4412139a08580",
+    "riley-sorting-linear-8-pessimistic": "84a5d1cd29fcc1adf71884fedc67da0f7cbc5a3c38ccc79356a4412139a08580",
+    "riley-sorting-power-2-canonical": "d3607e61081cffc8e117d025b61da447a215a90146e66b8345d6338451123fa2",
+    "riley-sorting-power-2-pessimistic": "d3607e61081cffc8e117d025b61da447a215a90146e66b8345d6338451123fa2",
+    "riley-sorting-power-4-canonical": "5044e3a5114b386940b59bdc7db867b048215d19d00361725e0b8af3a95ce8e8",
+    "riley-sorting-power-4-pessimistic": "5044e3a5114b386940b59bdc7db867b048215d19d00361725e0b8af3a95ce8e8",
+    "riley-sorting-power-8-canonical": "65a6c860436c011714200a9a0cc5487cee287f8d56247800d2565b511314a0de",
+    "riley-sorting-power-8-pessimistic": "65a6c860436c011714200a9a0cc5487cee287f8d56247800d2565b511314a0de",
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_REPORTS))
+def test_full_audit_report_unchanged(case):
+    params, outcome = audit_inputs(case)
+    grid = DeviationGrid.for_profile(outcome.profile, params)
+    report = deviation_audit(outcome, params, grid, pessimistic=case.endswith("-pessimistic"))
+    text = json.dumps(report.to_dict(), sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORTS[case]
 
 
 def test_inputs_cover_every_outcome_label(tmp_path):

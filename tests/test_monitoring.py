@@ -145,3 +145,30 @@ class TestProfile:
             StepMonitoringPolicy(thresholds=(1.0, 0.5), messages=(0, 1, 2))
         with pytest.raises(InputError):
             Policy(fee=-0.1, monitoring=StepMonitoringPolicy.uninformative())
+
+
+class TestSignal:
+    @given(st.integers(0, 64), st.integers(-8, 10**6))
+    def test_hashes_and_round_trips_as_the_plain_pair(self, school, message):
+        s = Signal(school, message)
+        # sets of signals iterate, and verify lists violations, in the order this hash gives
+        assert hash(s) == hash((school, message))
+        assert s == (school, message)
+        assert Signal.from_key(s.key()) == s
+        assert s.key() == f"{school}:{message}"
+
+    def test_sorts_by_school_then_message(self):
+        signals = [Signal(1, 0), Signal(0, 2), Signal(0, 1), Signal(2, -1)]
+        assert sorted(signals) == [Signal(0, 1), Signal(0, 2), Signal(1, 0), Signal(2, -1)]
+
+    def test_fields_are_read_only(self):
+        s = Signal(0, 1)
+        with pytest.raises(AttributeError):
+            s.school = 2
+        with pytest.raises(AttributeError):
+            s.message = 3
+
+    @pytest.mark.parametrize("key", ["0", "0:1:2", "a:1", ""])
+    def test_bad_key_rejected(self, key):
+        with pytest.raises(InputError, match="bad signal key"):
+            Signal.from_key(key)

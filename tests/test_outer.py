@@ -435,10 +435,10 @@ class TestSelectIIS:
         p = screening.with_(theta_L=-3.0, n_schools=2)  # fierce via losses
         r = riley_rpbe(p, 2)
         family = [r] + list(semipooling_family(p, 2, "zero_fee", q_h=0.5))
-        assert select_iis(family, p, 2) is r
-        assert select_iis([r], p, 2) is r
+        assert select_iis(family) is r
+        assert select_iis([r]) is r
         with pytest.raises(InvariantViolation):
-            select_iis([], p, 2)
+            select_iis([])
 
 
 def per_school_audit(outcome, params, grids, tol=1e-9):

@@ -6,6 +6,7 @@ import pytest
 from sigmarket import (
     CostFamily,
     DeviationGrid,
+    FrontierReport,
     InputError,
     MarketParams,
     Policy,
@@ -20,7 +21,9 @@ from sigmarket import (
     riley_rpbe,
     verify_extended_d1,
     verify_pbe,
+    wage_offer,
 )
+from sigmarket.market import DEFAULT_TOL
 from sigmarket.outer import _audit_deviations
 
 LIN = CostFamily.linear(2.0, 1.0)
@@ -140,6 +143,133 @@ class TestExactFrontier:
             for school in range(params.n_schools):
                 construct_epbe(outcome.profile.replace(school, Policy(fee=fee, monitoring=mon)), params)
         assert len(devs) > 20
+
+
+def signal_by_signal_frontier(profile, params, tol=DEFAULT_TOL):
+    """Reference for mimic_frontier: classifies every signal of
+    profile.signals() by hashing it against the marginal set and reading
+    its band start through PolicyProfile.min_effort."""
+    f_min, u_low = reservation(profile, params)
+    cf = params.cost
+    band_bottom, band_message = [], []
+    for policy in profile:
+        budget = params.theta_H - policy.fee - u_low
+        if budget < 0.0:
+            band_bottom.append(float("-inf"))
+            band_message.append(None)
+            continue
+        mon = policy.monitoring
+        j = cf.affordable_count("L", mon.thresholds, budget)
+        band_bottom.append(mon.band_starts()[j])
+        band_message.append(mon.messages[j])
+    marginal_effort = max(band_bottom)
+    achievers = [i for i in range(profile.n) if band_bottom[i] >= marginal_effort - tol]
+    best_fee = min(profile[i].fee for i in achievers)
+    marginal_schools = tuple(i for i in achievers if profile[i].fee <= best_fee + tol)
+    marginal_signals = tuple(Signal(i, band_message[i]) for i in marginal_schools)
+    marginal = set(marginal_signals)
+    high, low = [], []
+    for s in profile.signals():
+        if s not in marginal:
+            (high if profile.min_effort(s) > marginal_effort + tol else low).append(s)
+    i0 = marginal_schools[0]
+    return FrontierReport(
+        f_min=f_min,
+        u_low=u_low,
+        marginal_effort=marginal_effort,
+        marginal_schools=marginal_schools,
+        marginal_signals=marginal_signals,
+        high_signals=tuple(high),
+        low_signals=tuple(low),
+        cost_low_marginal=cf.cost("L", marginal_effort) + profile[i0].fee,
+        cost_high_marginal=cf.cost("H", marginal_effort) + profile[i0].fee,
+    )
+
+
+TIE_COSTS = {
+    "linear": LIN,
+    "power": CostFamily.power(3.0, 1.0, 1.5),
+    "tabulated": CostFamily.tabulated(
+        [0.0, 0.5, 1.0, 2.0, 4.0], [0.0, 1.0, 2.2, 4.6, 9.5], [0.0, 0.5, 1.0, 2.0, 4.0]
+    ),
+}
+
+
+def tie_corpus(cf, draws, rng):
+    """Discrete draws where repeated fees and thresholds make ties common."""
+    cases = []
+    while len(cases) < draws:
+        theta_h = float(rng.choice([1.0, 2.0, 3.0]))
+        theta_l = float(rng.choice([-1.0, 0.0, 0.5, 1.0]))
+        if theta_l >= theta_h:
+            continue
+        lam = float(rng.choice([0.25, 0.5, 0.75]))
+        n = int(rng.integers(1, 4))
+        params = MarketParams(theta_L=theta_l, theta_H=theta_h, lam=lam, cost=cf, n_schools=n)
+        policies = []
+        for _ in range(n):
+            k = int(rng.integers(0, 3))
+            ts = tuple(sorted(float(t) for t in rng.choice([0.25, 0.5, 0.75, 1.0, 1.5], size=k, replace=False)))
+            mon = StepMonitoringPolicy(thresholds=ts, messages=tuple(range(k + 1)))
+            policies.append(Policy(fee=float(rng.choice([0.0, 0.25, 0.5, 1.0])), monitoring=mon))
+        cases.append((PolicyProfile.of(*policies), params))
+    return cases
+
+
+def riley_audit_profiles(n):
+    """Every profile the audit of the riley outcome builds, for schools 0 and n - 1."""
+    cases = []
+    for theta_L in (1.0, -1.0):
+        for cf in (LIN, TIE_COSTS["power"]):
+            params = MarketParams(theta_L=theta_L, theta_H=2.0, lam=0.5, cost=cf, n_schools=n)
+            outcome = riley_rpbe(params, n)
+            grid = DeviationGrid.for_profile(outcome.profile, params)
+            for fee, mon, _ in _audit_deviations(outcome, params, grid):
+                for school in {0, n - 1}:
+                    cases.append((outcome.profile.replace(school, Policy(fee=fee, monitoring=mon)), params))
+    return cases
+
+
+def knife_edge_profiles():
+    cases = []
+    for cf, t in KNIFE_EDGES.values():
+        params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=cf)
+        beyond = math.nextafter(t, math.inf)
+        for thresholds in ([t], [beyond], [t, t], [beyond, t], [t, beyond], [t, t, beyond]):
+            prof = PolicyProfile.of(*(cutoff(0.0, x) for x in thresholds))
+            cases.append((prof, params.with_(n_schools=prof.n)))
+    return cases
+
+
+class TestFrontierEquivalence:
+    """mimic_frontier classifies bands by index; the reference walks signals."""
+
+    def check(self, cases):
+        """Construction tags seen over the cases."""
+        tags = set()
+        for prof, params in cases:
+            fr = mimic_frontier(prof, params)
+            assert fr == signal_by_signal_frontier(prof, params)
+            eq = construct_epbe(prof, params)
+            tags.add(eq.construction_tag)
+            assert set(eq.wages.offers) == set(eq.beliefs.mu_high) == set(prof.signals())
+            pinned = set(fr.marginal_signals) if eq.construction_tag == "semi_pooling" else set()
+            for s, w in eq.wages.offers.items():
+                if s not in pinned:
+                    assert w == wage_offer(eq.beliefs.mu(s), params)
+        return tags
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_riley_audit_profiles(self, n):
+        self.check(riley_audit_profiles(n))
+
+    @pytest.mark.parametrize("kind", sorted(TIE_COSTS))
+    def test_tie_corpus(self, kind):
+        cases = tie_corpus(TIE_COSTS[kind], 200, np.random.default_rng(3))
+        assert self.check(cases) == {"semi_pooling", "separating"}
+
+    def test_knife_edges(self):
+        assert self.check(knife_edge_profiles()) == {"semi_pooling", "separating"}
 
 
 class TestConstructEpbe:
