@@ -17,8 +17,11 @@ lower-bound comparison (ties within tol never exclude anybody).
 The enumerator is the correctness oracle for the constructive solver: it
 never consults the construction, enumerating instead every candidate support
 over band-minimum efforts (within a message band, any higher effort is
-strictly dominated), solving mixing weights in closed form from the wage
-identity, and keeping exactly the candidates that pass both verifiers.
+strictly dominated) and solving mixing weights in closed form from the wage
+identity.  Once a candidate's wages are priced, on path and D1 off path, the
+student best-response rule that verify_pbe applies refuses it straight from
+the action table; only the survivors are built as equilibrium bundles, and
+it keeps exactly those that pass both verifiers.
 """
 
 from __future__ import annotations
@@ -113,8 +116,7 @@ class DeviationGrid:
         return min(b - a for a, b in zip(self.effort_grid, self.effort_grid[1:]))
 
 
-@dataclass(frozen=True)
-class WageInterval:
+class WageInterval(NamedTuple):
     """Upper interval of wages ending at theta_H."""
 
     lower: float
@@ -127,8 +129,7 @@ class WageInterval:
         return w >= self.lower - tol if self.closed else w > self.lower + tol
 
 
-@dataclass(frozen=True)
-class D1WageSets:
+class D1WageSets(NamedTuple):
     weak: WageInterval
     strict: WageInterval
 
@@ -166,11 +167,10 @@ class VerificationReport:
 def _wage_sets_from_threshold(t: float, params: MarketParams, tol: float) -> D1WageSets:
     lo = max(0.0, params.theta_L)
     hi = params.theta_H
-    weak_empty = t > hi + tol
-    strict_empty = t >= hi - tol
-    weak = WageInterval(lower=max(t, lo), closed=True, empty=weak_empty)
-    strict = WageInterval(lower=max(t, lo), closed=t < lo, empty=strict_empty)
-    return D1WageSets(weak=weak, strict=strict)
+    lower = max(t, lo)
+    weak = WageInterval(lower, True, t > hi + tol)  # (lower, closed, empty)
+    strict = WageInterval(lower, t < lo, t >= hi - tol)
+    return D1WageSets(weak, strict)
 
 
 def d1_wage_sets(
@@ -218,6 +218,20 @@ def _payoff(
     return eq.wages.income(s) - profile[school].fee - params.cost.cost(type_label, effort)
 
 
+def _best_response_gaps(
+    nets: list[float], costs: list[float], pays: list[float], tol: float
+) -> list[tuple[int, float]]:
+    """The student best-response rule, shared by verify_pbe and the oracle.
+
+    nets[k] is signal k's income net of its school's fee and costs[k] the
+    type's cost at the signal's band-minimum effort, so the type's best payoff
+    is max(0, max_k nets[k] - costs[k]).  Returns (j, best - pays[j]) for
+    every support payoff pays[j] below best - tol.
+    """
+    best = max([0.0] + [net - c for net, c in zip(nets, costs)])
+    return [(j, best - pay) for j, pay in enumerate(pays) if pay < best - tol]
+
+
 def verify_pbe(
     profile: PolicyProfile,
     eq: SubgameEquilibrium,
@@ -235,22 +249,21 @@ def verify_pbe(
     """
     _check_inputs(profile, eq, grid)
     violations: list[Violation] = []
-    # (income - fee, band-minimum effort) of every signal, shared by both types
-    band_starts = [
-        (eq.wages.income(s) - profile[s.school].fee, profile.min_effort(s)) for s in profile.signals()
-    ]
+    signals = profile.signals()
+    nets = [eq.wages.income(s) - profile[s.school].fee for s in signals]
+    starts = [profile.min_effort(s) for s in signals]
 
     for type_label in (LOW, HIGH):
-        best = max([0.0] + [net - params.cost.cost(type_label, e) for net, e in band_starts])
+        atoms = eq.strategy.atoms(type_label)
+        pays = [_payoff(profile, eq, params, type_label, a.school, a.effort) for a in atoms]
+        costs = [params.cost.cost(type_label, e) for e in starts]
+        for j, gap in _best_response_gaps(nets, costs, pays, tol):
+            atom = atoms[j]
+            sig = None if atom.school is OUTSIDE else profile.signal_of(atom.school, atom.effort)
+            violations.append(Violation("student_best_response", sig, gap, f"type {type_label}"))
         recomputed = 0.0
-        for atom in eq.strategy.atoms(type_label):
-            pay = _payoff(profile, eq, params, type_label, atom.school, atom.effort)
+        for atom, pay in zip(atoms, pays):
             recomputed += atom.prob * pay
-            if pay < best - tol:
-                sig = None if atom.school is OUTSIDE else profile.signal_of(atom.school, atom.effort)
-                violations.append(
-                    Violation("student_best_response", sig, best - pay, f"type {type_label}")
-                )
         if abs(recomputed - eq.payoff(type_label)) > max(tol, 1e-9):
             violations.append(
                 Violation(
@@ -460,10 +473,6 @@ def _solve_weights(
     """
     sig_h = [a.signal for a in sup_h]
     sig_l = [a.signal for a in sup_l]
-    if len(sup_h) == 2 and sig_h[0] == sig_h[1]:
-        return []
-    if len(sup_l) == 2 and sig_l[0] == sig_l[1]:
-        return []
     shared = [s for s in sig_h if s is not None and s in sig_l]
 
     def known_income(s: Signal | None, for_h: bool) -> float:
@@ -557,8 +566,17 @@ def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> di
     return out
 
 
-def _assemble_candidate(
-    profile: PolicyProfile,
+class _Priced(NamedTuple):
+    """A candidate's belief and wage at every signal, what each of its support
+    actions pays each type, and whether the two types share a signal."""
+
+    beliefs: dict[Signal, float]
+    offers: dict[Signal, float | None]
+    pays: dict[TypeLabel, list[float]]
+    pooled: bool
+
+
+def _price_candidate(
     params: MarketParams,
     actions: list[_Action],
     sup_h: tuple[_Action, ...],
@@ -566,12 +584,10 @@ def _assemble_candidate(
     sup_l: tuple[_Action, ...],
     weights_l: tuple[float, ...],
     tol: float,
-) -> SubgameEquilibrium | None:
-    """Candidate equilibrium for one weighted support pair; `actions` is the
+) -> _Priced | None:
+    """Bayes wages on path, D1 wages off path, for one weighted support pair;
+    None when a type's support actions pay it unequally.  `actions` is the
     profile's full table from `_candidate_actions`."""
-    high = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_h, weights_h))
-    low = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_l, weights_l))
-    strategy = PopulationStrategy(low=low, high=high)
     mass_high = _signal_mass(sup_h, weights_h)
     mass_low = _signal_mass(sup_l, weights_l)
 
@@ -587,13 +603,14 @@ def _assemble_candidate(
         w = offers[a.signal]
         return (0.0 if w is None else w) - a.fee - a.cost[t]
 
-    payoffs: dict[TypeLabel, float] = {}
+    pays: dict[TypeLabel, list[float]] = {}
     for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
         vals = [pay(t, a) for a in sup]
         if max(vals) - min(vals) > max(tol, 1e-9):
             return None
-        payoffs[t] = vals[0]
+        pays[t] = vals
 
+    payoffs = {t: vals[0] for t, vals in pays.items()}
     for a in actions[1:]:  # every signal, at its band-minimum effort
         s = a.signal
         if s in beliefs:
@@ -602,14 +619,37 @@ def _assemble_candidate(
         offers[s] = wage_offer(beliefs[s], params)
 
     pooled = any(s in mass_low for s in mass_high)
+    return _Priced(beliefs, offers, pays, pooled)
+
+
+def _refuses(actions: list[_Action], priced: _Priced, tol: float) -> bool:
+    """Whether verify_pbe would find a student best-response violation among
+    the support actions, read off the action table with the same floats."""
+    signals = actions[1:]
+    nets = [(0.0 if (w := priced.offers[a.signal]) is None else w) - a.fee for a in signals]
+    return any(
+        _best_response_gaps(nets, [a.cost[t] for a in signals], priced.pays[t], tol) for t in (LOW, HIGH)
+    )
+
+
+def _bundle_candidate(
+    profile: PolicyProfile,
+    sup_h: tuple[_Action, ...],
+    weights_h: tuple[float, ...],
+    sup_l: tuple[_Action, ...],
+    weights_l: tuple[float, ...],
+    priced: _Priced,
+) -> SubgameEquilibrium:
+    high = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_h, weights_h))
+    low = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_l, weights_l))
     return SubgameEquilibrium(
         profile=profile,
-        strategy=strategy,
-        wages=WageSchedule(offers=offers),
-        beliefs=BeliefSystem(mu_high=beliefs),
-        payoff_L=payoffs[LOW],
-        payoff_H=payoffs[HIGH],
-        construction_tag="semi_pooling" if pooled else "separating",
+        strategy=PopulationStrategy(low=low, high=high),
+        wages=WageSchedule(offers=priced.offers),
+        beliefs=BeliefSystem(mu_high=priced.beliefs),
+        payoff_L=priced.pays[LOW][0],
+        payoff_H=priced.pays[HIGH][0],
+        construction_tag="semi_pooling" if priced.pooled else "separating",
     )
 
 
@@ -624,7 +664,7 @@ def _outcome_signature(eq: SubgameEquilibrium, profile: PolicyProfile) -> tuple:
         )
         return tuple(atoms)
 
-    sent = sorted(eq.strategy.sent_signals(profile), key=lambda s: (s.school, s.message))
+    sent = sorted(eq.strategy.sent_signals(profile))
     wages = tuple(
         (s.school, s.message, None if eq.wages.offer(s) is None else round(eq.wages.offer(s), 9))
         for s in sent
@@ -643,8 +683,12 @@ def brute_force_equilibria(
 
     Candidate actions are the outside option plus every (school, band-minimum
     effort) pair; supports hold at most `support_cap` (<= 2) actions per type
-    (the outside option counts as one).  Output order is lexicographic in the
-    candidate supports; outcome-equivalent duplicates are dropped.
+    (the outside option counts as one).  Each weighted support pair is priced
+    (Bayes wages on path, D1 wages off path) and refused at once when a
+    support action fails verify_pbe's student best-response rule; only the
+    survivors are built as bundles, and a bundle is kept only if it passes
+    both verify_pbe and verify_extended_d1.  Output order is lexicographic in
+    the candidate supports; outcome-equivalent duplicates are dropped.
     """
     if len(grids.effort_grid) > 25:
         raise ResourceError(
@@ -667,9 +711,10 @@ def brute_force_equilibria(
     for sup_h in supports:
         for sup_l in supports:
             for weights_h, weights_l in _solve_weights(params, sup_h, sup_l, tol):
-                eq = _assemble_candidate(profile, params, actions, sup_h, weights_h, sup_l, weights_l, tol)
-                if eq is None:
+                priced = _price_candidate(params, actions, sup_h, weights_h, sup_l, weights_l, tol)
+                if priced is None or _refuses(actions, priced, tol):
                     continue
+                eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
                 if not verify_pbe(profile, eq, params, grids, tol).passed:
                     continue
                 if not verify_extended_d1(profile, eq, params, grids, tol).passed:

@@ -17,7 +17,16 @@ import json
 
 import pytest
 
-from sigmarket import DeviationGrid, EquilibriumOutcome, MarketParams, deviation_audit, riley_rpbe
+import test_refinement
+from sigmarket import (
+    DeviationGrid,
+    EquilibriumOutcome,
+    MarketParams,
+    PolicyProfile,
+    brute_force_equilibria,
+    deviation_audit,
+    riley_rpbe,
+)
 from sigmarket.cli import main
 
 LINEAR = {"kind": "linear", "kappa_L": 2.0, "kappa_H": 1.0}
@@ -273,6 +282,89 @@ def test_full_audit_report_unchanged(case):
     report = deviation_audit(outcome, params, grid, pessimistic=case.endswith("-pessimistic"))
     text = json.dumps(report.to_dict(), sort_keys=True, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_REPORTS[case]
+
+
+# The oracle-compare artifact records only how many members the oracle found
+# and which one matched, so these pin every member, in output order: on each
+# profile above, and on the exact best-response corpus of test_refinement
+# (three cost kinds x two markets x seven profiles).
+def oracle_inputs(case):
+    """(params, profile, grid) of an oracle case: a PROFILES name, or
+    'corpus-<cost kind>-<market>-<profile index>'."""
+    if case in PROFILES:
+        params, profile = PROFILES[case]
+        params, profile = MarketParams.from_dict(params), PolicyProfile.from_list(profile)
+        return params, profile, DeviationGrid.for_profile(profile, params, n_points=15)
+    _, kind, market_name, j = case.split("-")
+    corpus = test_refinement.TestExactBestResponse()
+    cost = next(c for c in corpus.COSTS if c.kind == kind)
+    theta_L, lam = corpus.MARKETS[("sorting", "screening").index(market_name)]
+    params = MarketParams(theta_L=theta_L, theta_H=2.0, lam=lam, cost=cost)
+    profile = corpus.profiles()[int(j)]
+    return params, profile, DeviationGrid.for_profile(profile, params)
+
+
+# case -> sha256 of the sorted-key JSON list of every oracle member's to_dict()
+ORACLE_MEMBERS = {
+    "corpus-linear-screening-0": "5d8c31dda3a39bd8257ae2039afef0f2f2aff30f8259b7878ed618356a85a743",
+    "corpus-linear-screening-1": "83e8accad0c7645d5e8ba6e3d37055d46e41e05f91ff9d38f9207248c2946792",
+    "corpus-linear-screening-2": "8aed90e569f75c2c611c88e13c7a26b115dfe7da6b18d225688adaeb03fd71cb",
+    "corpus-linear-screening-3": "d263a7469cedf2f305dfd7b0d58b8d51c30e9b3f68633f4cf9d81b84899d4e00",
+    "corpus-linear-screening-4": "9e0d7f35929be18521893e778390bb6170eb497c0bc53d64097236013f565984",
+    "corpus-linear-screening-5": "2d87853224d1379796476bccaa38a7a051ae5369c98e072c25e49af5b384cdce",
+    "corpus-linear-screening-6": "09238b48e858b70fa833a5078038009e8e11e0ae76bc3b7942641cd8f4a6ea5e",
+    "corpus-linear-sorting-0": "0e6f02f1f32e7f7544a0ba753ed0f1e20071ebd6da10f6b2e413f7bbc6068384",
+    "corpus-linear-sorting-1": "ba6637dc1388895edb3ff7f10c0332701e472342045ea8ea1349a633e8a5680e",
+    "corpus-linear-sorting-2": "af3f821f27f432d80769f8bef6d42dac995c2457d7c495c1ce4f580f2990aea3",
+    "corpus-linear-sorting-3": "b99d49951fbf3ea5e657a4f5d6a12bafb04c5c6dc3128386d5fb18fe97de313a",
+    "corpus-linear-sorting-4": "0c93974165b2a0fc965afb19e5ae5b725e1d1ced3f4592da54e1d97687365dce",
+    "corpus-linear-sorting-5": "0006cb69719400de14f367b797326ebf1763171bf749e69aa6049eca33871cf1",
+    "corpus-linear-sorting-6": "776bf55c673f95c719ec7b2e7fbfb4f316fcd415c07a99a8329fb0c3f5b25a0c",
+    "corpus-power-screening-0": "5d8c31dda3a39bd8257ae2039afef0f2f2aff30f8259b7878ed618356a85a743",
+    "corpus-power-screening-1": "b80bb822e898832f6dc8322ea0540981153d23e42c36692df3cbd9506b3d4ad1",
+    "corpus-power-screening-2": "88f79cd9a26cfcf322beeb1a4c653b17414388c40e7f4a4a9af41c673856f87f",
+    "corpus-power-screening-3": "3db4f27fce946b5046647fe241f50a496d5fa91f17534a815b8a6a6cb6a42d0f",
+    "corpus-power-screening-4": "84e1626644391b88f50cddb4f7e9928edc214213bf326f467505f3d515a01c88",
+    "corpus-power-screening-5": "2d87853224d1379796476bccaa38a7a051ae5369c98e072c25e49af5b384cdce",
+    "corpus-power-screening-6": "09238b48e858b70fa833a5078038009e8e11e0ae76bc3b7942641cd8f4a6ea5e",
+    "corpus-power-sorting-0": "0e6f02f1f32e7f7544a0ba753ed0f1e20071ebd6da10f6b2e413f7bbc6068384",
+    "corpus-power-sorting-1": "bebfc37c741610b847737eaae70c9b408fffc0d645d60a53f864367caaf964be",
+    "corpus-power-sorting-2": "817e2d0f19b091eef99ab4fb7417abc17068f955830ff6fdc3d40d8425e9813b",
+    "corpus-power-sorting-3": "6d75ee3d29e49012494fd47bbba99152397bb787811a37578d382331cf0aeaa2",
+    "corpus-power-sorting-4": "1c0e7240f1226dd5b22fffbb1f23a2df9256387d4469cc9c8a799a3dfa68612f",
+    "corpus-power-sorting-5": "0006cb69719400de14f367b797326ebf1763171bf749e69aa6049eca33871cf1",
+    "corpus-power-sorting-6": "4610fe98f76b3a558680ac06f45f1746b81ad2e187d345a3a21c4773d8fd4f06",
+    "corpus-tabulated-screening-0": "5d8c31dda3a39bd8257ae2039afef0f2f2aff30f8259b7878ed618356a85a743",
+    "corpus-tabulated-screening-1": "b80bb822e898832f6dc8322ea0540981153d23e42c36692df3cbd9506b3d4ad1",
+    "corpus-tabulated-screening-2": "7e8cdaf3ba27042d413af1cdb42e03b03e27d06b4ad282a56fc99c0d2f5f163a",
+    "corpus-tabulated-screening-3": "5702a90320619a8200af822da081e5dd33d65c0a42aa299c204bcb4f8948b849",
+    "corpus-tabulated-screening-4": "18a495dfe5a497f0208e1119915c87edccc0b1fb887bab0e3cfff1e431d21798",
+    "corpus-tabulated-screening-5": "2d87853224d1379796476bccaa38a7a051ae5369c98e072c25e49af5b384cdce",
+    "corpus-tabulated-screening-6": "09238b48e858b70fa833a5078038009e8e11e0ae76bc3b7942641cd8f4a6ea5e",
+    "corpus-tabulated-sorting-0": "0e6f02f1f32e7f7544a0ba753ed0f1e20071ebd6da10f6b2e413f7bbc6068384",
+    "corpus-tabulated-sorting-1": "bebfc37c741610b847737eaae70c9b408fffc0d645d60a53f864367caaf964be",
+    "corpus-tabulated-sorting-2": "6682033b17c97de52990e763f655e36004ebf905140ed207fceb53a11108664c",
+    "corpus-tabulated-sorting-3": "7f031e3ab1e235ad4bc2488b27f67eef1d0185bc7a1bf49075297e44f50d3550",
+    "corpus-tabulated-sorting-4": "7874751efaa1ad1e661659b8d9f3379a570443bbc06368f877c396fc90642be9",
+    "corpus-tabulated-sorting-5": "0006cb69719400de14f367b797326ebf1763171bf749e69aa6049eca33871cf1",
+    "corpus-tabulated-sorting-6": "4610fe98f76b3a558680ac06f45f1746b81ad2e187d345a3a21c4773d8fd4f06",
+    "pooling_one": "5a4742ad8f786c1fc0a22e303f9cbfd0bda64f9b658cf37fb5b2e88d2a54436a",
+    "pooling_two": "3edd08ea233a67c693c9567722f76d2a2a12812a65e095fe260cc5f3f7b849f3",
+    "power_two": "cc17fb7f2fd6608215d1b704912b096bab3a11f4b419e60c85ba41fa0910b5bc",
+    "screening_two": "cd68e46ce78ceeff7c5105023756eeadc73dcdf4685f0db6a27f0544b983c588",
+    "sorting_two": "1624bbb1e5587d25c046354d2a99dea88320388c60e640cf45412756264802ad",
+    "tabulated_one": "12bea47f3cbd6417caa685d9b5a1ef8f3fce9a0bd0a91e6680f7c37500096292",
+    "tie_three": "820f5f91a77a764dde125c86c8f71beef214c0f79660c4a64ca37be3a04ba641",
+    "two_classes": "7c5771c4d1f0bb5d0698251879639ecac72bbaf061abba827891ce8441750ded",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_MEMBERS))
+def test_oracle_members_unchanged(case):
+    params, profile, grid = oracle_inputs(case)
+    members = brute_force_equilibria(profile, params, grid)
+    text = json.dumps([eq.to_dict() for eq in members], sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_MEMBERS[case]
 
 
 def test_inputs_cover_every_outcome_label(tmp_path):

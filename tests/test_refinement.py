@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sigmarket import (
     BeliefSystem,
     CostFamily,
+    D1WageSets,
     DeviationGrid,
     InputError,
     MarketParams,
@@ -15,6 +18,7 @@ from sigmarket import (
     StepMonitoringPolicy,
     StrategyAtom,
     SubgameEquilibrium,
+    WageInterval,
     WageSchedule,
     brute_force_equilibria,
     check_minimality,
@@ -109,6 +113,41 @@ class TestD1WageSets:
         above = idle_equilibrium(prof, payoff_l=0.0, payoff_h=threshold_gap + 1e-6)
         sets_a = {t: d1_wage_sets(prof, above, s, t, self.PARAMS) for t in ("L", "H")}
         assert not strictly_included(sets_a["L"].weak, sets_a["H"].strict)
+
+    def test_contains_at_closed_and_open_ends(self):
+        closed = WageInterval(lower=1.0, closed=True, empty=False)
+        assert closed.contains(1.0) and not closed.contains(1.0 - 1e-6)
+        assert closed.contains(1.0 - 1e-6, tol=1e-6)
+        open_ = WageInterval(lower=1.0, closed=False, empty=False)
+        assert not open_.contains(1.0) and open_.contains(1.0 + 1e-6)
+        assert not open_.contains(1.0 + 1e-6, tol=1e-6) and open_.contains(1.0 + 2e-6, tol=1e-6)
+        assert not WageInterval(lower=0.0, closed=True, empty=True).contains(5.0, tol=1.0)
+
+    def test_strictly_included_with_an_empty_side(self):
+        empty = WageInterval(lower=2.0, closed=True, empty=True)
+        full = WageInterval(lower=0.5, closed=True, empty=False)
+        assert strictly_included(empty, full)
+        assert not strictly_included(full, empty)
+        assert not strictly_included(empty, empty)
+
+    def test_fields_are_read_only(self):
+        sets = D1WageSets(
+            weak=WageInterval(lower=1.0, closed=True, empty=False),
+            strict=WageInterval(lower=1.0, closed=False, empty=False),
+        )
+        with pytest.raises(AttributeError):
+            sets.weak = sets.strict
+        with pytest.raises(AttributeError):
+            sets.weak.lower = 0.0
+
+    def test_values_of_the_documented_cases(self):
+        def sets(threshold, s, t):
+            prof = self.profile(threshold)
+            return d1_wage_sets(prof, idle_equilibrium(prof), s, t, self.PARAMS)
+
+        assert sets(0.5, Signal(0, 1), "L") == D1WageSets(WageInterval(1.0, True, False), WageInterval(1.0, False, False))
+        assert sets(0.5, Signal(0, 0), "H") == D1WageSets(WageInterval(0.0, True, False), WageInterval(0.0, False, False))
+        assert sets(1.5, Signal(0, 1), "L") == D1WageSets(WageInterval(3.0, True, True), WageInterval(3.0, False, True))
 
 
 class TestVerifyPbe:
@@ -413,16 +452,31 @@ def oracle_candidates(profile, params, tol=1e-9):
     """Every candidate the brute-force oracle assembles, before verification."""
     import itertools
 
-    from sigmarket.refinement import _assemble_candidate, _candidate_actions, _solve_weights
+    from sigmarket.refinement import _bundle_candidate, _candidate_actions, _price_candidate, _solve_weights
 
     actions = _candidate_actions(profile, params)
     supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
     for sup_h in supports:
         for sup_l in supports:
             for w_h, w_l in _solve_weights(params, sup_h, sup_l, tol):
-                eq = _assemble_candidate(profile, params, actions, sup_h, w_h, sup_l, w_l, tol)
-                if eq is not None:
-                    yield eq
+                priced = _price_candidate(params, actions, sup_h, w_h, sup_l, w_l, tol)
+                if priced is not None:
+                    yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+
+
+def oracle_verdicts(profile, params, tol=1e-9):
+    """Every candidate the oracle prices, as (bundle, whether the oracle's
+    best-response reject refuses it)."""
+    from sigmarket.refinement import _bundle_candidate, _candidate_actions, _price_candidate, _refuses, _solve_weights
+
+    actions = _candidate_actions(profile, params)
+    supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
+    for sup_h in supports:
+        for sup_l in supports:
+            for w_h, w_l in _solve_weights(params, sup_h, sup_l, tol):
+                priced = _price_candidate(params, actions, sup_h, w_h, sup_l, w_l, tol)
+                if priced is not None:
+                    yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced), _refuses(actions, priced, tol)
 
 
 class TestExactBestResponse:
@@ -433,6 +487,7 @@ class TestExactBestResponse:
         [0.5 * j for j in range(9)], [2.0 * (0.5 * j) ** 1.5 for j in range(9)], [(0.5 * j) ** 1.5 for j in range(9)]
     )
     COSTS = (LIN, CostFamily.power(2.0, 1.0, 1.5), TABLE)
+    MARKETS = ((0.5, 0.5), (-1.0, 0.4))  # (theta_L, lam): sorting, screening
 
     @staticmethod
     def policy(fee, *thresholds):
@@ -462,7 +517,7 @@ class TestExactBestResponse:
     def test_matches_grid_scan_on_every_oracle_candidate(self):
         checked = failing = 0
         for cost in self.COSTS:
-            for theta_l, lam in ((0.5, 0.5), (-1.0, 0.4)):
+            for theta_l, lam in self.MARKETS:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof in self.profiles():
                     grids = [DeviationGrid.for_profile(prof, params, n_points=k) for k in (4, 15, 21)]
@@ -473,6 +528,46 @@ class TestExactBestResponse:
                             checked += 1
                             failing += any(v["kind"] == "student_best_response" for v in exact["violations"])
         assert failing > 1000 and checked - failing > 100
+
+    def test_oracle_refuses_exactly_the_best_response_failures(self):
+        """The oracle's reject fires on a priced candidate if and only if
+        verify_pbe reports a student_best_response violation for it.  At
+        tol = 0 a kept candidate's support pays exactly its best payoff, so
+        the comparison's strictness shows too."""
+        refused = kept = 0
+        for cost in self.COSTS:
+            for theta_l, lam in self.MARKETS:
+                params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
+                for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
+                    grid = DeviationGrid.for_profile(prof, params)
+                    for eq, refuses in oracle_verdicts(prof, params, tol):
+                        report = verify_pbe(prof, eq, params, grid, tol)
+                        assert refuses == any(v.kind == "student_best_response" for v in report.violations)
+                        refused += refuses
+                        kept += not refuses
+        assert refused > 1000 and kept > 100
+
+    @pytest.mark.parametrize("case", ["tie_three", "linear-screening-5", "power-sorting-6"])
+    def test_oracle_verifies_only_survivors(self, case, monkeypatch):
+        """brute_force_equilibria calls verify_pbe once per candidate that
+        passes the reject, and so fewer times than it prices candidates."""
+        from sigmarket import refinement
+
+        if case == "tie_three":
+            params = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=3)
+            prof = PolicyProfile.of(*[self.policy(0.25, 0.5)] * 3)
+        else:
+            kind, market, j = case.split("-")
+            theta_l, lam = self.MARKETS[("sorting", "screening").index(market)]
+            cost = next(c for c in self.COSTS if c.kind == kind)
+            params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
+            prof = self.profiles()[int(j)]
+        verdicts = [refuses for _, refuses in oracle_verdicts(prof, params)]
+        calls = []
+        verify = refinement.verify_pbe
+        monkeypatch.setattr(refinement, "verify_pbe", lambda *a, **k: calls.append(1) or verify(*a, **k))
+        assert brute_force_equilibria(prof, params, DeviationGrid.for_profile(prof, params))
+        assert len(calls) == verdicts.count(False) < len(verdicts)
 
     def test_zero_effort_band_counts(self, sorting):
         """With everybody outside, the best deviation is enrolling at zero
