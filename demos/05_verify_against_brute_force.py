@@ -3,12 +3,11 @@
 For an arbitrary two-school profile, the constructed subgame equilibrium is
 verified (best responses, wage/belief consistency, Bayes on path, extended
 D1 off path) and then matched against every refined equilibrium the support
-enumerator finds on a discretized action space.
+enumerator finds over band-minimum efforts.
 """
 
 from sigmarket import (
     CostFamily,
-    DeviationGrid,
     MarketParams,
     Policy,
     PolicyProfile,
@@ -43,12 +42,10 @@ def main() -> None:
     print("constructed:", describe(eq, profile))
     print(f"payoffs (L, H) = ({eq.payoff_L:.5g}, {eq.payoff_H:.5g})")
 
-    grid = DeviationGrid.for_profile(profile, params)
-    print(f"grid: {len(grid.effort_grid)} efforts (thresholds included)")
-    print("verify_pbe        :", verify_pbe(profile, eq, params, grid).passed)
-    print("verify_extended_d1:", verify_extended_d1(profile, eq, params, grid).passed)
+    print("verify_pbe        :", verify_pbe(profile, eq, params).passed)
+    print("verify_extended_d1:", verify_extended_d1(profile, eq, params).passed)
 
-    members = brute_force_equilibria(profile, params, grid)
+    members = brute_force_equilibria(profile, params)
     print(f"\nbrute force finds {len(members)} refined equilibria:")
     for k, member in enumerate(members):
         tag = "  <- matches the constructed outcome" if outcome_equivalent(eq, member, profile) else ""

@@ -6,7 +6,8 @@ with sorted keys and CSV numbers carry 12 significant digits.
 
 Exit codes: 0 ok; 1 a verification failed, the oracle disagreed, or a
 profitable deviation was found; 2 the input was malformed (the diagnostic
-names the offending field); 3 a numerical routine failed.
+names the offending field) or too large for the oracle; 3 a numerical
+routine failed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .monitoring import PolicyProfile
 from .outer import (
     CSV_COLUMNS,
     CreditFamily,
+    DeviationGrid,
     EquilibriumOutcome,
     credit_monopoly_rpbe,
     deviation_audit,
@@ -37,7 +39,6 @@ from .outer import (
     welfare,
 )
 from .refinement import (
-    DeviationGrid,
     brute_force_equilibria,
     check_minimality,
     outcome_equivalent,
@@ -155,11 +156,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
     profile = eq.profile
-    grid = DeviationGrid.for_profile(profile, params, n_points=args.grid_points)
     reports = {
-        "pbe": verify_pbe(profile, eq, params, grid, args.tol),
-        "extended_d1": verify_extended_d1(profile, eq, params, grid, args.tol),
-        "minimality": check_minimality(profile, eq, params, grid, args.tol),
+        "pbe": verify_pbe(profile, eq, params, args.tol),
+        "extended_d1": verify_extended_d1(profile, eq, params, args.tol),
+        "minimality": check_minimality(profile, eq, params, args.tol),
     }
     # minimality is a property of the posted policies, reported but not fatal
     passed = reports["pbe"].passed and reports["extended_d1"].passed
@@ -190,9 +190,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     profile = PolicyProfile.from_list(_load_json(args.profile, "profile"))
-    grid = DeviationGrid.for_profile(profile, params, n_points=args.grid_points)
+    # the oracle runs first: it refuses a profile over its size cap before anything is solved
+    oracle = brute_force_equilibria(profile, params, support_cap=2, tol=args.tol)
     constructed = construct_epbe(profile, params, args.tol)
-    oracle = brute_force_equilibria(profile, params, grid, support_cap=2, tol=args.tol)
     match_index = next(
         (k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq, profile)), None
     )
@@ -320,7 +320,11 @@ def _positive(text: str) -> float:
 # Options beyond --params, --tol and --out, each taken only by the commands naming it below.
 _FLAGS = {
     "--profile": {"required": True, "help": "policy profile / equilibrium bundle JSON"},
-    "--grid-points": {"type": int, "default": 21},
+    "--grid-points": {
+        "type": int,
+        "default": 21,
+        "help": "efforts in the audit's deviation grid; verify and oracle-compare accept it unread, until it is dropped there",
+    },
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--pessimistic": {"action": "store_true"},
     "--sweep-param": {"default": "lambda"},
@@ -361,10 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)  # a malformed command line exits 2 here
     try:
         return COMMANDS[args.command][0](args)
-    except InputError as exc:
+    except (InputError, ResourceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericError, ResourceError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SigMarketError as exc:

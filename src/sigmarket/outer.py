@@ -39,7 +39,7 @@ from .market import (
     wage_offer,
 )
 from .monitoring import Policy, PolicyProfile, Signal, StepMonitoringPolicy
-from .refinement import DeviationGrid, brute_force_equilibria
+from .refinement import brute_force_equilibria
 from .subgame import (
     OUTSIDE,
     BeliefSystem,
@@ -745,6 +745,56 @@ class AuditReport:
         }
 
 
+@dataclass(frozen=True)
+class DeviationGrid:
+    """The deviation audit's effort search space.
+
+    Its positive points are the cutoffs the audit tries at every fee, a
+    thinned subset of them spans the effort-revealing policy, and its
+    smallest step is the cutoff of the undercut and extract templates.  It
+    starts at 0 and must contain every policy threshold of the audited
+    outcome; deviation_audit checks.
+    """
+
+    effort_grid: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.effort_grid or self.effort_grid[0] != 0.0:
+            raise InputError("effort grid must start at 0")
+        if any(b <= a for a, b in zip(self.effort_grid, self.effort_grid[1:])):
+            raise InputError("effort grid must be strictly ascending")
+
+    @classmethod
+    def for_profile(cls, profile: PolicyProfile, params: MarketParams, n_points: int = 21) -> "DeviationGrid":
+        """n_points evenly spaced efforts over [0, e_max] plus every policy
+        threshold, where e_max is 1.25 times the larger of the separating
+        effort and the largest threshold."""
+        thresholds = profile.thresholds()
+        e_max = 1.25 * max([riley_effort(params)] + list(thresholds))
+        if n_points < 2:
+            raise InputError("n_points must be >= 2")
+        pts = {0.0, e_max}
+        step = e_max / (n_points - 1)
+        pts.update(round(k * step, 15) for k in range(n_points))
+        pts.update(thresholds)  # every threshold, also those beyond e_max
+        grid = sorted(pts)
+        dedup = [grid[0]]
+        for x in grid[1:]:
+            if x - dedup[-1] > 1e-12:
+                dedup.append(x)
+        return cls(effort_grid=tuple(dedup))
+
+    def covers(self, profile: PolicyProfile) -> bool:
+        """Whether every threshold of the profile is a point, within 1e-12."""
+        return all(
+            any(abs(t - g) <= 1e-12 for g in self.effort_grid) for t in profile.thresholds()
+        )
+
+    @property
+    def step(self) -> float:
+        return min(b - a for a, b in zip(self.effort_grid, self.effort_grid[1:]))
+
+
 def _audit_deviations(
     outcome: EquilibriumOutcome, params: MarketParams, grids: DeviationGrid
 ) -> list[tuple[float, StepMonitoringPolicy, str]]:
@@ -863,8 +913,7 @@ def deviation_audit(
                     messages=tuple(range(len(entry.thresholds) + 1)),
                 ))
             )
-            oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
-            candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
+            candidates = brute_force_equilibria(attempt, params, support_cap=2, tol=tol)
             worst_profit[key] = (
                 min(_school_profit(attempt, params, eq.strategy, rep) for eq in candidates) if candidates else None
             )

@@ -22,6 +22,10 @@ identity.  Once a candidate's wages are priced, on path and D1 off path, the
 student best-response rule that verify_pbe applies refuses it straight from
 the action table; only the survivors are built as equilibrium bundles, and
 it keeps exactly those that pass both verifiers.
+
+Best responses and candidate actions both come from band-minimum efforts (0
+and the policy thresholds), so no check here discretises effort.  The
+oracle's size limit is a cap on its candidate actions, MAX_ORACLE_ACTIONS.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .market import (
     bayes_high,
     low_per_high,
     posterior_mean,
-    riley_effort,
     wage_offer,
 )
 from .monitoring import Policy, PolicyProfile, Signal, reduce_minimal
@@ -54,66 +57,10 @@ from .subgame import (
 )
 
 _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
-
-
-@dataclass(frozen=True)
-class DeviationGrid:
-    """Effort grid handed to the verifiers, the oracle and the deviation audit.
-
-    Must contain 0 and every policy threshold of the profile under test; the
-    verifiers check this.  It does not otherwise move a verdict: the best
-    response in verify_pbe is exact over band-minimum efforts, which are
-    exactly 0 and the thresholds.  Its length caps the oracle (at most 25
-    points), and its points span the audit's deviation search space (cutoff
-    thresholds and the effort-revealing policy).
-    """
-
-    effort_grid: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.effort_grid or self.effort_grid[0] != 0.0:
-            raise InputError("effort grid must start at 0")
-        if any(b <= a for a, b in zip(self.effort_grid, self.effort_grid[1:])):
-            raise InputError("effort grid must be strictly ascending")
-
-    @classmethod
-    def for_profile(
-        cls,
-        profile: PolicyProfile,
-        params: MarketParams,
-        n_points: int = 21,
-        e_max: float | None = None,
-    ) -> "DeviationGrid":
-        """Evenly spaced grid over [0, e_max] plus every policy threshold.
-
-        e_max defaults to a span comfortably covering all thresholds and the
-        separating effort scale theta_H / kappa-ish implied by the cost family.
-        """
-        thresholds = profile.thresholds()
-        if e_max is None:
-            scale = riley_effort(params)
-            e_max = 1.25 * max([scale] + list(thresholds))
-        if n_points < 2:
-            raise InputError("n_points must be >= 2")
-        pts = {0.0, float(e_max)}
-        step = e_max / (n_points - 1)
-        pts.update(round(k * step, 15) for k in range(n_points))
-        pts.update(thresholds)  # every threshold, also those beyond e_max
-        grid = sorted(pts)
-        dedup = [grid[0]]
-        for x in grid[1:]:
-            if x - dedup[-1] > 1e-12:
-                dedup.append(x)
-        return cls(effort_grid=tuple(dedup))
-
-    def covers(self, profile: PolicyProfile, slack: float = 1e-12) -> bool:
-        return all(
-            any(abs(t - g) <= slack for g in self.effort_grid) for t in profile.thresholds()
-        )
-
-    @property
-    def step(self) -> float:
-        return min(b - a for a, b in zip(self.effort_grid, self.effort_grid[1:]))
+# Largest candidate-action count A = 1 + total bands the oracle enumerates.
+# Its support-pair loop runs over about (A^2 / 2)^2 pairs; one call at A = 25
+# takes about 0.65 s on 2 shared vCPUs.
+MAX_ORACLE_ACTIONS = 25
 
 
 class WageInterval(NamedTuple):
@@ -164,7 +111,11 @@ class VerificationReport:
         return cls(passed=not vs, violations=vs)
 
 
-def _wage_sets_from_threshold(t: float, params: MarketParams, tol: float) -> D1WageSets:
+def _d1_sets(payoff: float, fee: float, cost: float, params: MarketParams, tol: float) -> D1WageSets:
+    """D1 wage sets of a type with equilibrium payoff `payoff` at an unsent
+    signal whose school charges `fee` and whose band-minimum effort costs the
+    type `cost`."""
+    t = payoff + fee + cost
     lo = max(0.0, params.theta_L)
     hi = params.theta_H
     lower = max(t, lo)
@@ -184,8 +135,8 @@ def d1_wage_sets(
     """Closed-form deviation-rationalizing wage sets for an unsent signal."""
     if s in eq.strategy.sent_signals(profile):
         raise InputError(f"signal {s.key()} is on-path; D1 sets apply to unsent signals")
-    t = eq.payoff(type_label) + profile[s.school].fee + params.cost.cost(type_label, profile.min_effort(s))
-    return _wage_sets_from_threshold(t, params, tol)
+    cost = params.cost.cost(type_label, profile.min_effort(s))
+    return _d1_sets(eq.payoff(type_label), profile[s.school].fee, cost, params, tol)
 
 
 def strictly_included(weak: WageInterval, strict: WageInterval, tol: float = DEFAULT_TOL) -> bool:
@@ -197,11 +148,9 @@ def strictly_included(weak: WageInterval, strict: WageInterval, tol: float = DEF
     return strict.lower < weak.lower - tol
 
 
-def _check_inputs(profile: PolicyProfile, eq: SubgameEquilibrium, grid: DeviationGrid):
+def _check_inputs(profile: PolicyProfile, eq: SubgameEquilibrium):
     if eq.profile != profile:
         raise InputError("equilibrium was built for a different profile")
-    if not grid.covers(profile):
-        raise InputError("deviation grid must contain every policy threshold")
 
 
 def _payoff(
@@ -236,7 +185,6 @@ def verify_pbe(
     profile: PolicyProfile,
     eq: SubgameEquilibrium,
     params: MarketParams,
-    grid: DeviationGrid,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Mutual best response + wage/belief consistency + Bayes on path.
@@ -244,10 +192,8 @@ def verify_pbe(
     The best response is exact: within a message band the wage is constant
     and cost strictly rises with effort, so a type's best deviation payoff is
     max(0, max over signals s of income(s) - fee - c(type, min_effort(s))).
-    The grid must still cover every policy threshold (checked), but its other
-    points never change a verdict or a gap.
     """
-    _check_inputs(profile, eq, grid)
+    _check_inputs(profile, eq)
     violations: list[Violation] = []
     signals = profile.signals()
     nets = [eq.wages.income(s) - profile[s.school].fee for s in signals]
@@ -301,17 +247,17 @@ def verify_extended_d1(
     profile: PolicyProfile,
     eq: SubgameEquilibrium,
     params: MarketParams,
-    grid: DeviationGrid,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Flag beliefs at unsent signals that put weight on a D1-excluded type."""
-    _check_inputs(profile, eq, grid)
+    _check_inputs(profile, eq)
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
     for s in profile.signals():
         if s in sent:
             continue
-        sets = {t: d1_wage_sets(profile, eq, s, t, params, tol) for t in (LOW, HIGH)}
+        fee, e = profile[s.school].fee, profile.min_effort(s)
+        sets = {t: _d1_sets(eq.payoff(t), fee, params.cost.cost(t, e), params, tol) for t in (LOW, HIGH)}
         for excluded, other in ((LOW, HIGH), (HIGH, LOW)):
             if not strictly_included(sets[excluded].weak, sets[other].strict, tol):
                 continue
@@ -335,10 +281,7 @@ def _d1_belief_for_unsent(
 
     costs holds each type's effort cost at the signal's band-minimum effort.
     """
-    sets = {}
-    for t in (LOW, HIGH):
-        thr = payoffs[t] + fee + costs[t]
-        sets[t] = _wage_sets_from_threshold(thr, params, tol)
+    sets = {t: _d1_sets(payoffs[t], fee, costs[t], params, tol) for t in (LOW, HIGH)}
     if strictly_included(sets[LOW].weak, sets[HIGH].strict, tol):
         return 1.0
     return 0.0
@@ -348,7 +291,6 @@ def check_minimality(
     profile: PolicyProfile,
     eq: SubgameEquilibrium,
     params: MarketParams,
-    grid: DeviationGrid | None = None,
     tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Flag schools whose unsent messages are strategically removable.
@@ -357,14 +299,10 @@ def check_minimality(
     one (reduce_minimal) still supports the same on-path outcome as a refined
     equilibrium of the reduced subgame.  When the merge would hand some type
     a profitable deviation (the usual reason an unsent band exists at all),
-    the retained partition is necessary and the school passes.  A grid that
-    covers the profile covers every reduced one, since reduce_minimal keeps
-    a subset of the band starts, so one grid serves every school.
+    the retained partition is necessary and the school passes.
     """
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
-    if grid is None:
-        grid = DeviationGrid.for_profile(profile, params)
     for i, policy in enumerate(profile):
         sent_i = {s.message for s in sent if s.school == i}
         if not sent_i:
@@ -376,8 +314,8 @@ def check_minimality(
         red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
         red_eq = _remap_equilibrium(red_profile, eq, params, tol)
         ok = (
-            verify_pbe(red_profile, red_eq, params, grid, tol).passed
-            and verify_extended_d1(red_profile, red_eq, params, grid, tol).passed
+            verify_pbe(red_profile, red_eq, params, tol).passed
+            and verify_extended_d1(red_profile, red_eq, params, tol).passed
         )
         if ok:
             violations.append(
@@ -675,7 +613,6 @@ def _outcome_signature(eq: SubgameEquilibrium, profile: PolicyProfile) -> tuple:
 def brute_force_equilibria(
     profile: PolicyProfile,
     params: MarketParams,
-    grids: DeviationGrid,
     support_cap: int = 2,
     tol: float = DEFAULT_TOL,
 ) -> list[SubgameEquilibrium]:
@@ -689,10 +626,14 @@ def brute_force_equilibria(
     survivors are built as bundles, and a bundle is kept only if it passes
     both verify_pbe and verify_extended_d1.  Output order is lexicographic in
     the candidate supports; outcome-equivalent duplicates are dropped.
+
+    A profile with more than MAX_ORACLE_ACTIONS candidate actions is refused
+    with ResourceError before any work.
     """
-    if len(grids.effort_grid) > 25:
+    n_actions = 1 + sum(len(p.monitoring.band_starts()) for p in profile)
+    if n_actions > MAX_ORACLE_ACTIONS:
         raise ResourceError(
-            f"effort grid has {len(grids.effort_grid)} points; the oracle caps at 25"
+            f"profile has {n_actions} candidate actions (1 + its bands); the oracle caps at {MAX_ORACLE_ACTIONS}"
         )
     if support_cap > 2:
         raise InputError("support_cap beyond 2 actions per type is unsupported")
@@ -715,9 +656,9 @@ def brute_force_equilibria(
                 if priced is None or _refuses(actions, priced, tol):
                     continue
                 eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
-                if not verify_pbe(profile, eq, params, grids, tol).passed:
+                if not verify_pbe(profile, eq, params, tol).passed:
                     continue
-                if not verify_extended_d1(profile, eq, params, grids, tol).passed:
+                if not verify_extended_d1(profile, eq, params, tol).passed:
                     continue
                 sig = _outcome_signature(eq, profile)
                 if sig in seen:

@@ -43,6 +43,7 @@ from sigmarket import (
     verify_pbe,
     welfare,
 )
+from sigmarket.refinement import MAX_ORACLE_ACTIONS
 
 LIN = CostFamily.linear(2.0, 1.0)
 SORTING = MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN)
@@ -75,10 +76,9 @@ def test_criterion_02_riley_outcome():
         assert all(p.fee == 0.0 for p in out.profile)
         assert out.profits == (0.0, 0.0)
         bundle = out.to_subgame(params, tag="separating")
-        grid = DeviationGrid.for_profile(out.profile, params)
-        assert verify_pbe(out.profile, bundle, params, grid).passed
-        assert verify_extended_d1(out.profile, bundle, params, grid).passed
-        assert check_minimality(out.profile, bundle, params, grid).passed
+        assert verify_pbe(out.profile, bundle, params).passed
+        assert verify_extended_d1(out.profile, bundle, params).passed
+        assert check_minimality(out.profile, bundle, params).passed
         details.append(f"e^R={e_r:.10g} welfare={rep.total:.10g}")
     record_acceptance("02 riley outcome", "; ".join(details))
 
@@ -251,12 +251,11 @@ def test_criterion_08_constructor_matches_oracle():
         params, prof = _random_instance(rng)
         profiles += 1
         eq = construct_epbe(prof, params)
-        grid = DeviationGrid.for_profile(prof, params)
-        assert len(grid.effort_grid) <= 25
-        oracle = brute_force_equilibria(prof, params, grid)
+        assert 1 + sum(len(p.monitoring.band_starts()) for p in prof) <= MAX_ORACLE_ACTIONS
+        oracle = brute_force_equilibria(prof, params)
         oracle_members += len(oracle)
         for member in oracle:
-            assert verify_extended_d1(prof, member, params, grid).passed
+            assert verify_extended_d1(prof, member, params).passed
         if not any(outcome_equivalent(eq, member, prof) for member in oracle):
             mismatches += 1
     assert mismatches == 0

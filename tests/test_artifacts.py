@@ -289,19 +289,17 @@ def test_full_audit_report_unchanged(case):
 # profile above, and on the exact best-response corpus of test_refinement
 # (three cost kinds x two markets x seven profiles).
 def oracle_inputs(case):
-    """(params, profile, grid) of an oracle case: a PROFILES name, or
+    """(params, profile) of an oracle case: a PROFILES name, or
     'corpus-<cost kind>-<market>-<profile index>'."""
     if case in PROFILES:
         params, profile = PROFILES[case]
-        params, profile = MarketParams.from_dict(params), PolicyProfile.from_list(profile)
-        return params, profile, DeviationGrid.for_profile(profile, params, n_points=15)
+        return MarketParams.from_dict(params), PolicyProfile.from_list(profile)
     _, kind, market_name, j = case.split("-")
     corpus = test_refinement.TestExactBestResponse()
     cost = next(c for c in corpus.COSTS if c.kind == kind)
     theta_L, lam = corpus.MARKETS[("sorting", "screening").index(market_name)]
     params = MarketParams(theta_L=theta_L, theta_H=2.0, lam=lam, cost=cost)
-    profile = corpus.profiles()[int(j)]
-    return params, profile, DeviationGrid.for_profile(profile, params)
+    return params, corpus.profiles()[int(j)]
 
 
 # case -> sha256 of the sorted-key JSON list of every oracle member's to_dict()
@@ -361,8 +359,8 @@ ORACLE_MEMBERS = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_MEMBERS))
 def test_oracle_members_unchanged(case):
-    params, profile, grid = oracle_inputs(case)
-    members = brute_force_equilibria(profile, params, grid)
+    params, profile = oracle_inputs(case)
+    members = brute_force_equilibria(profile, params)
     text = json.dumps([eq.to_dict() for eq in members], sort_keys=True, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_MEMBERS[case]
 

@@ -192,6 +192,22 @@ class TestOracleCompare:
         captured = capsys.readouterr()
         assert captured.out == "" and "'fee'" in captured.err
 
+    def test_oversized_request_exit_2_before_solving(self, tmp_path, screening, capsys, monkeypatch):
+        from sigmarket import cli
+        from sigmarket.refinement import MAX_ORACLE_ACTIONS
+
+        bands = MAX_ORACLE_ACTIONS  # with the outside option, one action over the cap
+        monitoring = {"thresholds": [0.05 * k for k in range(1, bands)], "messages": list(range(bands))}
+        prof_path = tmp_path / "profile.json"
+        prof_path.write_text(json.dumps([{"fee": 0.0, "monitoring": monitoring}]), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "construct_epbe", lambda *a, **k: calls.append(a))
+        out_path = tmp_path / "cmp.json"
+        args = ["oracle-compare", "--params", write_params(tmp_path, screening), "--profile", str(prof_path)]
+        assert main(args + ["--out", str(out_path)]) == 2
+        assert not out_path.exists() and not calls
+        assert f"{MAX_ORACLE_ACTIONS + 1} candidate actions" in capsys.readouterr().err
+
 
 class TestSweep:
     def sweep_spec(self, tmp_path, screening):
@@ -409,3 +425,46 @@ def test_rejected_command_line_exit_2(tmp_path, screening, capsys, argv):
     assert exc.value.code == 2
     assert not out.exists()
     assert "usage:" in capsys.readouterr().err
+
+
+# Two schools with three thresholds each: 9 candidate actions for the oracle.
+NINE_ACTIONS = [
+    {"fee": 0.1, "monitoring": {"thresholds": [0.2, 0.55, 1.1], "messages": [0, 1, 2, 3]}},
+    {"fee": 0.0, "monitoring": {"thresholds": [0.35, 0.8, 1.45], "messages": [0, 1, 2, 3]}},
+]
+
+
+def oracle_inputs(tmp_path, screening):
+    """Params, the NINE_ACTIONS profile and its constructed bundle, as files."""
+    params = screening.with_(n_schools=2)
+    profile = PolicyProfile.from_list(NINE_ACTIONS)
+    prof_path, bundle_path = tmp_path / "profile.json", tmp_path / "bundle.json"
+    prof_path.write_text(json.dumps(NINE_ACTIONS), encoding="utf-8")
+    bundle_path.write_text(json.dumps(construct_epbe(profile, params).to_dict()), encoding="utf-8")
+    return write_params(tmp_path, params), str(prof_path), str(bundle_path)
+
+
+def test_bench_command_lines_run(tmp_path, screening):
+    """The command lines of the bench harness (bench/workloads.py), argument
+    for argument: an option it passes must keep being accepted."""
+    params, profile, bundle = oracle_inputs(tmp_path, screening)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"points": [screening.to_dict()]}), encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--params", str(sweep), "--out", out]) == 0
+    assert main(["audit", "--params", params, "--out", out]) == 0
+    assert main(["audit", "--params", params, "--out", out, "--pessimistic"]) == 0
+    assert main(["oracle-compare", "--params", params, "--profile", profile, "--grid-points", "15", "--out", out]) == 0
+    assert main(["verify", "--params", params, "--profile", bundle, "--grid-points", "15", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command", ["oracle-compare", "verify"])
+def test_grid_points_do_not_change_the_answer(tmp_path, screening, command):
+    params, profile, bundle = oracle_inputs(tmp_path, screening)
+    runs = set()
+    for points in ("2", "15", "21", "40"):
+        out = tmp_path / f"out-{points}.json"
+        argv = [command, "--params", params, "--profile", profile if command == "oracle-compare" else bundle]
+        code = main(argv + ["--grid-points", points, "--out", str(out)])
+        runs.add((code, out.read_bytes()))
+    assert len(runs) == 1 and next(iter(runs))[0] in (0, 1)

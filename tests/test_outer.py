@@ -71,10 +71,9 @@ class TestMonopoly:
         for params in (sorting, screening):
             out = monopoly_rpbe(params)
             eq = out.to_subgame(params)
-            grid = DeviationGrid.for_profile(out.profile, params)
-            assert verify_pbe(out.profile, eq, params, grid).passed
-            assert verify_extended_d1(out.profile, eq, params, grid).passed
-            assert check_minimality(out.profile, eq, params, grid).passed
+            assert verify_pbe(out.profile, eq, params).passed
+            assert verify_extended_d1(out.profile, eq, params).passed
+            assert check_minimality(out.profile, eq, params).passed
 
 
 class TestCreditMonopoly:
@@ -345,10 +344,9 @@ class TestFamilyBundlesVerify:
         for variant, kwargs in probes:
             for m in semipooling_family(params, 2, variant, **kwargs):
                 eq = m.to_subgame(params, tag="semi_pooling")
-                grid = DeviationGrid.for_profile(m.profile, params)
-                assert verify_pbe(m.profile, eq, params, grid).passed
-                assert verify_extended_d1(m.profile, eq, params, grid).passed
-                assert check_minimality(m.profile, eq, params, grid).passed
+                assert verify_pbe(m.profile, eq, params).passed
+                assert verify_extended_d1(m.profile, eq, params).passed
+                assert check_minimality(m.profile, eq, params).passed
                 checked += 1
         assert checked >= 3
 
@@ -359,9 +357,8 @@ class TestFamilyBundlesVerify:
         members += [(m, sorting.with_(credit_cap=1.0)) for m in fam.sample(3)]
         for m, params in members:
             eq = m.to_subgame(params)
-            grid = DeviationGrid.for_profile(m.profile, params)
-            assert verify_pbe(m.profile, eq, params, grid).passed, m.label
-            assert verify_extended_d1(m.profile, eq, params, grid).passed, m.label
+            assert verify_pbe(m.profile, eq, params).passed, m.label
+            assert verify_extended_d1(m.profile, eq, params).passed, m.label
 
 
 class TestMildFeeSet:
@@ -470,8 +467,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
             thresholds=entry.thresholds, messages=tuple(range(len(entry.thresholds) + 1))
         )
         attempt = base.replace(entry.school, Policy(fee=entry.fee, monitoring=mon))
-        oracle_grid = DeviationGrid.for_profile(attempt, params, n_points=4)
-        candidates = brute_force_equilibria(attempt, params, oracle_grid, support_cap=2, tol=tol)
+        candidates = brute_force_equilibria(attempt, params, support_cap=2, tol=tol)
         gain = entry.gain
         if candidates:
             worst = min(_school_profit(attempt, params, eq.strategy, entry.school) for eq in candidates)
@@ -578,6 +574,16 @@ class TestDeviationAudit:
         member = fam.zero_effort_member()
         grid2 = DeviationGrid.for_profile(member.profile, sorting.with_(credit_cap=1.0))
         assert deviation_audit(member, sorting.with_(credit_cap=1.0), grid2).max_gain <= 1e-9
+
+    def test_grid_must_cover_thresholds(self, sorting):
+        out = riley_rpbe(sorting.with_(n_schools=2), 2)
+        e_r = riley_effort(sorting)
+        assert out.profile.thresholds() == (e_r,)
+        with pytest.raises(InputError, match="every policy threshold"):
+            deviation_audit(out, sorting, DeviationGrid(effort_grid=(0.0, 0.37, 1.0)))
+        # a point within 1e-12 of the threshold covers it, one 1e-11 away does not
+        assert DeviationGrid(effort_grid=(0.0, e_r + 1e-13, 1.0)).covers(out.profile)
+        assert not DeviationGrid(effort_grid=(0.0, e_r + 1e-11, 1.0)).covers(out.profile)
 
     def test_own_policy_is_gainless(self, screening):
         out = riley_rpbe(screening.with_(n_schools=2), 2)

@@ -154,8 +154,7 @@ class TestVerifyPbe:
     def test_constructed_pooling_passes(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eq = construct_epbe(prof, sorting)
-        grid = DeviationGrid.for_profile(prof, sorting)
-        assert verify_pbe(prof, eq, sorting, grid).passed
+        assert verify_pbe(prof, eq, sorting).passed
 
     def test_wage_belief_mismatch_flagged(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
@@ -169,7 +168,7 @@ class TestVerifyPbe:
             payoff_H=eq.payoff_H,
             construction_tag=eq.construction_tag,
         )
-        report = verify_pbe(prof, bad, sorting, DeviationGrid.for_profile(prof, sorting))
+        report = verify_pbe(prof, bad, sorting)
         assert not report.passed
         assert any(v.kind == "wage_belief_consistency" for v in report.violations)
 
@@ -190,17 +189,9 @@ class TestVerifyPbe:
             payoff_H=eq.payoff_H,
             construction_tag="separating",
         )
-        grid = DeviationGrid.for_profile(eq.profile, screening)
-        report = verify_pbe(eq.profile, bad, screening, grid)
+        report = verify_pbe(eq.profile, bad, screening)
         assert not report.passed
         assert any(v.kind == "student_best_response" for v in report.violations)
-
-    def test_grid_must_cover_thresholds(self, sorting):
-        prof = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.37)))
-        eq = construct_epbe(prof, sorting)
-        bad_grid = DeviationGrid(effort_grid=(0.0, 0.5, 1.0))
-        with pytest.raises(InputError):
-            verify_pbe(prof, eq, sorting, bad_grid)
 
 
 class TestVerifyExtendedD1:
@@ -223,8 +214,7 @@ class TestVerifyExtendedD1:
             payoff_H=-0.4,  # now the mid band rationalizes only high wages for H
             construction_tag=eq.construction_tag,
         )
-        grid = DeviationGrid.for_profile(prof, screening)
-        report = verify_extended_d1(prof, sabotaged, screening, grid)
+        report = verify_extended_d1(prof, sabotaged, screening)
         assert not report.passed
         assert all(v.kind == "d1_belief" for v in report.violations)
 
@@ -236,16 +226,14 @@ class TestVerifyExtendedD1:
         fee = screening.theta_H - LIN.cost("H", eps) - gamma
         prof = PolicyProfile.of(Policy(fee=fee, monitoring=StepMonitoringPolicy.cutoff(eps)))
         eq = idle_equilibrium(prof)  # both types outside, mu = 0 everywhere
-        grid = DeviationGrid.for_profile(prof, screening)
-        report = verify_extended_d1(prof, eq, screening, grid)
+        report = verify_extended_d1(prof, eq, screening)
         assert not report.passed
         assert [v.signal for v in report.violations] == [Signal(0, 1)]
 
     def test_riley_bundle_passes(self, screening):
         out = riley_rpbe(screening, 2)
-        grid = DeviationGrid.for_profile(out.profile, screening)
         eq = out.to_subgame(screening, tag="separating")
-        assert verify_extended_d1(out.profile, eq, screening, grid).passed
+        assert verify_extended_d1(out.profile, eq, screening).passed
 
     def test_cost_advantage_widens_high_wage_sets(self):
         """weak(H) contains weak(L) at any costly unsent signal whenever the
@@ -269,8 +257,7 @@ class TestVerifyExtendedD1:
     def test_vacuous_without_unsent_signals(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eq = construct_epbe(prof, sorting)
-        grid = DeviationGrid.for_profile(prof, sorting)
-        assert verify_extended_d1(prof, eq, sorting, grid).passed
+        assert verify_extended_d1(prof, eq, sorting).passed
 
 
 class TestCheckMinimality:
@@ -311,15 +298,13 @@ class TestCheckMinimality:
 class TestBruteForce:
     def test_monopoly_pooling_is_found(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
-        grid = DeviationGrid.for_profile(prof, sorting)
-        eqs = brute_force_equilibria(prof, sorting, grid)
+        eqs = brute_force_equilibria(prof, sorting)
         target = construct_epbe(prof, sorting)
         assert any(outcome_equivalent(target, eq, prof) for eq in eqs)
 
     def test_riley_outcome_is_found(self, screening):
         out = riley_rpbe(screening, 2)
-        grid = DeviationGrid.for_profile(out.profile, screening)
-        eqs = brute_force_equilibria(out.profile, screening, grid)
+        eqs = brute_force_equilibria(out.profile, screening)
         bundle = out.to_subgame(screening, tag="separating")
         assert any(outcome_equivalent(bundle, eq, out.profile) for eq in eqs)
 
@@ -327,12 +312,11 @@ class TestBruteForce:
         # fee admissible (= theta_H) but the outside option weakly dominates:
         # only no-enrollment-style outcomes remain, never positive enrollment
         prof = PolicyProfile.of(Policy(fee=2.0, monitoring=StepMonitoringPolicy.uninformative()))
-        grid = DeviationGrid.for_profile(prof, sorting)
-        eqs = brute_force_equilibria(prof, sorting, grid)
+        eqs = brute_force_equilibria(prof, sorting)
         for eq in eqs:
             assert eq.strategy.enrollment_total("L") == pytest.approx(0.0, abs=1e-9)
         over = PolicyProfile.of(Policy(fee=2.4, monitoring=StepMonitoringPolicy.uninformative()))
-        assert brute_force_equilibria(over, sorting, DeviationGrid.for_profile(over, sorting)) == []
+        assert brute_force_equilibria(over, sorting) == []
 
     def test_members_self_verify(self, screening):
         params = screening.with_(n_schools=2)
@@ -340,12 +324,11 @@ class TestBruteForce:
             Policy(fee=0.2, monitoring=StepMonitoringPolicy.cutoff(0.5)),
             Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.9)),
         )
-        grid = DeviationGrid.for_profile(prof, params)
-        eqs = brute_force_equilibria(prof, params, grid)
+        eqs = brute_force_equilibria(prof, params)
         assert eqs
         for eq in eqs:
-            assert verify_pbe(prof, eq, params, grid).passed
-            assert verify_extended_d1(prof, eq, params, grid).passed
+            assert verify_pbe(prof, eq, params).passed
+            assert verify_extended_d1(prof, eq, params).passed
 
     def test_oracle_rediscovers_semipooling_mix(self):
         """On a pooling-band profile, the enumerator independently finds a
@@ -358,8 +341,7 @@ class TestBruteForce:
         )
         member = semipooling_family(params, 2, "zero_fee", q_h=0.8)[0]
         prof = member.profile
-        grid = DeviationGrid.for_profile(prof, params)
-        oracle = brute_force_equilibria(prof, params, grid)
+        oracle = brute_force_equilibria(prof, params)
         mixes = [
             o
             for o in oracle
@@ -377,19 +359,28 @@ class TestBruteForce:
             Policy(fee=0.1, monitoring=StepMonitoringPolicy.cutoff(0.4)),
             Policy(fee=0.0, monitoring=StepMonitoringPolicy.uninformative()),
         )
-        grid = DeviationGrid.for_profile(prof, params)
-        first = [eq.to_dict() for eq in brute_force_equilibria(prof, params, grid)]
-        second = [eq.to_dict() for eq in brute_force_equilibria(prof, params, grid)]
+        first = [eq.to_dict() for eq in brute_force_equilibria(prof, params)]
+        second = [eq.to_dict() for eq in brute_force_equilibria(prof, params)]
         assert first == second
 
-    def test_grid_cap_enforced(self, sorting):
-        prof = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.uninformative()))
-        big = DeviationGrid(effort_grid=tuple(i * 0.05 for i in range(30)))
+    def test_action_cap_enforced(self, sorting, monkeypatch):
+        from sigmarket import refinement
+
+        def profile(n_actions):
+            # the outside option plus one action per band
+            thresholds = tuple(0.05 * k for k in range(1, n_actions - 1))
+            return PolicyProfile.of(
+                Policy(fee=0.0, monitoring=StepMonitoringPolicy(thresholds, tuple(range(len(thresholds) + 1))))
+            )
+
+        with pytest.raises(ResourceError, match=f"{refinement.MAX_ORACLE_ACTIONS + 1} candidate actions"):
+            brute_force_equilibria(profile(refinement.MAX_ORACLE_ACTIONS + 1), sorting)
+        monkeypatch.setattr(refinement, "MAX_ORACLE_ACTIONS", 4)
+        assert brute_force_equilibria(profile(4), sorting)
         with pytest.raises(ResourceError):
-            brute_force_equilibria(prof, sorting, big)
-        grid = DeviationGrid.for_profile(prof, sorting)
+            brute_force_equilibria(profile(5), sorting)
         with pytest.raises(InputError):
-            brute_force_equilibria(prof, sorting, grid, support_cap=3)
+            brute_force_equilibria(profile(2), sorting, support_cap=3)
 
 
 def grid_scan_verify_pbe(profile, eq, params, grid, tol=1e-9):
@@ -522,8 +513,8 @@ class TestExactBestResponse:
                 for prof in self.profiles():
                     grids = [DeviationGrid.for_profile(prof, params, n_points=k) for k in (4, 15, 21)]
                     for eq in oracle_candidates(prof, params):
+                        exact = verify_pbe(prof, eq, params).to_dict()
                         for grid in grids:
-                            exact = verify_pbe(prof, eq, params, grid).to_dict()
                             assert exact == grid_scan_verify_pbe(prof, eq, params, grid).to_dict()
                             checked += 1
                             failing += any(v["kind"] == "student_best_response" for v in exact["violations"])
@@ -539,9 +530,8 @@ class TestExactBestResponse:
             for theta_l, lam in self.MARKETS:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
-                    grid = DeviationGrid.for_profile(prof, params)
                     for eq, refuses in oracle_verdicts(prof, params, tol):
-                        report = verify_pbe(prof, eq, params, grid, tol)
+                        report = verify_pbe(prof, eq, params, tol)
                         assert refuses == any(v.kind == "student_best_response" for v in report.violations)
                         refused += refuses
                         kept += not refuses
@@ -566,7 +556,7 @@ class TestExactBestResponse:
         calls = []
         verify = refinement.verify_pbe
         monkeypatch.setattr(refinement, "verify_pbe", lambda *a, **k: calls.append(1) or verify(*a, **k))
-        assert brute_force_equilibria(prof, params, DeviationGrid.for_profile(prof, params))
+        assert brute_force_equilibria(prof, params)
         assert len(calls) == verdicts.count(False) < len(verdicts)
 
     def test_zero_effort_band_counts(self, sorting):
@@ -577,7 +567,7 @@ class TestExactBestResponse:
         offers = {s: (1.0 if s.message == 0 else 2.0) for s in prof.signals()}
         mus = {s: (0.0 if s.message == 0 else 1.0) for s in prof.signals()}
         eq = SubgameEquilibrium(prof, eq.strategy, WageSchedule(offers), BeliefSystem(mus), 0.0, 0.0, "separating")
-        report = verify_pbe(prof, eq, sorting, DeviationGrid.for_profile(prof, sorting))
+        report = verify_pbe(prof, eq, sorting)
         gaps = {v.detail: v.gap for v in report.violations}
         # L: max(1 - 0.25, 2 - 0.25 - 2 * 0.75) = 0.75; H: max(0.75, 2 - 0.25 - 0.75) = 1
         assert gaps == {"type L": pytest.approx(0.75), "type H": pytest.approx(1.0)}
