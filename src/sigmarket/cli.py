@@ -39,8 +39,10 @@ from .outer import (
     welfare,
 )
 from .refinement import (
+    MAX_ORACLE_ACTIONS,
     brute_force_equilibria,
     check_minimality,
+    oracle_actions,
     outcome_equivalent,
     verify_extended_d1,
     verify_pbe,
@@ -156,6 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
     profile = eq.profile
+    DeviationGrid.for_profile(profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
     reports = {
         "pbe": verify_pbe(profile, eq, params, args.tol),
         "extended_d1": verify_extended_d1(profile, eq, params, args.tol),
@@ -190,9 +193,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     profile = PolicyProfile.from_list(_load_json(args.profile, "profile"))
-    # the oracle runs first: it refuses a profile over its size cap before anything is solved
-    oracle = brute_force_equilibria(profile, params, support_cap=2, tol=args.tol)
+    DeviationGrid.for_profile(profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
+    n_actions = oracle_actions(profile)
+    if n_actions > MAX_ORACLE_ACTIONS:  # refused before anything is solved
+        raise InputError(f"profile has {n_actions} candidate actions; oracle-compare takes at most {MAX_ORACLE_ACTIONS}")
     constructed = construct_epbe(profile, params, args.tol)
+    oracle = brute_force_equilibria(profile, params, support_cap=2, tol=args.tol)
     match_index = next(
         (k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq, profile)), None
     )
@@ -320,11 +326,7 @@ def _positive(text: str) -> float:
 # Options beyond --params, --tol and --out, each taken only by the commands naming it below.
 _FLAGS = {
     "--profile": {"required": True, "help": "policy profile / equilibrium bundle JSON"},
-    "--grid-points": {
-        "type": int,
-        "default": 21,
-        "help": "efforts in the audit's deviation grid; verify and oracle-compare accept it unread, until it is dropped there",
-    },
+    "--grid-points": {"type": int, "default": 21, "help": "efforts in the audit's deviation grid (verify, oracle-compare: validated only)"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--pessimistic": {"action": "store_true"},
     "--sweep-param": {"default": "lambda"},
@@ -365,10 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)  # a malformed command line exits 2 here
     try:
         return COMMANDS[args.command][0](args)
-    except (InputError, ResourceError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericError as exc:
+    except (NumericError, ResourceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SigMarketError as exc:

@@ -25,7 +25,8 @@ it keeps exactly those that pass both verifiers.
 
 Best responses and candidate actions both come from band-minimum efforts (0
 and the policy thresholds), so no check here discretises effort.  The
-oracle's size limit is a cap on its candidate actions, MAX_ORACLE_ACTIONS.
+oracle's cost is set by its candidate-action count, oracle_actions(profile);
+MAX_ORACLE_ACTIONS is the largest count a request may put to it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .market import (
     HIGH,
     LOW,
@@ -57,9 +58,10 @@ from .subgame import (
 )
 
 _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
-# Largest candidate-action count A = 1 + total bands the oracle enumerates.
-# Its support-pair loop runs over about (A^2 / 2)^2 pairs; one call at A = 25
-# takes about 0.65 s on 2 shared vCPUs.
+# Largest oracle_actions(profile) that oracle-compare accepts.  The support-
+# pair loop runs over about (A^2 / 2)^2 pairs; one call at A = 25 takes about
+# 0.65 s on 2 shared vCPUs.  Library callers (deviation_audit's replays) are
+# not capped.
 MAX_ORACLE_ACTIONS = 25
 
 
@@ -382,6 +384,11 @@ class _Action(NamedTuple):
     outlay: dict[TypeLabel, float]  # fee + cost; 0 for the outside option
 
 
+def oracle_actions(profile: PolicyProfile) -> int:
+    """The oracle's candidate-action count A: the outside option plus one per band."""
+    return 1 + sum(len(p.monitoring.band_starts()) for p in profile)
+
+
 def _candidate_actions(profile: PolicyProfile, params: MarketParams) -> list[_Action]:
     """The outside option, then one action per signal in `profile.signals()`
     order: its school at the band-minimum effort."""
@@ -627,14 +634,9 @@ def brute_force_equilibria(
     both verify_pbe and verify_extended_d1.  Output order is lexicographic in
     the candidate supports; outcome-equivalent duplicates are dropped.
 
-    A profile with more than MAX_ORACLE_ACTIONS candidate actions is refused
-    with ResourceError before any work.
+    The work grows like the fourth power of oracle_actions(profile); the
+    function itself sets no cap.
     """
-    n_actions = 1 + sum(len(p.monitoring.band_starts()) for p in profile)
-    if n_actions > MAX_ORACLE_ACTIONS:
-        raise ResourceError(
-            f"profile has {n_actions} candidate actions (1 + its bands); the oracle caps at {MAX_ORACLE_ACTIONS}"
-        )
     if support_cap > 2:
         raise InputError("support_cap beyond 2 actions per type is unsupported")
     if support_cap < 1:

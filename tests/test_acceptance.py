@@ -43,7 +43,7 @@ from sigmarket import (
     verify_pbe,
     welfare,
 )
-from sigmarket.refinement import MAX_ORACLE_ACTIONS
+from sigmarket.refinement import MAX_ORACLE_ACTIONS, oracle_actions
 
 LIN = CostFamily.linear(2.0, 1.0)
 SORTING = MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN)
@@ -251,7 +251,7 @@ def test_criterion_08_constructor_matches_oracle():
         params, prof = _random_instance(rng)
         profiles += 1
         eq = construct_epbe(prof, params)
-        assert 1 + sum(len(p.monitoring.band_starts()) for p in prof) <= MAX_ORACLE_ACTIONS
+        assert oracle_actions(prof) <= MAX_ORACLE_ACTIONS
         oracle = brute_force_equilibria(prof, params)
         oracle_members += len(oracle)
         for member in oracle:

@@ -554,6 +554,17 @@ class TestDeviationAudit:
         assert rep.max_gain >= 0.1
         assert rep.best.template in ("undercut_cutoff", "grid", "reveal_undercut")
 
+    def test_pessimistic_replays_are_not_capped(self, sorting, monkeypatch):
+        """MAX_ORACLE_ACTIONS bounds oracle-compare requests, not the audit's replays."""
+        from sigmarket import refinement
+
+        planted = self.planted(sorting)
+        grid = DeviationGrid.for_profile(planted.profile, sorting)
+        expected = deviation_audit(planted, sorting, grid, pessimistic=True)
+        assert any(e.mode == "pessimistic" for e in expected.entries)
+        monkeypatch.setattr(refinement, "MAX_ORACLE_ACTIONS", 1)
+        assert deviation_audit(planted, sorting, grid, pessimistic=True).to_dict() == expected.to_dict()
+
     def test_semipooling_members_certified(self):
         params = MarketParams(
             theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2

@@ -13,7 +13,6 @@ from sigmarket import (
     Policy,
     PolicyProfile,
     PopulationStrategy,
-    ResourceError,
     Signal,
     StepMonitoringPolicy,
     StrategyAtom,
@@ -363,7 +362,7 @@ class TestBruteForce:
         second = [eq.to_dict() for eq in brute_force_equilibria(prof, params)]
         assert first == second
 
-    def test_action_cap_enforced(self, sorting, monkeypatch):
+    def test_action_count_and_support_cap(self, sorting, monkeypatch):
         from sigmarket import refinement
 
         def profile(n_actions):
@@ -373,12 +372,11 @@ class TestBruteForce:
                 Policy(fee=0.0, monitoring=StepMonitoringPolicy(thresholds, tuple(range(len(thresholds) + 1))))
             )
 
-        with pytest.raises(ResourceError, match=f"{refinement.MAX_ORACLE_ACTIONS + 1} candidate actions"):
-            brute_force_equilibria(profile(refinement.MAX_ORACLE_ACTIONS + 1), sorting)
-        monkeypatch.setattr(refinement, "MAX_ORACLE_ACTIONS", 4)
+        for n in (2, 4, refinement.MAX_ORACLE_ACTIONS + 1):
+            assert refinement.oracle_actions(profile(n)) == n == len(refinement._candidate_actions(profile(n), sorting))
+        # the cap bounds oracle-compare requests; the library enumerates past it
+        monkeypatch.setattr(refinement, "MAX_ORACLE_ACTIONS", 2)
         assert brute_force_equilibria(profile(4), sorting)
-        with pytest.raises(ResourceError):
-            brute_force_equilibria(profile(5), sorting)
         with pytest.raises(InputError):
             brute_force_equilibria(profile(2), sorting, support_cap=3)
 
