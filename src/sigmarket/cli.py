@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InputError, NumericError, ResourceError, SigMarketError, read_field, require_object
+from .errors import InputError, NumericError, SigMarketError, read_field, require_object
 from .market import MarketParams, check_decreasing_differences
 from .monitoring import PolicyProfile
 from .outer import (
@@ -370,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericError, ResourceError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SigMarketError as exc:

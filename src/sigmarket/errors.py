@@ -1,8 +1,8 @@
 """Semantic exception hierarchy for the signaling-market library.
 
 Public solvers never raise bare ValueError: callers (and the CLI exit-code
-mapping) need to distinguish malformed inputs from numerical failures and
-from resource-cap refusals.
+mapping) need to distinguish malformed inputs, oversized requests included,
+from numerical failures.
 """
 
 
@@ -20,10 +20,6 @@ class RangeError(InputError):
 
 class NumericError(SigMarketError, ArithmeticError):
     """A numerical result is unusable, e.g. not finite."""
-
-
-class ResourceError(SigMarketError):
-    """A request exceeds an explicit size cap (refused, never truncated)."""
 
 
 class InvariantViolation(SigMarketError):

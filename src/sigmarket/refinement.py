@@ -15,13 +15,16 @@ strict subset of strict(t'), which for these intervals reduces to a guarded
 lower-bound comparison (ties within tol never exclude anybody).
 
 The enumerator is the correctness oracle for the constructive solver: it
-never consults the construction, enumerating instead every candidate support
-over band-minimum efforts (within a message band, any higher effort is
-strictly dominated) and solving mixing weights in closed form from the wage
-identity.  Once a candidate's wages are priced, on path and D1 off path, the
-student best-response rule that verify_pbe applies refuses it straight from
-the action table; only the survivors are built as equilibrium bundles, and
-it keeps exactly those that pass both verifiers.
+never consults the construction, enumerating instead candidate supports over
+band-minimum efforts (within a message band, any higher effort is strictly
+dominated) and solving mixing weights in closed form from the wage identity.
+Each weight condition reads one support, so it is tabulated per support and
+only the support pairs it admits are joined.  A candidate's on-path wages
+are priced first, and the student best-response rule that verify_pbe
+applies refuses it straight from the action table, first with every unsent
+signal at the floor wage (a D1 wage is never lower), then with its D1 wages;
+only the survivors are built as equilibrium bundles, and it keeps exactly
+those that pass both verifiers.
 
 Best responses and candidate actions both come from band-minimum efforts (0
 and the policy thresholds), so no check here discretises effort.  The
@@ -58,10 +61,9 @@ from .subgame import (
 )
 
 _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
-# Largest oracle_actions(profile) that oracle-compare accepts.  The support-
-# pair loop runs over about (A^2 / 2)^2 pairs; one call at A = 25 takes about
-# 0.65 s on 2 shared vCPUs.  Library callers (deviation_audit's replays) are
-# not capped.
+# Largest oracle_actions(profile) that oracle-compare accepts.  One call at
+# A = 25 takes about 0.04 s on 2 shared vCPUs (one school of 24 bands, or
+# three of 8).  Library callers (deviation_audit's replays) are not capped.
 MAX_ORACLE_ACTIONS = 25
 
 
@@ -402,103 +404,75 @@ def _candidate_actions(profile: PolicyProfile, params: MarketParams) -> list[_Ac
     return actions
 
 
-def _solve_weights(
-    params: MarketParams,
-    sup_h: tuple[_Action, ...],
-    sup_l: tuple[_Action, ...],
-    tol: float,
-) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Mixing weights making both types indifferent across their supports.
+def _weighted_pairs(
+    params: MarketParams, actions: list[_Action], support_cap: int, tol: float
+) -> list[tuple[tuple[_Action, ...], tuple[float, ...], tuple[_Action, ...], tuple[float, ...]]]:
+    """(H support, H weights, L support, L weights) for every support pair
+    whose mixing weights make both types indifferent across their supports,
+    in the lexicographic order of the supports.
 
     Closed-form throughout: an indifference condition either involves no
     pooled signal (a knife-edge equality check, weights then uniform) or pins
-    the pooled wage, which the wage identity inverts into the weight.
-    Knife-edge families (both types mixing through the same pooled signal)
-    are emitted only at a deterministic symmetric representative.
+    the pooled wage, which the wage identity inverts into the weight.  Either
+    test reads one support, so it is tabulated once per support and only the
+    pairs it admits are joined.  Knife-edge families (both types mixing
+    through the same pooled signal) are emitted only at a deterministic
+    symmetric representative.
     """
-    sig_h = [a.signal for a in sup_h]
-    sig_l = [a.signal for a in sup_l]
-    shared = [s for s in sig_h if s is not None and s in sig_l]
+    supports = [c for size in range(1, support_cap + 1) for c in itertools.combinations(actions, size)]
+    signals = [{a.signal for a in sup if a.signal is not None} for sup in supports]
+    lo, hi = max(params.theta_L, 0.0), params.theta_H
+    known = {HIGH: hi, LOW: lo}  # income at a signal the other type does not send
 
-    def known_income(s: Signal | None, for_h: bool) -> float:
-        # income at a signal not pooled between the two types
-        if s is None:
-            return 0.0
-        return params.theta_H if for_h else max(params.theta_L, 0.0)
+    def pay(a: _Action, t: TypeLabel) -> float:  # at a signal not pooled between the types
+        return (0.0 if a.signal is None else known[t]) - a.outlay[t]
 
-    # -- at most one unknown -------------------------------------------------
-    if len(sup_h) == 1 and len(sup_l) == 1:
-        return [((1.0,), (1.0,))]
-
-    if (len(sup_h) == 2) != (len(sup_l) == 2):
-        mixer_is_h = len(sup_h) == 2
-        sup_m, sig_m = (sup_h, sig_h) if mixer_is_h else (sup_l, sig_l)
-        t_m: TypeLabel = HIGH if mixer_is_h else LOW
-        pure_sig = sig_h[0] if not mixer_is_h else sig_l[0]
-        pooled_idx = [k for k in range(2) if sig_m[k] is not None and sig_m[k] == pure_sig]
-        if not pooled_idx:
-            # both incomes known: pure equality check, weights free -> uniform
-            pays = [known_income(sig_m[k], mixer_is_h) - sup_m[k].outlay[t_m] for k in range(2)]
-            if abs(pays[0] - pays[1]) > tol:
-                return []
-            w = (0.5, 0.5)
-            return [(w, (1.0,)) if mixer_is_h else ((1.0,), w)]
-        k = pooled_idx[0]
-        other = 1 - k
-        u_other = known_income(sig_m[other], mixer_is_h) - sup_m[other].outlay[t_m]
-        target = u_other + sup_m[k].outlay[t_m]
-        if not max(params.theta_L, 0.0) < target < params.theta_H:
-            return []
-        # the pooled signal holds weight p of the mixer and all of the other type
-        low_share = low_per_high(target, params)
-        p = 1.0 / low_share if mixer_is_h else low_share
-        if not _EDGE < p < 1.0 - _EDGE:
-            return []
-        w2 = (p, 1.0 - p) if k == 0 else (1.0 - p, p)
-        return [(w2, (1.0,)) if mixer_is_h else ((1.0,), w2)]
-
-    # -- both mix --------------------------------------------------------------
-    if not shared:
-        for t_m, sup_m, for_h in ((HIGH, sup_h, True), (LOW, sup_l, False)):
-            pays = [known_income(a.signal, for_h) - a.outlay[t_m] for a in sup_m]
-            if abs(pays[0] - pays[1]) > tol:
-                return []
-        return [((0.5, 0.5), (0.5, 0.5))]
-    if len(shared) == 1:
-        s = shared[0]
-        kh = sig_h.index(s)
-        kl = sig_l.index(s)
-        target_h = known_income(sig_h[1 - kh], True) - sup_h[1 - kh].outlay[HIGH] + sup_h[kh].outlay[HIGH]
-        target_l = known_income(sig_l[1 - kl], False) - sup_l[1 - kl].outlay[LOW] + sup_l[kl].outlay[LOW]
-        if abs(target_h - target_l) > tol:
-            return []
-        if not max(params.theta_L, 0.0) < target_h < params.theta_H:
-            return []
-        # one ratio constraint, one degree of freedom: symmetric representative
-        r_weight = 0.5
-        q_weight = low_per_high(target_h, params) * r_weight
-        if not _EDGE < q_weight < 1.0 - _EDGE:
-            return []
-        wh = (r_weight, 1.0 - r_weight) if kh == 0 else (1.0 - r_weight, r_weight)
-        wl = (q_weight, 1.0 - q_weight) if kl == 0 else (1.0 - q_weight, q_weight)
-        return [(wh, wl)]
-    # two pooled signals: only the equal-mass symmetric member survives strict
+    pure = {sup[0].signal: i for i, sup in enumerate(supports) if len(sup) == 1}
+    mixers = [(i, sup) for i, sup in enumerate(supports) if len(sup) == 2]
+    indifferent = {t: {i for i, (a, b) in mixers if abs(pay(a, t) - pay(b, t)) <= tol} for t in (HIGH, LOW)}
+    pairs = [(i, j, (1.0,), (1.0,)) for i in pure.values() for j in pure.values()]  # nothing to solve
+    pooled = {HIGH: {}, LOW: {}}  # signal -> (mixer, the signal's index there, the wage it needs)
+    for i, sup in mixers:  # one type mixes, the other is pure
+        for t in (HIGH, LOW):
+            joined = []  # the other type's pure supports, with this type's weights
+            if i in indifferent[t]:  # both incomes known: weights free -> uniform
+                joined = [(j, (0.5, 0.5)) for s, j in pure.items() if s is None or s not in signals[i]]
+            for k, a in enumerate(sup):
+                if a.signal is None:
+                    continue
+                target = pay(sup[1 - k], t) + a.outlay[t]
+                pooled[t].setdefault(a.signal, []).append((i, k, target))
+                if lo < target < hi:
+                    # the pooled signal holds weight p of the mixer and all of the other type
+                    share = low_per_high(target, params)
+                    p = 1.0 / share if t == HIGH else share
+                    if _EDGE < p < 1.0 - _EDGE:
+                        joined.append((pure[a.signal], (p, 1.0 - p) if k == 0 else (1.0 - p, p)))
+            pairs += [(i, j, w, (1.0,)) if t == HIGH else (j, i, (1.0,), w) for j, w in joined]
+    # both mix, nothing shared: both incomes known for both types
+    pairs += [
+        (i, j, (0.5, 0.5), (0.5, 0.5)) for i in indifferent[HIGH] for j in indifferent[LOW] if not signals[i] & signals[j]
+    ]
+    # one shared signal: one ratio constraint, one degree of freedom -> symmetric representative
+    for s, mixers_h in pooled[HIGH].items():
+        for i, k, target in mixers_h:
+            if lo < target < hi and _EDGE < (q := low_per_high(target, params) * 0.5) < 1.0 - _EDGE:
+                pairs += [
+                    (i, j, (0.5, 0.5), (q, 1.0 - q) if kl == 0 else (1.0 - q, q))
+                    for j, kl, target_l in pooled[LOW].get(s, ())
+                    if len(signals[i] & signals[j]) == 1 and abs(target - target_l) <= tol
+                ]
+    # two shared signals: only the equal-mass symmetric member survives strict
     # decreasing differences (equal efforts, equal fees); try it and let the
     # verifier be the judge.
-    wh, wl = (0.5, 0.5), (0.5, 0.5)
-    incomes: dict[Signal, float] = {}
-    for s in shared:
-        r = wh[sig_h.index(s)]
-        q = wl[sig_l.index(s)]
-        incomes[s] = max(posterior_mean(bayes_high(r, q, params), params), 0.0)
-    for t_m, sup_m, sigs, for_h in ((HIGH, sup_h, sig_h, True), (LOW, sup_l, sig_l, False)):
-        pays = []
-        for k in range(2):
-            inc = incomes.get(sigs[k], known_income(sigs[k], for_h)) if sigs[k] is not None else 0.0
-            pays.append(inc - sup_m[k].outlay[t_m])
-        if abs(pays[0] - pays[1]) > tol:
-            return []
-    return [(wh, wl)]
+    w = max(posterior_mean(bayes_high(0.5, 0.5, params), params), 0.0)
+    pairs += [
+        (i, i, (0.5, 0.5), (0.5, 0.5))
+        for i, (a, b) in mixers
+        if len(signals[i]) == 2 and all(abs(w - a.outlay[t] - (w - b.outlay[t])) <= tol for t in (HIGH, LOW))
+    ]
+    pairs.sort(key=lambda pair: pair[:2])
+    return [(supports[i], wh, supports[j], wl) for i, j, wh, wl in pairs]
 
 
 def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> dict[Signal, float]:
@@ -512,8 +486,9 @@ def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> di
 
 
 class _Priced(NamedTuple):
-    """A candidate's belief and wage at every signal, what each of its support
-    actions pays each type, and whether the two types share a signal."""
+    """A candidate's belief and wage at each priced signal (its sent signals,
+    then every other one once _price_off_path has run), what each of its
+    support actions pays each type, and whether the two types share a signal."""
 
     beliefs: dict[Signal, float]
     offers: dict[Signal, float | None]
@@ -521,18 +496,16 @@ class _Priced(NamedTuple):
     pooled: bool
 
 
-def _price_candidate(
+def _price_on_path(
     params: MarketParams,
-    actions: list[_Action],
     sup_h: tuple[_Action, ...],
     weights_h: tuple[float, ...],
     sup_l: tuple[_Action, ...],
     weights_l: tuple[float, ...],
     tol: float,
 ) -> _Priced | None:
-    """Bayes wages on path, D1 wages off path, for one weighted support pair;
-    None when a type's support actions pay it unequally.  `actions` is the
-    profile's full table from `_candidate_actions`."""
+    """Bayes wages on path for one weighted support pair; None when a type's
+    support actions pay it unequally."""
     mass_high = _signal_mass(sup_h, weights_h)
     mass_low = _signal_mass(sup_l, weights_l)
 
@@ -554,24 +527,31 @@ def _price_candidate(
         if max(vals) - min(vals) > max(tol, 1e-9):
             return None
         pays[t] = vals
+    return _Priced(beliefs, offers, pays, any(s in mass_low for s in mass_high))
 
-    payoffs = {t: vals[0] for t, vals in pays.items()}
+
+def _price_off_path(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> None:
+    """Add D1 beliefs and wages at every signal `priced` holds none for.
+    `actions` is the profile's full table from `_candidate_actions`."""
+    payoffs = {t: vals[0] for t, vals in priced.pays.items()}
     for a in actions[1:]:  # every signal, at its band-minimum effort
-        s = a.signal
-        if s in beliefs:
-            continue
-        beliefs[s] = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
-        offers[s] = wage_offer(beliefs[s], params)
-
-    pooled = any(s in mass_low for s in mass_high)
-    return _Priced(beliefs, offers, pays, pooled)
+        if a.signal not in priced.beliefs:
+            priced.beliefs[a.signal] = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
+            priced.offers[a.signal] = wage_offer(priced.beliefs[a.signal], params)
 
 
-def _refuses(actions: list[_Action], priced: _Priced, tol: float) -> bool:
+def _refuses(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> bool:
     """Whether verify_pbe would find a student best-response violation among
-    the support actions, read off the action table with the same floats."""
+    the support actions, read off the action table with the same floats.
+
+    A signal not priced yet is read at the floor wage wage_offer(0).  D1
+    beliefs are 0 or 1 and wages rise with the belief, so the floor is never
+    above the signal's D1 wage: a refusal before _price_off_path stands after
+    it.
+    """
     signals = actions[1:]
-    nets = [(0.0 if (w := priced.offers[a.signal]) is None else w) - a.fee for a in signals]
+    floor = wage_offer(0.0, params)
+    nets = [(0.0 if (w := priced.offers.get(a.signal, floor)) is None else w) - a.fee for a in signals]
     return any(
         _best_response_gaps(nets, [a.cost[t] for a in signals], priced.pays[t], tol) for t in (LOW, HIGH)
     )
@@ -627,15 +607,15 @@ def brute_force_equilibria(
 
     Candidate actions are the outside option plus every (school, band-minimum
     effort) pair; supports hold at most `support_cap` (<= 2) actions per type
-    (the outside option counts as one).  Each weighted support pair is priced
-    (Bayes wages on path, D1 wages off path) and refused at once when a
-    support action fails verify_pbe's student best-response rule; only the
-    survivors are built as bundles, and a bundle is kept only if it passes
-    both verify_pbe and verify_extended_d1.  Output order is lexicographic in
-    the candidate supports; outcome-equivalent duplicates are dropped.
-
-    The work grows like the fourth power of oracle_actions(profile); the
-    function itself sets no cap.
+    (the outside option counts as one), and only the support pairs whose
+    mixing weights can exist are joined.  Each weighted pair is priced with
+    Bayes wages on path and refused at once when a support action fails
+    verify_pbe's student best-response rule with every unsent signal at the
+    floor wage; the rest get D1 wages off path and face the same rule.  Only
+    the survivors are built as bundles, and a bundle is kept only if it
+    passes both verify_pbe and verify_extended_d1.  Output order is
+    lexicographic in the candidate supports; outcome-equivalent duplicates
+    are dropped.  The function sets no size cap.
     """
     if support_cap > 2:
         raise InputError("support_cap beyond 2 actions per type is unsupported")
@@ -644,29 +624,25 @@ def brute_force_equilibria(
     if any(p.fee > params.theta_H for p in profile):
         return []
     actions = _candidate_actions(profile, params)
-    supports = [
-        combo
-        for size in range(1, support_cap + 1)
-        for combo in itertools.combinations(actions, size)
-    ]
     results: list[SubgameEquilibrium] = []
     seen: set[tuple] = set()
-    for sup_h in supports:
-        for sup_l in supports:
-            for weights_h, weights_l in _solve_weights(params, sup_h, sup_l, tol):
-                priced = _price_candidate(params, actions, sup_h, weights_h, sup_l, weights_l, tol)
-                if priced is None or _refuses(actions, priced, tol):
-                    continue
-                eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
-                if not verify_pbe(profile, eq, params, tol).passed:
-                    continue
-                if not verify_extended_d1(profile, eq, params, tol).passed:
-                    continue
-                sig = _outcome_signature(eq, profile)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                results.append(eq)
+    for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, support_cap, tol):
+        priced = _price_on_path(params, sup_h, weights_h, sup_l, weights_l, tol)
+        if priced is None or _refuses(params, actions, priced, tol):  # unsent signals at the floor wage
+            continue
+        _price_off_path(params, actions, priced, tol)
+        if _refuses(params, actions, priced, tol):
+            continue
+        eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
+        if not verify_pbe(profile, eq, params, tol).passed:
+            continue
+        if not verify_extended_d1(profile, eq, params, tol).passed:
+            continue
+        sig = _outcome_signature(eq, profile)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        results.append(eq)
     return results
 
 

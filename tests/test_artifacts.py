@@ -15,9 +15,11 @@ schools.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import test_refinement
+import test_subgame
 from sigmarket import (
     DeviationGrid,
     EquilibriumOutcome,
@@ -363,6 +365,22 @@ def test_oracle_members_unchanged(case):
     members = brute_force_equilibria(profile, params)
     text = json.dumps([eq.to_dict() for eq in members], sort_keys=True, allow_nan=False)
     assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_MEMBERS[case]
+
+
+# tol -> sha256 of the sorted-key JSON list of every tie-corpus profile's oracle
+# member list (test_subgame.tie_corpus: linear(2, 1), 556 draws, numpy seed 3)
+TIE_CORPUS_MEMBERS = {
+    0.0: "aed99c02ccb567e0cb7b6858ca033ee86f7478e8b13d8acabbc575065d799c86",
+    1e-9: "288cddbcd922378ff2b53d4ff90f1f435b16e56fa9f01a831ba19c237cccb731",
+}
+
+
+@pytest.mark.parametrize("tol", sorted(TIE_CORPUS_MEMBERS))
+def test_oracle_members_on_tie_corpus_unchanged(tol):
+    cases = test_subgame.tie_corpus(test_subgame.LIN, 556, np.random.default_rng(3))
+    members = [[eq.to_dict() for eq in brute_force_equilibria(prof, params, tol=tol)] for prof, params in cases]
+    text = json.dumps(members, sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == TIE_CORPUS_MEMBERS[tol]
 
 
 def test_inputs_cover_every_outcome_label(tmp_path):

@@ -439,33 +439,43 @@ def grid_scan_verify_pbe(profile, eq, params, grid, tol=1e-9):
 
 def oracle_candidates(profile, params, tol=1e-9):
     """Every candidate the brute-force oracle assembles, before verification."""
-    import itertools
-
-    from sigmarket.refinement import _bundle_candidate, _candidate_actions, _price_candidate, _solve_weights
+    from sigmarket.refinement import (
+        _bundle_candidate,
+        _candidate_actions,
+        _price_off_path,
+        _price_on_path,
+        _weighted_pairs,
+    )
 
     actions = _candidate_actions(profile, params)
-    supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
-    for sup_h in supports:
-        for sup_l in supports:
-            for w_h, w_l in _solve_weights(params, sup_h, sup_l, tol):
-                priced = _price_candidate(params, actions, sup_h, w_h, sup_l, w_l, tol)
-                if priced is not None:
-                    yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, 2, tol):
+        priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
+        if priced is not None:
+            _price_off_path(params, actions, priced, tol)
+            yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
 
 
 def oracle_verdicts(profile, params, tol=1e-9):
     """Every candidate the oracle prices, as (bundle, whether the oracle's
-    best-response reject refuses it)."""
-    from sigmarket.refinement import _bundle_candidate, _candidate_actions, _price_candidate, _refuses, _solve_weights
+    best-response reject refuses it, whether it refuses it already at the
+    floor wage, before D1 pricing)."""
+    from sigmarket.refinement import (
+        _bundle_candidate,
+        _candidate_actions,
+        _price_off_path,
+        _price_on_path,
+        _refuses,
+        _weighted_pairs,
+    )
 
     actions = _candidate_actions(profile, params)
-    supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
-    for sup_h in supports:
-        for sup_l in supports:
-            for w_h, w_l in _solve_weights(params, sup_h, sup_l, tol):
-                priced = _price_candidate(params, actions, sup_h, w_h, sup_l, w_l, tol)
-                if priced is not None:
-                    yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced), _refuses(actions, priced, tol)
+    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, 2, tol):
+        priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
+        if priced is not None:
+            at_floor = _refuses(params, actions, priced, tol)
+            _price_off_path(params, actions, priced, tol)
+            bundle = _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+            yield bundle, _refuses(params, actions, priced, tol), at_floor
 
 
 class TestExactBestResponse:
@@ -528,12 +538,27 @@ class TestExactBestResponse:
             for theta_l, lam in self.MARKETS:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
-                    for eq, refuses in oracle_verdicts(prof, params, tol):
+                    for eq, refuses, _ in oracle_verdicts(prof, params, tol):
                         report = verify_pbe(prof, eq, params, tol)
                         assert refuses == any(v.kind == "student_best_response" for v in report.violations)
                         refused += refuses
                         kept += not refuses
         assert refused > 1000 and kept > 100
+
+    def test_floor_screen_refuses_only_what_the_reject_refuses(self):
+        """Reading every unsent signal at the floor wage wage_offer(0) never
+        raises a net above its D1-priced value, so a candidate the screen
+        refuses before D1 pricing is one the full reject refuses too."""
+        screened = passed = 0
+        for cost in self.COSTS:
+            for theta_l, lam in self.MARKETS:
+                params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
+                for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
+                    for _, refuses, floor_refuses in oracle_verdicts(prof, params, tol):
+                        assert refuses or not floor_refuses
+                        screened += floor_refuses
+                        passed += not refuses
+        assert screened > 1000 and passed > 100
 
     @pytest.mark.parametrize("case", ["tie_three", "linear-screening-5", "power-sorting-6"])
     def test_oracle_verifies_only_survivors(self, case, monkeypatch):
@@ -550,7 +575,7 @@ class TestExactBestResponse:
             cost = next(c for c in self.COSTS if c.kind == kind)
             params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
             prof = self.profiles()[int(j)]
-        verdicts = [refuses for _, refuses in oracle_verdicts(prof, params)]
+        verdicts = [refuses for _, refuses, _ in oracle_verdicts(prof, params)]
         calls = []
         verify = refinement.verify_pbe
         monkeypatch.setattr(refinement, "verify_pbe", lambda *a, **k: calls.append(1) or verify(*a, **k))
