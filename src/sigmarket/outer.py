@@ -23,7 +23,8 @@ and wages are transfers and cancel out of the total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from operator import attrgetter
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import InputError, InvariantViolation, read_field
 from .market import (
@@ -711,8 +712,7 @@ def welfare(outcome: EquilibriumOutcome, params: MarketParams) -> WelfareReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     school: int
     fee: float
     thresholds: tuple[float, ...]
@@ -752,8 +752,8 @@ class DeviationGrid:
     Its positive points are the cutoffs the audit tries at every fee, a
     thinned subset of them spans the effort-revealing policy, and its
     smallest step is the cutoff of the undercut and extract templates.  It
-    starts at 0 and must contain every policy threshold of the audited
-    outcome; deviation_audit checks.
+    starts at 0, has a positive point, and must contain every policy
+    threshold of the audited outcome; deviation_audit checks.
     """
 
     effort_grid: tuple[float, ...]
@@ -763,6 +763,8 @@ class DeviationGrid:
             raise InputError("effort grid must start at 0")
         if any(b <= a for a, b in zip(self.effort_grid, self.effort_grid[1:])):
             raise InputError("effort grid must be strictly ascending")
+        if len(self.effort_grid) < 2:
+            raise InputError("effort grid needs a positive point")
 
     @classmethod
     def for_profile(cls, profile: PolicyProfile, params: MarketParams, n_points: int = 21) -> "DeviationGrid":
@@ -834,11 +836,17 @@ def _audit_deviations(
     add(params.theta_H - cf.cost(HIGH, eps) - gamma, cutoff_eps, "extract_cutoff")
     add(gamma, reveal, "reveal_tiny_fee")
     add(f_min - gamma, reveal, "reveal_undercut")
+    grid_policies = [StepMonitoringPolicy.uninformative()] + [StepMonitoringPolicy.cutoff(t) for t in positive]
     for fee in fee_grid:
-        add(fee, StepMonitoringPolicy.uninformative(), "grid")
-        for t in positive:
-            add(fee, StepMonitoringPolicy.cutoff(t), "grid")
+        for mon in grid_policies:
+            add(fee, mon, "grid")
     return devs
+
+
+def _rank(entries: list[AuditEntry]) -> None:
+    """Sort in place by the key (-gain, school, fee, thresholds), as two stable sorts."""
+    entries.sort(key=attrgetter("school", "fee", "thresholds"))
+    entries.sort(key=attrgetter("gain"), reverse=True)
 
 
 def deviation_audit(
@@ -865,6 +873,9 @@ def deviation_audit(
     and two members' deviation profiles are permutations of each other, so
     the continuation play, canonical or worst case, gives the deviator the
     same profit.  A symmetric audit thus costs O(n) constructions, not O(n^2).
+
+    Entries are ranked by descending gain, ties by (school, fee, thresholds)
+    ascending, in both modes; canonical `best` is the first of them.
     """
     if not grids.covers(outcome.profile):
         raise InputError("deviation grid must contain every policy threshold of the outcome")
@@ -884,7 +895,7 @@ def deviation_audit(
         for school in range(base_profile.n)
         for (fee, mon, template), profit in zip(devs, shared[rep_of[school]])
     ]
-    entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
+    _rank(entries)
 
     if not pessimistic:
         best = entries[0] if entries else None
@@ -926,7 +937,7 @@ def deviation_audit(
         if gain > best_gain:
             best_gain = gain
             best_entry = pess
-    pess_entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
+    _rank(pess_entries)
     return AuditReport(max_gain=best_gain, best=best_entry, entries=tuple(pess_entries))
 
 

@@ -32,8 +32,9 @@ The returned bundle always passes the PBE and extended-D1 verifiers.
 
 from __future__ import annotations
 
+import bisect as _bisect
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import InputError, InvariantViolation, read_field, require_object
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, bayes_high, expected_type, low_per_high, wage_offer
@@ -44,9 +45,8 @@ OUTSIDE = None  # destination sentinel for the outside option
 Destination = int | None
 
 
-@dataclass(frozen=True)
-class StrategyAtom:
-    """One support point: go to `school` (None = stay out), exert `effort`."""
+class StrategyAtom(NamedTuple):
+    """One support point: go to `school` (None = stay out), exert `effort`; a named tuple."""
 
     school: Destination
     effort: float
@@ -67,12 +67,18 @@ class PopulationStrategy:
         for label, atoms in (("low", self.low), ("high", self.high)):
             if not atoms:
                 raise InputError(f"{label}-type strategy needs at least one atom")
-            total = sum(a.prob for a in atoms)
+            probs = []
+            negative = outside_effort = False
+            for school, effort, prob in atoms:
+                probs.append(prob)
+                negative = negative or prob < 0
+                outside_effort = outside_effort or (school is OUTSIDE and effort != 0.0)
+            total = sum(probs)
             if abs(total - 1.0) > 1e-9:
                 raise InputError(f"{label}-type probabilities sum to {total}, not 1")
-            if any(a.prob < 0 for a in atoms):
+            if negative:
                 raise InputError(f"{label}-type probabilities must be nonnegative")
-            if any(a.school is OUTSIDE and a.effort != 0.0 for a in atoms):
+            if outside_effort:
                 raise InputError("outside-option atoms must carry zero effort")
 
     def atoms(self, type_label: TypeLabel) -> tuple[StrategyAtom, ...]:
@@ -250,7 +256,7 @@ class FrontierReport:
 
 
 def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DEFAULT_TOL) -> FrontierReport:
-    """Partition a profile's signals into marginal / high / low sets."""
+    """Partition a profile's signals into marginal / high / low sets (tol >= 0)."""
     f_min, u_low = reservation(profile, params)
     cf = params.cost
     band_bottom: list[float] = []  # minimum effort of each school's marginal band
@@ -261,9 +267,9 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
             band_bottom.append(float("-inf"))
             band_index.append(-1)
             continue
-        mon = policy.monitoring
-        j = cf.affordable_count(LOW, mon.thresholds, budget)
-        band_bottom.append(mon.band_starts()[j])
+        thresholds = policy.monitoring.thresholds
+        j = cf.affordable_count(LOW, thresholds, budget)
+        band_bottom.append(thresholds[j - 1] if j else 0.0)
         band_index.append(j)
     marginal_effort = max(band_bottom)
     if marginal_effort == float("-inf"):
@@ -272,15 +278,18 @@ def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DE
     best_fee = min(profile[i].fee for i in achievers)
     marginal_schools = tuple(i for i in achievers if profile[i].fee <= best_fee + tol)
     marginal_signals = tuple(Signal(i, profile[i].monitoring.messages[band_index[i]]) for i in marginal_schools)
-    skip = [band_index[i] if i in marginal_schools else -1 for i in range(profile.n)]  # marginal band per school
+    cut = marginal_effort + tol
     high: list[Signal] = []
     low: list[Signal] = []
     for i, policy in enumerate(profile):
         mon = policy.monitoring
-        for j, (start, m) in enumerate(zip(mon.band_starts(), mon.messages)):
-            if j == skip[i]:
-                continue
-            (high if start > marginal_effort + tol else low).append(Signal(i, m))
+        messages = mon.messages
+        k = _bisect.bisect_right(mon.thresholds, cut) + 1  # bands starting at or below the cut
+        j = band_index[i] if i in marginal_schools else k  # band left out of low; a marginal one is < k
+        for m in messages[:j] + messages[j + 1 : k]:
+            low.append(Signal(i, m))
+        for m in messages[k:]:
+            high.append(Signal(i, m))
     i0 = marginal_schools[0]
     return FrontierReport(
         f_min=f_min,

@@ -1,3 +1,7 @@
+import json
+import math
+from collections import Counter
+
 import pytest
 
 from sigmarket import (
@@ -34,7 +38,8 @@ from sigmarket import (
     verify_pbe,
     welfare,
 )
-from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _school_profit
+from sigmarket import outer, subgame
+from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _rank, _school_profit
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -480,6 +485,15 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
     return canonical, AuditReport(max_gain=best_gain, best=best_entry, entries=tuple(pess_entries))
 
 
+def two_class_outcome(params):
+    """Schools 0 and 2 form one class, school 1 (other fee and cutoff) another."""
+    same = Policy(fee=0.5, monitoring=StepMonitoringPolicy.cutoff(riley_effort(params)))
+    other = Policy(fee=0.25, monitoring=StepMonitoringPolicy.cutoff(0.2))
+    profile = PolicyProfile.of(same, other, same)
+    eq = construct_epbe(profile, params)
+    return _assemble_outcome(profile, params, eq.strategy, eq.wages, (eq.payoff_L, eq.payoff_H), "constructed")
+
+
 class TestDeviationAudit:
     def planted(self, sorting, n=2, high_at=None):
         """n schools pooling everybody at fee 1.5; `high_at` puts every high type there."""
@@ -524,15 +538,7 @@ class TestDeviationAudit:
         self.assert_matches_per_school(self.planted(params, n), params)
 
     def test_class_audit_matches_per_school_on_two_classes(self, sorting):
-        """Schools 0 and 2 form one class, school 1 (other fee and cutoff) another."""
-        same = Policy(fee=0.5, monitoring=StepMonitoringPolicy.cutoff(riley_effort(sorting)))
-        other = Policy(fee=0.25, monitoring=StepMonitoringPolicy.cutoff(0.2))
-        profile = PolicyProfile.of(same, other, same)
-        eq = construct_epbe(profile, sorting)
-        outcome = _assemble_outcome(
-            profile, sorting, eq.strategy, eq.wages, (eq.payoff_L, eq.payoff_H), "constructed"
-        )
-        self.assert_matches_per_school(outcome, sorting)
+        self.assert_matches_per_school(two_class_outcome(sorting), sorting)
 
     def test_class_audit_subtracts_each_members_own_profit(self, sorting):
         params = sorting.with_(theta_L=0.5)
@@ -596,6 +602,14 @@ class TestDeviationAudit:
         assert DeviationGrid(effort_grid=(0.0, e_r + 1e-13, 1.0)).covers(out.profile)
         assert not DeviationGrid(effort_grid=(0.0, e_r + 1e-11, 1.0)).covers(out.profile)
 
+    def test_grid_needs_a_positive_point(self, sorting):
+        # (0.0,) covers any outcome without thresholds, such as the monopoly one,
+        # and has no step for the undercut and extract templates
+        with pytest.raises(InputError, match="positive point"):
+            DeviationGrid(effort_grid=(0.0,))
+        out = monopoly_rpbe(sorting)
+        assert deviation_audit(out, sorting, DeviationGrid(effort_grid=(0.0, 1.0))).max_gain <= 1e-9
+
     def test_own_policy_is_gainless(self, screening):
         out = riley_rpbe(screening.with_(n_schools=2), 2)
         grid = DeviationGrid.for_profile(out.profile, screening)
@@ -607,3 +621,77 @@ class TestDeviationAudit:
             if e.fee == 0.0 and len(e.thresholds) == 1 and abs(e.thresholds[0] - e_r) < 2e-2
         ]
         assert own and all(abs(e.gain) <= 1e-9 for e in own)
+
+
+class TestAuditWorkCount:
+    """Every deviation of every class of identical schools is answered by one
+    construct_epbe call, looked up on `outer`, which calls mimic_frontier once,
+    looked up on `subgame`.  Tracers that wrap those module attributes count
+    exactly these calls."""
+
+    @pytest.mark.parametrize("pessimistic", [False, True])
+    def test_calls_per_audit(self, monkeypatch, sorting, screening, pessimistic):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(outer, "construct_epbe", counting("construct_epbe", outer.construct_epbe))
+        monkeypatch.setattr(subgame, "mimic_frontier", counting("mimic_frontier", subgame.mimic_frontier))
+        audits = [
+            (riley_rpbe(params.with_(n_schools=n), n), params, 1)
+            for market in (sorting, screening)
+            for params in (market, market.with_(cost=CostFamily.power(3.0, 1.0, 1.5)))
+            for n in (2, 4, 8)
+        ]
+        audits.append((two_class_outcome(sorting), sorting, 2))
+        for outcome, params, classes in audits:
+            grid = DeviationGrid.for_profile(outcome.profile, params)
+            calls.clear()
+            deviation_audit(outcome, params, grid, pessimistic=pessimistic)
+            per_kind = classes * len(_audit_deviations(outcome, params, grid))
+            assert calls == {"construct_epbe": per_kind, "mimic_frontier": per_kind}
+
+
+class TestAuditEntry:
+    def entry(self):
+        return AuditEntry(1, 0.25, (0.5, 1.0), "grid", -0.125, "canonical")
+
+    def test_is_the_plain_tuple(self):
+        plain = (1, 0.25, (0.5, 1.0), "grid", -0.125, "canonical")
+        assert self.entry() == plain
+        assert hash(self.entry()) == hash(plain)
+
+    def test_fields_are_read_only(self):
+        e = self.entry()
+        for field in AuditEntry._fields:
+            with pytest.raises(AttributeError):
+                setattr(e, field, 0)
+
+    def test_dict_round_trip(self, screening):
+        out = riley_rpbe(screening.with_(n_schools=2), 2)
+        grid = DeviationGrid.for_profile(out.profile, screening)
+        for pessimistic in (False, True):
+            report = deviation_audit(out, screening, grid, pessimistic=pessimistic)
+            for e in report.entries + (self.entry(),):
+                data = json.loads(json.dumps(e.to_dict()))
+                assert AuditEntry(**{**data, "thresholds": tuple(data["thresholds"])}) == e
+
+    def test_rank_matches_the_single_key(self):
+        entries = [
+            AuditEntry(school, fee, thresholds, "grid", gain, "canonical")
+            for gain in (0.5, 0.0, -0.0, -0.25)
+            for school in (1, 0)
+            for fee in (0.5, 0.0)
+            for thresholds in ((1.0,), (), (0.5, 2.0), (0.5,))
+        ]
+        ranked = list(entries)
+        _rank(ranked)
+        assert ranked == sorted(entries, key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
+        # 0.0 and -0.0 tie; of two entries equal on every key the earlier stays first
+        assert [(e.school, e.fee, e.thresholds) for e in ranked[16:18]] == [(0, 0.0, ())] * 2
+        assert [math.copysign(1.0, e.gain) for e in ranked[16:18]] == [1.0, -1.0]

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigmarket import (
     CostFamily,
@@ -11,9 +14,11 @@ from sigmarket import (
     MarketParams,
     Policy,
     PolicyProfile,
+    PopulationStrategy,
     RangeError,
     Signal,
     StepMonitoringPolicy,
+    StrategyAtom,
     SubgameEquilibrium,
     construct_epbe,
     mimic_frontier,
@@ -115,6 +120,21 @@ class TestExactFrontier:
         beyond = PolicyProfile.of(cutoff(0.0, math.nextafter(t, math.inf)))
         assert mimic_frontier(beyond, params).marginal_effort == 0.0
         assert construct_epbe(beyond, params).construction_tag == "separating"
+
+    @pytest.mark.parametrize("kind", sorted(KNIFE_EDGES))
+    def test_band_starting_at_the_cut_is_low(self, screening, kind):
+        """Bands starting at marginal effort + tol are low, one ulp later high."""
+        cf, t = KNIFE_EDGES[kind]
+        params = screening.with_(cost=cf)
+        cut = t + DEFAULT_TOL
+        fr = mimic_frontier(PolicyProfile.of(steps(0.0, t, cut, math.nextafter(cut, math.inf))), params)
+        assert fr.marginal_effort == t
+        assert fr.marginal_signals == (Signal(0, 1),)
+        assert fr.low_signals == (Signal(0, 0), Signal(0, 2))
+        assert fr.high_signals == (Signal(0, 3),)
+        fr = mimic_frontier(PolicyProfile.of(cutoff(0.0, t), cutoff(0.0, cut)), params.with_(n_schools=2))
+        assert (fr.marginal_signals, fr.high_signals) == ((Signal(0, 1),), ())
+        assert fr.low_signals == (Signal(0, 0), Signal(1, 0), Signal(1, 1))
 
     def test_tabulated_range_errors_unchanged(self, sorting):
         tab = KNIFE_EDGES["tabulated"][0]
@@ -229,13 +249,33 @@ def riley_audit_profiles(n):
     return cases
 
 
+def steps(fee, *thresholds):
+    return Policy(fee=fee, monitoring=StepMonitoringPolicy(thresholds, tuple(range(len(thresholds) + 1))))
+
+
 def knife_edge_profiles():
+    """Zero-fee profiles with bands at the knife edge t (the marginal effort),
+    one ulp beyond it, at the frontier's cut t + DEFAULT_TOL (a low band) and
+    one ulp beyond the cut (a high band), on separate or shared schools."""
     cases = []
     for cf, t in KNIFE_EDGES.values():
         params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=cf)
         beyond = math.nextafter(t, math.inf)
+        cut = t + DEFAULT_TOL
+        past_cut = math.nextafter(cut, math.inf)
         for thresholds in ([t], [beyond], [t, t], [beyond, t], [t, beyond], [t, t, beyond]):
             prof = PolicyProfile.of(*(cutoff(0.0, x) for x in thresholds))
+            cases.append((prof, params.with_(n_schools=prof.n)))
+        for schools in (
+            [(t,), (cut,)],
+            [(t,), (past_cut,)],
+            [(t, cut)],
+            [(t, past_cut)],
+            [(t, cut, past_cut)],
+            [(cut,), (t, past_cut)],
+            [(past_cut,), (beyond, cut), (t,)],
+        ):
+            prof = PolicyProfile.of(*(steps(0.0, *ts) for ts in schools))
             cases.append((prof, params.with_(n_schools=prof.n)))
     return cases
 
@@ -413,3 +453,45 @@ class TestSerialization:
         back = SubgameEquilibrium.from_dict(eq.to_dict())
         assert back.to_dict() == eq.to_dict()
         assert back.payoff_H == eq.payoff_H
+
+
+class TestStrategyAtom:
+    @given(st.one_of(st.none(), st.integers(0, 64)), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
+    def test_hashes_and_compares_as_the_plain_triple(self, school, effort, prob):
+        a = StrategyAtom(school, effort, prob)
+        assert hash(a) == hash((school, effort, prob))
+        assert a == (school, effort, prob)
+        assert a.to_dict() == {"school": school, "effort": effort, "prob": prob}
+
+    def test_fields_are_read_only(self):
+        a = StrategyAtom(0, 0.5, 1.0)
+        for field in ("school", "effort", "prob"):
+            with pytest.raises(AttributeError):
+                setattr(a, field, 1)
+
+    def test_round_trip_through_strategy(self):
+        strat = PopulationStrategy(
+            low=(StrategyAtom(0, 0.0, 0.25), StrategyAtom(None, 0.0, 0.75)), high=(StrategyAtom(1, 0.5, 1.0),)
+        )
+        back = PopulationStrategy.from_dict(json.loads(json.dumps(strat.to_dict())))
+        assert back == strat
+        assert all(type(a) is StrategyAtom for a in back.low + back.high)
+
+    @pytest.mark.parametrize(
+        "low, high, match",
+        [
+            ([], [(0, 0.0, 1.0)], "low-type strategy needs at least one atom"),
+            ([(0, 0.0, 0.5)], [(0, 0.0, 1.0)], "low-type probabilities sum to 0.5, not 1"),
+            ([(0, 0.0, 1.0)], [(0, 0.0, 1.5), (1, 0.0, -0.5)], "high-type probabilities must be nonnegative"),
+            ([(0, 0.0, 0.5), (None, 0.1, 0.5)], [(0, 0.0, 1.0)], "outside-option atoms must carry zero effort"),
+            # the checks run in order: sum, then sign, then outside effort
+            ([(None, 0.1, 0.5), (0, 0.0, -0.1)], [(0, 0.0, 1.0)], "low-type probabilities sum to 0.4"),
+            ([(None, 0.1, 1.5), (0, 0.0, -0.5)], [(0, 0.0, 1.0)], "low-type probabilities must be nonnegative"),
+        ],
+    )
+    def test_from_dict_rejects(self, low, high, match):
+        def atoms(triples):
+            return [{"school": s, "effort": e, "prob": p} for s, e, p in triples]
+
+        with pytest.raises(InputError, match=match):
+            PopulationStrategy.from_dict({"L": atoms(low), "H": atoms(high)})
