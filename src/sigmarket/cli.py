@@ -17,11 +17,12 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from .errors import InputError, NumericError, SigMarketError, read_field, require_object
-from .market import MarketParams, check_decreasing_differences
+from .market import MarketParams
 from .monitoring import PolicyProfile
 from .outer import (
     CSV_COLUMNS,
@@ -65,26 +66,8 @@ def _load_json(path: str, what: str):
         raise InputError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
-def _regular(params: MarketParams) -> MarketParams:
-    """Reject a cost family without strict decreasing differences.
-
-    The check is exact on two points for linear and power costs, whose gap
-    c(L, e) - c(H, e) is (kappa_L - kappa_H) * e**p, and on the knots for
-    tabulated costs, whose gap is linear between knots.
-    """
-    cf = params.cost
-    report = check_decreasing_differences(cf, cf.efforts if cf.kind == "tabulated" else (0.0, 1.0))
-    if not report.passed:
-        v = report.violations[0]
-        raise InputError(
-            f"cost family breaks strict decreasing differences ({v.reason}): the gap "
-            f"c(L, e) - c(H, e) goes from {v.gap_lo} at effort {v.effort_lo} to {v.gap_hi} at {v.effort_hi}"
-        )
-    return params
-
-
 def _load_params(path: str) -> MarketParams:
-    return _regular(MarketParams.from_dict(_load_json(path, "params")))
+    return MarketParams.from_dict(_load_json(path, "params"))
 
 
 def _dump(payload, out: str | None) -> str:
@@ -198,7 +181,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
     if n_actions > MAX_ORACLE_ACTIONS:  # refused before anything is solved
         raise InputError(f"profile has {n_actions} candidate actions; oracle-compare takes at most {MAX_ORACLE_ACTIONS}")
     constructed = construct_epbe(profile, params, args.tol)
-    oracle = brute_force_equilibria(profile, params, support_cap=2, tol=args.tol)
+    oracle = brute_force_equilibria(profile, params, args.tol)
     match_index = next(
         (k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq, profile)), None
     )
@@ -248,7 +231,7 @@ def _array(value, where: str) -> list:
 
 def _sweep_points(spec: dict) -> list[MarketParams]:
     if "points" in spec:
-        return [_regular(MarketParams.from_dict(p)) for p in _array(spec["points"], "sweep file field 'points'")]
+        return [MarketParams.from_dict(p) for p in _array(spec["points"], "sweep file field 'points'")]
     if "base" not in spec:
         raise InputError("sweep file needs either 'points' or 'base' (+ optional 'vary')")
     base, vary = spec["base"], spec.get("vary", {})
@@ -258,7 +241,7 @@ def _sweep_points(spec: dict) -> list[MarketParams]:
     for key, values in vary.items():
         _sweep_slot(base, key)  # reject the name even when a value list is empty
         points = [_with_field(p, key, v) for p in points for v in _array(values, f"sweep file 'vary' entry {key!r}")]
-    return [_regular(MarketParams.from_dict(p)) for p in points]
+    return [MarketParams.from_dict(p) for p in points]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -274,8 +257,8 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError:
         raise InputError(f"sweep range must look like lo:hi:count, got {text!r}") from None
-    if count < 2 or hi <= lo:
-        raise InputError(f"sweep range needs hi > lo and count >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and count >= 2):
+        raise InputError(f"sweep range needs finite hi > lo and count >= 2, got {text!r}")
     step = (hi - lo) / (count - 1)
     return [lo + k * step for k in range(count)]
 
@@ -294,7 +277,7 @@ def cmd_welfare(args: argparse.Namespace) -> int:
     rows = []
     for value in values:
         try:
-            p = _regular(MarketParams.from_dict(_with_field(params.to_dict(), key, value)))
+            p = MarketParams.from_dict(_with_field(params.to_dict(), key, value))
         except InputError:
             continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
@@ -313,13 +296,13 @@ def cmd_welfare(args: argparse.Namespace) -> int:
 
 
 def _positive(text: str) -> float:
-    """argparse type for --tol: a number > 0 (NaN is not)."""
+    """argparse type for --tol: a finite number > 0 (NaN is not)."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
 

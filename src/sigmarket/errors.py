@@ -35,6 +35,15 @@ def require_object(data, where: str) -> None:
         raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
 
 
+def integer(value) -> int:
+    """The read_field converter for integer fields: an int, or a float with an
+    integral value.  Booleans, fractional or non-finite numbers and anything
+    else raise ValueError, which read_field reports under the field's name."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def read_field(data, key: str, convert, where: str, default=_REQUIRED):
     """convert(data[key]) for the from_dict parsers.
 

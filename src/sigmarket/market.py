@@ -2,14 +2,14 @@
 
 A market is populated by a unit mass of students who are privately either
 low- or high-productivity (theta_L may be negative, theta_H > 0), a fraction
-``lam`` of them high.  Students can burn effort at a type-dependent cost; the
-cost families here all satisfy, by construction or by explicit check, the
-regularity the equilibrium analysis needs:
+``lam`` of them high.  Students can burn effort at a type-dependent cost; a
+cost family that lacks the regularity the equilibrium analysis needs cannot
+be constructed:
 
 * c(type, 0) = 0, c strictly increasing and continuous in effort,
-* the high type is (weakly) cheaper everywhere, and
 * strict decreasing differences: the low-minus-high cost gap strictly grows
-  with effort.
+  with effort (single crossing), so the high type is cheaper at every
+  positive effort.
 
 Two market regimes matter downstream: "sorting" (theta_L >= 0, every hire is
 productive) and "screening" (theta_L < 0, hiring the low type destroys value).
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import InputError, RangeError, read_field
+from .errors import InputError, RangeError, integer, read_field
 
 TypeLabel = Literal["L", "H"]
 
@@ -44,9 +44,11 @@ class CostFamily:
                 start at 0 with cost 0 and be strictly increasing.
 
     The type label (not the productivity number) selects the slope, so
-    negative theta_L never corrupts costs.  Constructors validate finiteness,
-    shape and monotonicity but deliberately allow kappa_H >= kappa_L so that
-    :func:`check_decreasing_differences` has something to reject.
+    negative theta_L never corrupts costs.  Construction validates finiteness,
+    shape and monotonicity, and strict decreasing differences exactly: the
+    gap c(L, e) - c(H, e) is (kappa_L - kappa_H) * e**exponent for linear and
+    power costs, so kappa_L must exceed kappa_H, and it is linear between
+    knots for tabulated costs, so it must rise strictly from knot to knot.
     """
 
     kind: Literal["linear", "power", "tabulated"]
@@ -66,6 +68,7 @@ class CostFamily:
                 raise InputError("cost slopes kappa_L, kappa_H must be positive")
             if self.kind == "power" and self.exponent < 1.0:
                 raise InputError(f"power exponent must be >= 1, got {self.exponent}")
+            gaps = ((0.0, 0.0), (1.0, self.kappa_L - self.kappa_H))  # (effort, gap) at two points
         elif self.kind == "tabulated":
             eff, cl, ch = self.efforts, self.cost_L, self.cost_H
             if len(eff) < 2 or len(cl) != len(eff) or len(ch) != len(eff):
@@ -77,8 +80,15 @@ class CostFamily:
             for name, col in (("cost_L", cl), ("cost_H", ch)):
                 if any(b <= a for a, b in zip(col, col[1:])):
                     raise InputError(f"{name} must be strictly increasing in effort")
+            gaps = tuple(zip(eff, (lo - hi for lo, hi in zip(cl, ch))))  # (effort, gap) at each knot
         else:
             raise InputError(f"unknown cost kind {self.kind!r}")
+        for (e0, g0), (e1, g1) in zip(gaps, gaps[1:]):
+            if g1 <= g0:
+                raise InputError(
+                    f"cost family breaks strict decreasing differences: the gap c(L, e) - c(H, e) "
+                    f"goes from {g0} at effort {e0} to {g1} at {e1}"
+                )
 
     @classmethod
     def linear(cls, kappa_L: float, kappa_H: float) -> "CostFamily":
@@ -266,7 +276,7 @@ class MarketParams:
             theta_H=read_field(data, "theta_H", float, where),
             lam=read_field(data, "lambda", float, where),
             cost=read_field(data, "cost", CostFamily.from_dict, where),
-            n_schools=read_field(data, "n_schools", int, where, default=1),
+            n_schools=read_field(data, "n_schools", integer, where, default=1),
             credit_cap=read_field(
                 data, "credit_cap", lambda v: None if v is None else float(v), where, default=None
             ),
@@ -318,47 +328,6 @@ def max_welfare(params: MarketParams) -> float:
     high types should be employed.
     """
     return expected_type(params) if params.is_sorting else params.lam * params.theta_H
-
-
-@dataclass(frozen=True)
-class GapViolation:
-    """One adjacent grid pair breaking the cost-gap regularity."""
-
-    effort_lo: float
-    effort_hi: float
-    gap_lo: float
-    gap_hi: float
-    reason: Literal["nonincreasing_gap", "negative_gap"]
-
-
-@dataclass(frozen=True)
-class DecreasingDifferencesReport:
-    passed: bool
-    violations: tuple[GapViolation, ...]
-
-
-def check_decreasing_differences(cf: CostFamily, grid) -> DecreasingDifferencesReport:
-    """Validate strict decreasing differences of c on an effort grid.
-
-    The low-minus-high cost gap must be nonnegative everywhere and strictly
-    increasing between consecutive grid points.  An empty violation list is
-    the pass condition.
-    """
-    pts = [float(e) for e in grid]
-    if len(pts) < 2:
-        raise InputError("grid needs at least 2 points")
-    if any(e < 0 for e in pts):
-        raise InputError("grid efforts must be nonnegative")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise InputError("grid must be strictly ascending without duplicates")
-    gaps = [cf.cost(LOW, e) - cf.cost(HIGH, e) for e in pts]
-    violations: list[GapViolation] = []
-    for (e0, g0), (e1, g1) in zip(zip(pts, gaps), zip(pts[1:], gaps[1:])):
-        if g0 < 0 or g1 < 0:
-            violations.append(GapViolation(e0, e1, g0, g1, "negative_gap"))
-        elif g1 <= g0:
-            violations.append(GapViolation(e0, e1, g0, g1, "nonincreasing_gap"))
-    return DecreasingDifferencesReport(passed=not violations, violations=tuple(violations))
 
 
 def riley_effort(params: MarketParams) -> float:

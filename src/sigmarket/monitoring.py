@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputError, read_field
+from .errors import InputError, integer, read_field
 from .market import CostFamily, TypeLabel
 
 
@@ -40,12 +40,13 @@ class StepMonitoringPolicy:
             raise InputError("thresholds must be strictly ascending")
 
     @classmethod
-    def uninformative(cls, message: int = 0) -> "StepMonitoringPolicy":
-        return cls(thresholds=(), messages=(message,))
+    def uninformative(cls) -> "StepMonitoringPolicy":
+        return cls(thresholds=(), messages=(0,))
 
     @classmethod
-    def cutoff(cls, threshold: float, below: int = 0, above: int = 1) -> "StepMonitoringPolicy":
-        return cls(thresholds=(threshold,), messages=(below, above))
+    def cutoff(cls, threshold: float) -> "StepMonitoringPolicy":
+        """Message 0 below the threshold, 1 from it on."""
+        return cls(thresholds=(threshold,), messages=(0, 1))
 
     @classmethod
     def informative_on_grid(cls, grid) -> "StepMonitoringPolicy":
@@ -84,7 +85,7 @@ class StepMonitoringPolicy:
         where = "monitoring policy"
         return cls(
             thresholds=read_field(data, "thresholds", lambda v: tuple(float(t) for t in v), where),
-            messages=read_field(data, "messages", lambda v: tuple(int(m) for m in v), where),
+            messages=read_field(data, "messages", lambda v: tuple(integer(m) for m in v), where),
         )
 
 

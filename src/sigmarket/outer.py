@@ -83,8 +83,9 @@ class EquilibriumOutcome:
     def payoff(self, type_label: TypeLabel) -> float:
         return self.payoffs[1] if type_label == HIGH else self.payoffs[0]
 
-    def to_subgame(self, params: MarketParams, tag: str | None = None) -> SubgameEquilibrium:
-        """View the outcome as a subgame bundle (beliefs recovered from wages)."""
+    def to_subgame(self, params: MarketParams) -> SubgameEquilibrium:
+        """View the outcome as a subgame bundle (beliefs recovered from wages,
+        construction tag from the label)."""
         spread = params.theta_H - params.theta_L
         beliefs = {}
         for s, w in self.wages.offers.items():
@@ -92,8 +93,7 @@ class EquilibriumOutcome:
                 beliefs[s] = 0.0
             else:
                 beliefs[s] = min(max((w - params.theta_L) / spread, 0.0), 1.0)
-        if tag is None:
-            tag = "semi_pooling" if self.label.startswith(("semipooling", "monopoly_sorting", "monopoly_credit", "credit")) else "separating"
+        pooling = self.label.startswith(("semipooling", "monopoly_sorting", "monopoly_credit", "credit"))
         return SubgameEquilibrium(
             profile=self.profile,
             strategy=self.on_path,
@@ -101,7 +101,7 @@ class EquilibriumOutcome:
             beliefs=BeliefSystem(mu_high=beliefs),
             payoff_L=self.payoffs[0],
             payoff_H=self.payoffs[1],
-            construction_tag=tag,
+            construction_tag="semi_pooling" if pooling else "separating",
         )
 
     def to_dict(self) -> dict:
@@ -243,7 +243,7 @@ class CreditFamily:
         e_l = max(e_l, 0.0)
         mean = expected_type(params)
         if e_l > 0:
-            mon = StepMonitoringPolicy.cutoff(e_l, below=0, above=1)
+            mon = StepMonitoringPolicy.cutoff(e_l)
             offers = {Signal(0, 0): wage_offer(0.0, params), Signal(0, 1): mean}
             atom_effort = e_l
         else:
@@ -381,7 +381,7 @@ def riley_rpbe(params: MarketParams, n: int) -> EquilibriumOutcome:
     if n < 2:
         raise InputError(f"competition solver needs n >= 2 schools, got {n}")
     e_r = riley_effort(params)
-    mon = StepMonitoringPolicy.cutoff(e_r, below=0, above=1)
+    mon = StepMonitoringPolicy.cutoff(e_r)
     profile = PolicyProfile.symmetric(Policy(fee=0.0, monitoring=mon), n)
     share = 1.0 / n
     high = tuple(StrategyAtom(i, e_r, share) for i in range(n))
@@ -451,7 +451,7 @@ def _semipooling_outcome(
         mon = StepMonitoringPolicy(thresholds=(e_l, e_h), messages=(0, 1, 2))
         mid_msg, top_msg = 1, 2
     else:
-        mon = StepMonitoringPolicy.cutoff(e_h, below=0, above=1)
+        mon = StepMonitoringPolicy.cutoff(e_h)
         mid_msg, top_msg = 0, 1
     profile = PolicyProfile.symmetric(Policy(fee=fee, monitoring=mon), n)
     share = 1.0 / n
@@ -589,9 +589,9 @@ class FeeInterval:
     closed_lo: bool = True
     closed_hi: bool = False
 
-    def contains(self, f: float, tol: float = 0.0) -> bool:
-        above = f >= self.lo - tol if self.closed_lo else f > self.lo + tol
-        below = f <= self.hi + tol if self.closed_hi else f < self.hi - tol
+    def contains(self, f: float) -> bool:
+        above = f >= self.lo if self.closed_lo else f > self.lo
+        below = f <= self.hi if self.closed_hi else f < self.hi
         return above and below
 
     @property
@@ -608,10 +608,8 @@ class FeeSet:
     points: tuple[float, ...] = ()
     intervals: tuple[FeeInterval, ...] = ()
 
-    def contains(self, f: float, tol: float = 0.0) -> bool:
-        if any(abs(f - p) <= tol for p in self.points):
-            return True
-        return any(iv.contains(f, tol) for iv in self.intervals)
+    def contains(self, f: float) -> bool:
+        return f in self.points or any(iv.contains(f) for iv in self.intervals)
 
     def to_dict(self) -> dict:
         return {
@@ -808,10 +806,7 @@ def _audit_deviations(
     profile = outcome.profile
     cf = params.cost
     eps = grids.step
-    gap = cf.cost(LOW, eps) - cf.cost(HIGH, eps)
-    if gap <= 0:
-        raise InputError("cost family has no low-type disadvantage at the grid step")
-    gamma = min(eps / 10.0, 0.5 * gap)
+    gamma = min(eps / 10.0, 0.5 * (cf.cost(LOW, eps) - cf.cost(HIGH, eps)))
     f_min = min(p.fee for p in profile)
     fee_cap = params.theta_H if params.credit_cap is None else min(params.theta_H, params.credit_cap)
     positive = [e for e in grids.effort_grid if e > 0]
@@ -924,7 +919,7 @@ def deviation_audit(
                     messages=tuple(range(len(entry.thresholds) + 1)),
                 ))
             )
-            candidates = brute_force_equilibria(attempt, params, support_cap=2, tol=tol)
+            candidates = brute_force_equilibria(attempt, params, tol)
             worst_profit[key] = (
                 min(_school_profit(attempt, params, eq.strategy, rep) for eq in candidates) if candidates else None
             )

@@ -61,6 +61,9 @@ from .subgame import (
 )
 
 _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
+# outcome_equivalent's tolerances: on shares, probabilities and wages, and on efforts
+_SHARE_TOL = 1e-6
+_EFFORT_TOL = 1e-9
 # Largest oracle_actions(profile) that oracle-compare accepts.  One call at
 # A = 25 takes about 0.04 s on 2 shared vCPUs (one school of 24 bands, or
 # three of 8).  Library callers (deviation_audit's replays) are not capped.
@@ -405,7 +408,7 @@ def _candidate_actions(profile: PolicyProfile, params: MarketParams) -> list[_Ac
 
 
 def _weighted_pairs(
-    params: MarketParams, actions: list[_Action], support_cap: int, tol: float
+    params: MarketParams, actions: list[_Action], tol: float
 ) -> list[tuple[tuple[_Action, ...], tuple[float, ...], tuple[_Action, ...], tuple[float, ...]]]:
     """(H support, H weights, L support, L weights) for every support pair
     whose mixing weights make both types indifferent across their supports,
@@ -419,7 +422,7 @@ def _weighted_pairs(
     through the same pooled signal) are emitted only at a deterministic
     symmetric representative.
     """
-    supports = [c for size in range(1, support_cap + 1) for c in itertools.combinations(actions, size)]
+    supports = [c for size in (1, 2) for c in itertools.combinations(actions, size)]
     signals = [{a.signal for a in sup if a.signal is not None} for sup in supports]
     lo, hi = max(params.theta_L, 0.0), params.theta_H
     known = {HIGH: hi, LOW: lo}  # income at a signal the other type does not send
@@ -598,17 +601,14 @@ def _outcome_signature(eq: SubgameEquilibrium, profile: PolicyProfile) -> tuple:
 
 
 def brute_force_equilibria(
-    profile: PolicyProfile,
-    params: MarketParams,
-    support_cap: int = 2,
-    tol: float = DEFAULT_TOL,
+    profile: PolicyProfile, params: MarketParams, tol: float = DEFAULT_TOL
 ) -> list[SubgameEquilibrium]:
     """Enumerate refined subgame equilibria with small supports.
 
     Candidate actions are the outside option plus every (school, band-minimum
-    effort) pair; supports hold at most `support_cap` (<= 2) actions per type
-    (the outside option counts as one), and only the support pairs whose
-    mixing weights can exist are joined.  Each weighted pair is priced with
+    effort) pair; supports hold one or two actions per type (the outside
+    option counts as one), and only the support pairs whose mixing weights
+    can exist are joined.  Each weighted pair is priced with
     Bayes wages on path and refused at once when a support action fails
     verify_pbe's student best-response rule with every unsent signal at the
     floor wage; the rest get D1 wages off path and face the same rule.  Only
@@ -617,16 +617,12 @@ def brute_force_equilibria(
     lexicographic in the candidate supports; outcome-equivalent duplicates
     are dropped.  The function sets no size cap.
     """
-    if support_cap > 2:
-        raise InputError("support_cap beyond 2 actions per type is unsupported")
-    if support_cap < 1:
-        raise InputError("support_cap must be at least 1")
     if any(p.fee > params.theta_H for p in profile):
         return []
     actions = _candidate_actions(profile, params)
     results: list[SubgameEquilibrium] = []
     seen: set[tuple] = set()
-    for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, support_cap, tol):
+    for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, tol):
         priced = _price_on_path(params, sup_h, weights_h, sup_l, weights_l, tol)
         if priced is None or _refuses(params, actions, priced, tol):  # unsent signals at the floor wage
             continue
@@ -646,31 +642,25 @@ def brute_force_equilibria(
     return results
 
 
-def outcome_equivalent(
-    a: SubgameEquilibrium,
-    b: SubgameEquilibrium,
-    profile: PolicyProfile,
-    share_tol: float = 1e-6,
-    effort_tol: float = 1e-9,
-) -> bool:
+def outcome_equivalent(a: SubgameEquilibrium, b: SubgameEquilibrium, profile: PolicyProfile) -> bool:
     """Same enrollment shares, effort supports, and on-path wages.
 
     Off-path beliefs (and hence off-path wages) are allowed to differ.
     """
     for t in (LOW, HIGH):
         for i in range(profile.n):
-            if abs(a.strategy.enrollment(t, i) - b.strategy.enrollment(t, i)) > share_tol:
+            if abs(a.strategy.enrollment(t, i) - b.strategy.enrollment(t, i)) > _SHARE_TOL:
                 return False
         atoms_a = sorted(
-            ((x.school if x.school is not OUTSIDE else -1, x.effort, x.prob) for x in a.strategy.atoms(t) if x.prob > share_tol)
+            ((x.school if x.school is not OUTSIDE else -1, x.effort, x.prob) for x in a.strategy.atoms(t) if x.prob > _SHARE_TOL)
         )
         atoms_b = sorted(
-            ((x.school if x.school is not OUTSIDE else -1, x.effort, x.prob) for x in b.strategy.atoms(t) if x.prob > share_tol)
+            ((x.school if x.school is not OUTSIDE else -1, x.effort, x.prob) for x in b.strategy.atoms(t) if x.prob > _SHARE_TOL)
         )
         if len(atoms_a) != len(atoms_b):
             return False
         for (sa, ea, pa), (sb, eb, pb) in zip(atoms_a, atoms_b):
-            if sa != sb or abs(ea - eb) > effort_tol or abs(pa - pb) > share_tol:
+            if sa != sb or abs(ea - eb) > _EFFORT_TOL or abs(pa - pb) > _SHARE_TOL:
                 return False
     sent_a = a.strategy.sent_signals(profile)
     sent_b = b.strategy.sent_signals(profile)
@@ -680,6 +670,6 @@ def outcome_equivalent(
         wa, wb = a.wages.offer(s), b.wages.offer(s)
         if (wa is None) != (wb is None):
             return False
-        if wa is not None and abs(wa - wb) > share_tol:
+        if wa is not None and abs(wa - wb) > _SHARE_TOL:
             return False
     return True

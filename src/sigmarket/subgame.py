@@ -36,7 +36,7 @@ import bisect as _bisect
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, read_field, require_object
+from .errors import InputError, InvariantViolation, integer, read_field, require_object
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, bayes_high, expected_type, low_per_high, wage_offer
 from .monitoring import PolicyProfile, Signal, min_cost
 
@@ -115,7 +115,7 @@ class PopulationStrategy:
         def parse(entries):
             return tuple(
                 StrategyAtom(
-                    school=read_field(e, "school", lambda v: None if v is None else int(v), "strategy atom"),
+                    school=read_field(e, "school", lambda v: None if v is None else integer(v), "strategy atom"),
                     effort=read_field(e, "effort", float, "strategy atom"),
                     prob=read_field(e, "prob", float, "strategy atom"),
                 )

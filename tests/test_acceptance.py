@@ -75,7 +75,7 @@ def test_criterion_02_riley_outcome():
         assert rep.total == pytest.approx(welfare_expected, abs=TOL)
         assert all(p.fee == 0.0 for p in out.profile)
         assert out.profits == (0.0, 0.0)
-        bundle = out.to_subgame(params, tag="separating")
+        bundle = out.to_subgame(params)
         assert verify_pbe(out.profile, bundle, params).passed
         assert verify_extended_d1(out.profile, bundle, params).passed
         assert check_minimality(out.profile, bundle, params).passed

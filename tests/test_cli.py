@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,13 @@ class TestSolve:
         sweep.write_text(json.dumps({"points": [screening.to_dict(), data]}), encoding="utf-8")
         assert main(["sweep", "--params", str(sweep), "--out", str(out_path)]) == 2
         assert not out_path.exists()
+        for command, (_, _, flags) in COMMANDS.items():
+            if command in ("solve", "sweep"):
+                continue
+            extra = ["--profile", str(tmp_path / "unread.json")] if "--profile" in flags else []
+            assert main([command, "--params", str(path), "--out", str(out_path), *extra]) == 2
+            assert not out_path.exists()
+            assert "decreasing differences" in capsys.readouterr().err, command
 
     def test_non_finite_result_is_not_written(self, tmp_path):
         with pytest.raises(NumericError):
@@ -347,16 +355,19 @@ class TestWelfareCommand:
         assert repr(name) in capsys.readouterr().err
 
     def test_bad_range_exit_2(self, tmp_path, screening):
-        code = main(
-            [
-                "welfare",
-                "--params",
-                write_params(tmp_path, screening),
-                "--sweep-range",
-                "backwards",
-            ]
-        )
-        assert code == 2
+        out_path = tmp_path / "welfare.json"
+        for text in ("backwards", "0.1:inf:3", "nan:1:3"):
+            argv = ["welfare", "--params", write_params(tmp_path, screening), "--out", str(out_path)]
+            assert main(argv + ["--sweep-range", text]) == 2, text
+            assert not out_path.exists() and not (tmp_path / "welfare_plot.csv").exists()
+
+    def test_irregular_sweep_values_are_skipped(self, tmp_path, sorting):
+        # kappa_H = 1: the values 0.5 and 1 break decreasing differences
+        params_path = write_params(tmp_path, sorting.with_(n_schools=2))
+        argv = ["welfare", "--params", params_path, "--out", str(tmp_path / "welfare.json")]
+        assert main(argv + ["--sweep-param", "kappa_L", "--sweep-range", "0.5:3:6"]) == 0
+        rows = (tmp_path / "welfare_plot.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.5", "2", "2.5", "3"]
 
 
 class TestAudit:
@@ -414,6 +425,7 @@ def test_each_command_takes_only_its_flags():
         ["solve", "--tol", "0"],
         ["solve", "--tol", "-1e-9"],
         ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
         ["solve", "--tol", "abc"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -442,6 +454,29 @@ def oracle_inputs(tmp_path, screening):
     prof_path.write_text(json.dumps(NINE_ACTIONS), encoding="utf-8")
     bundle_path.write_text(json.dumps(construct_epbe(profile, params).to_dict()), encoding="utf-8")
     return write_params(tmp_path, params), str(prof_path), str(bundle_path)
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("solve", "n_schools", 2.7), ("solve", "n_schools", True), ("oracle-compare", "messages", [0, 1.5]), ("verify", "school", 0.5)],
+    ids=["n_schools=2.7", "n_schools=true", "messages=[0,1.5]", "school=0.5"],
+)
+def test_non_integral_integer_field_exit_2(tmp_path, screening, capsys, command, field, value):
+    params, profile, bundle = oracle_inputs(tmp_path, screening)
+    path = {"n_schools": params, "messages": profile, "school": bundle}[field]
+    data = json.loads(Path(path).read_text())
+    if field == "n_schools":
+        data["n_schools"] = value
+    elif field == "messages":
+        data[0]["monitoring"] = {"thresholds": [0.2], "messages": value}
+    else:
+        data["strategy"]["H"][0]["school"] = value
+    Path(path).write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out.json"
+    extra = {"solve": [], "oracle-compare": ["--profile", profile], "verify": ["--profile", bundle]}[command]
+    assert main([command, "--params", params, "--out", str(out), *extra]) == 2
+    assert not out.exists()
+    assert repr(field) in capsys.readouterr().err
 
 
 def test_bench_command_lines_run(tmp_path, screening):

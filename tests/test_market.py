@@ -10,7 +10,6 @@ from sigmarket import (
     MarketParams,
     RangeError,
     bayes_high,
-    check_decreasing_differences,
     expected_type,
     low_per_high,
     posterior_mean,
@@ -164,37 +163,42 @@ class TestAffordableCount:
             TAB.affordable_count("L", (), 5.5)
 
 
-class TestDecreasingDifferences:
-    def test_pass_and_fail_examples(self):
-        assert check_decreasing_differences(LIN, [0.0, 1.0, 2.0]).passed
-        equal = CostFamily.linear(1.0, 1.0)
-        report = check_decreasing_differences(equal, [0.0, 1.0])
-        assert not report.passed
-        assert report.violations[0].reason == "nonincreasing_gap"
-        flipped = CostFamily.tabulated([0.0, 1.0], [0.0, 1.0], [0.0, 2.0])
-        report = check_decreasing_differences(flipped, [0.0, 1.0])
-        assert not report.passed
-        assert any(v.reason == "negative_gap" for v in report.violations)
+# Cost families whose gap c(L, e) - c(H, e) fails to rise strictly with effort.
+IRREGULAR = {
+    "equal_slopes": {"kind": "linear", "kappa_L": 2.0, "kappa_H": 2.0},
+    "flipped_slopes": {"kind": "linear", "kappa_L": 1.0, "kappa_H": 2.0},
+    "equal_power": {"kind": "power", "kappa_L": 1.5, "kappa_H": 1.5, "exponent": 2.0},
+    "flipped_power": {"kind": "power", "kappa_L": 1.0, "kappa_H": 2.0, "exponent": 1.5},
+    "flipped_table": {"kind": "tabulated", "efforts": [0.0, 1.0, 2.0], "cost_L": [0.0, 1.0, 2.0], "cost_H": [0.0, 2.0, 4.0]},
+    "flattening_table": {"kind": "tabulated", "efforts": [0.0, 1.0, 2.0], "cost_L": [0.0, 2.0, 3.0], "cost_H": [0.0, 1.0, 2.0]},
+}
 
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            check_decreasing_differences(LIN, [0.0])
-        with pytest.raises(InputError):
-            check_decreasing_differences(LIN, [1.0, 1.0])
-        with pytest.raises(InputError):
-            check_decreasing_differences(LIN, [2.0, 1.0])
+
+class TestDecreasingDifferences:
+    @pytest.mark.parametrize("cost", IRREGULAR.values(), ids=IRREGULAR.keys())
+    def test_irregular_family_is_rejected(self, cost):
+        build = getattr(CostFamily, cost["kind"])
+        # the message names the two efforts and their gaps
+        with pytest.raises(InputError, match=r"decreasing differences: .* goes from \S+ at effort \S+ to \S+ at \S+"):
+            build(**{k: v for k, v in cost.items() if k != "kind"})
+        with pytest.raises(InputError, match="decreasing differences"):
+            MarketParams.from_dict({"theta_L": -1.0, "theta_H": 2.0, "lambda": 0.5, "cost": cost})
 
     @given(
         kap_h=st.floats(0.1, 5.0),
         extra=st.floats(0.01, 5.0),
-        flip=st.booleans(),
+        order=st.sampled_from(["above", "equal", "below"]),
+        kind=st.sampled_from(["linear", "power"]),
     )
     @settings(max_examples=60)
-    def test_slope_order_decides(self, kap_h, extra, flip):
-        kap_l = kap_h + extra if not flip else kap_h
-        cf = CostFamily.linear(kap_l, kap_h)
-        report = check_decreasing_differences(cf, [0.0, 0.5, 1.0, 2.0])
-        assert report.passed == (kap_h < kap_l)
+    def test_slope_order_decides(self, kap_h, extra, order, kind):
+        kap_l = {"above": kap_h + extra, "equal": kap_h, "below": kap_h / (1.0 + extra)}[order]
+        build = (lambda: CostFamily.linear(kap_l, kap_h)) if kind == "linear" else (lambda: CostFamily.power(kap_l, kap_h, 1.5))
+        if order == "above":
+            assert build().kappa_L == kap_l
+        else:
+            with pytest.raises(InputError):
+                build()
 
 
 class TestRileyEffort:
@@ -251,3 +255,11 @@ class TestMarketParams:
     def test_missing_field_names_offender(self):
         with pytest.raises(InputError, match="lambda"):
             MarketParams.from_dict({"theta_L": 0.0, "theta_H": 1.0, "cost": LIN.to_dict()})
+
+
+def test_public_names_resolve_once():
+    import sigmarket
+
+    assert len(sigmarket.__all__) == len(set(sigmarket.__all__))
+    for name in sigmarket.__all__:
+        assert hasattr(sigmarket, name), name

@@ -36,7 +36,7 @@ class TestMessageOf:
     def test_examples(self):
         uni = StepMonitoringPolicy.uninformative()
         assert uni.message_of(7.3) == 0
-        cut = StepMonitoringPolicy.cutoff(0.5, below=10, above=11)
+        cut = StepMonitoringPolicy((0.5,), (10, 11))
         assert cut.message_of(0.5) == 11  # right-continuous at the cutoff
         assert cut.message_of(0.49) == 10
 

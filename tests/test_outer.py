@@ -348,7 +348,7 @@ class TestFamilyBundlesVerify:
         checked = 0
         for variant, kwargs in probes:
             for m in semipooling_family(params, 2, variant, **kwargs):
-                eq = m.to_subgame(params, tag="semi_pooling")
+                eq = m.to_subgame(params)
                 assert verify_pbe(m.profile, eq, params).passed
                 assert verify_extended_d1(m.profile, eq, params).passed
                 assert check_minimality(m.profile, eq, params).passed
@@ -472,7 +472,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
             thresholds=entry.thresholds, messages=tuple(range(len(entry.thresholds) + 1))
         )
         attempt = base.replace(entry.school, Policy(fee=entry.fee, monitoring=mon))
-        candidates = brute_force_equilibria(attempt, params, support_cap=2, tol=tol)
+        candidates = brute_force_equilibria(attempt, params, tol)
         gain = entry.gain
         if candidates:
             worst = min(_school_profit(attempt, params, eq.strategy, entry.school) for eq in candidates)

@@ -173,7 +173,7 @@ class TestVerifyPbe:
 
     def test_excess_effort_flagged(self, screening):
         out = riley_rpbe(screening, 2)
-        eq = out.to_subgame(screening, tag="separating")
+        eq = out.to_subgame(screening)
         e_r = riley_effort(screening)
         bumped = PopulationStrategy(
             low=eq.strategy.low,
@@ -231,7 +231,7 @@ class TestVerifyExtendedD1:
 
     def test_riley_bundle_passes(self, screening):
         out = riley_rpbe(screening, 2)
-        eq = out.to_subgame(screening, tag="separating")
+        eq = out.to_subgame(screening)
         assert verify_extended_d1(out.profile, eq, screening).passed
 
     def test_cost_advantage_widens_high_wage_sets(self):
@@ -268,7 +268,7 @@ class TestCheckMinimality:
     def test_riley_two_messages_pass_both_regimes(self, sorting, screening):
         for params in (sorting, screening):
             out = riley_rpbe(params, 2)
-            eq = out.to_subgame(params, tag="separating")
+            eq = out.to_subgame(params)
             assert check_minimality(out.profile, eq, params).passed
 
     def test_unsent_third_message_flagged(self, sorting):
@@ -304,7 +304,7 @@ class TestBruteForce:
     def test_riley_outcome_is_found(self, screening):
         out = riley_rpbe(screening, 2)
         eqs = brute_force_equilibria(out.profile, screening)
-        bundle = out.to_subgame(screening, tag="separating")
+        bundle = out.to_subgame(screening)
         assert any(outcome_equivalent(bundle, eq, out.profile) for eq in eqs)
 
     def test_fee_above_surplus_yields_nothing(self, sorting):
@@ -377,8 +377,6 @@ class TestBruteForce:
         # the cap bounds oracle-compare requests; the library enumerates past it
         monkeypatch.setattr(refinement, "MAX_ORACLE_ACTIONS", 2)
         assert brute_force_equilibria(profile(4), sorting)
-        with pytest.raises(InputError):
-            brute_force_equilibria(profile(2), sorting, support_cap=3)
 
 
 def grid_scan_verify_pbe(profile, eq, params, grid, tol=1e-9):
@@ -448,7 +446,7 @@ def oracle_candidates(profile, params, tol=1e-9):
     )
 
     actions = _candidate_actions(profile, params)
-    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, 2, tol):
+    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
         priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
         if priced is not None:
             _price_off_path(params, actions, priced, tol)
@@ -469,7 +467,7 @@ def oracle_verdicts(profile, params, tol=1e-9):
     )
 
     actions = _candidate_actions(profile, params)
-    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, 2, tol):
+    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
         priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
         if priced is not None:
             at_floor = _refuses(params, actions, priced, tol)
