@@ -193,12 +193,11 @@ class TestDecreasingDifferences:
     @settings(max_examples=60)
     def test_slope_order_decides(self, kap_h, extra, order, kind):
         kap_l = {"above": kap_h + extra, "equal": kap_h, "below": kap_h / (1.0 + extra)}[order]
-        build = (lambda: CostFamily.linear(kap_l, kap_h)) if kind == "linear" else (lambda: CostFamily.power(kap_l, kap_h, 1.5))
         if order == "above":
-            assert build().kappa_L == kap_l
+            assert CostFamily(kind, kappa_L=kap_l, kappa_H=kap_h, exponent=1.5).kappa_L == kap_l
         else:
-            with pytest.raises(InputError):
-                build()
+            with pytest.raises(InputError, match="decreasing differences"):
+                CostFamily(kind, kappa_L=kap_l, kappa_H=kap_h, exponent=1.5)
 
 
 class TestRileyEffort:
