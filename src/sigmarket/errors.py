@@ -5,6 +5,8 @@ mapping) need to distinguish malformed inputs, oversized requests included,
 from numerical failures.
 """
 
+import math
+
 
 class SigMarketError(Exception):
     """Base error for this package."""
@@ -44,12 +46,20 @@ def integer(value) -> int:
     return int(value)
 
 
+def finite(value) -> float:
+    """The read_field converter for float fields: float(value), refused
+    (ValueError) when NaN or infinite."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def read_field(data, key: str, convert, where: str, default=_REQUIRED):
     """convert(data[key]) for the from_dict parsers.
 
-    A missing key (unless a default is given) and a TypeError or ValueError
-    raised by the conversion both become an InputError naming the field and
-    `where` it was read; InputErrors from nested parsers pass through as-is.
+    A missing key (unless a default is given) and a TypeError, ValueError or
+    OverflowError raised by the conversion all become an InputError naming
+    the field and `where` it was read; nested parsers' InputErrors pass as-is.
     """
     require_object(data, where)
     if key not in data:
@@ -60,5 +70,5 @@ def read_field(data, key: str, convert, where: str, default=_REQUIRED):
         return convert(data[key])
     except InputError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where} field {key!r} is malformed: {exc}") from None

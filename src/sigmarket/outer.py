@@ -138,10 +138,21 @@ class EquilibriumOutcome:
         )
 
 
+def _school_profits(profile: PolicyProfile, params: MarketParams, strategy: PopulationStrategy) -> list[float]:
+    """Fee times the enrolled population mass, at every school.  One pass
+    over each type's atoms sums every school's mass in atom order, as
+    PopulationStrategy.enrollment does."""
+    high, low = [0] * profile.n, [0] * profile.n
+    for masses, atoms in ((high, strategy.high), (low, strategy.low)):
+        for school, _, prob in atoms:
+            if school is not OUTSIDE:
+                masses[school] += prob
+    return [p.fee * (params.lam * h + (1.0 - params.lam) * l) for p, h, l in zip(profile, high, low)]
+
+
 def _school_profit(profile: PolicyProfile, params: MarketParams, strategy: PopulationStrategy, school: int) -> float:
     """Fee times the enrolled population mass at one school."""
-    mass = params.lam * strategy.enrollment(HIGH, school) + (1.0 - params.lam) * strategy.enrollment(LOW, school)
-    return profile[school].fee * mass
+    return _school_profits(profile, params, strategy)[school]
 
 
 def _assemble_outcome(
@@ -166,7 +177,7 @@ def _assemble_outcome(
         profile=profile,
         on_path=strategy,
         wages=wages,
-        profits=tuple(_school_profit(profile, params, strategy, i) for i in range(profile.n)),
+        profits=tuple(_school_profits(profile, params, strategy)),
         enrollment=(strategy.enrollment_total(LOW), strategy.enrollment_total(HIGH)),
         employment=(employment[0], employment[1]),
         payoffs=payoffs,

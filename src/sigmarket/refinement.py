@@ -24,7 +24,10 @@ are priced first, and the student best-response rule that verify_pbe
 applies refuses it straight from the action table, first with every unsent
 signal at the floor wage (a D1 wage is never lower), then with its D1 wages;
 only the survivors are built as equilibrium bundles, and it keeps exactly
-those that pass both verifiers.
+those that pass both verifiers.  Each support pair yields at most one
+member, so none is dropped as a duplicate.  The oracle and check_minimality
+price a strategy alike: Bayes beliefs on path (_price_on_path), punishing D1
+beliefs off path (_price_off_path).
 
 Best responses and candidate actions both come from band-minimum efforts (0
 and the policy thresholds), so no check here discretises effort.  The
@@ -76,11 +79,6 @@ class WageInterval(NamedTuple):
     lower: float
     closed: bool
     empty: bool
-
-    def contains(self, w: float, tol: float = 0.0) -> bool:
-        if self.empty:
-            return False
-        return w >= self.lower - tol if self.closed else w > self.lower + tol
 
 
 class D1WageSets(NamedTuple):
@@ -277,21 +275,26 @@ def verify_extended_d1(
     return VerificationReport.from_violations(violations)
 
 
-def _d1_belief_for_unsent(
-    payoffs: dict[TypeLabel, float],
-    fee: float,
-    costs: dict[TypeLabel, float],
-    params: MarketParams,
-    tol: float,
-) -> float:
-    """Punishing belief at an unsent signal, respecting forced D1 exclusions.
+def _price_on_path(
+    mass_high: dict[Signal, float], mass_low: dict[Signal, float], params: MarketParams
+) -> tuple[dict[Signal, float], dict[Signal, float | None]]:
+    """Bayes beliefs, and their wages, at every signal either type sends;
+    mass_high and mass_low hold each type's mass per sent signal."""
+    beliefs = {s: bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params) for s in set(mass_high) | set(mass_low)}
+    return beliefs, {s: wage_offer(mu, params) for s, mu in beliefs.items()}
 
-    costs holds each type's effort cost at the signal's band-minimum effort.
-    """
-    sets = {t: _d1_sets(payoffs[t], fee, costs[t], params, tol) for t in (LOW, HIGH)}
-    if strictly_included(sets[LOW].weak, sets[HIGH].strict, tol):
-        return 1.0
-    return 0.0
+
+def _price_off_path(
+    params: MarketParams, actions: list[_Action], payoffs: dict[TypeLabel, float], beliefs: dict, offers: dict, tol: float
+) -> None:
+    """Add a punishing belief, and its wage, at every signal of `actions` (a
+    profile's _candidate_actions table) that `beliefs` does not price: 1 where
+    D1 excludes the low type given the types' equilibrium `payoffs`, else 0."""
+    for a in actions[1:]:  # every signal, at its band-minimum effort
+        if a.signal not in beliefs:
+            low, high = (_d1_sets(payoffs[t], a.fee, a.cost[t], params, tol) for t in (LOW, HIGH))
+            beliefs[a.signal] = 1.0 if strictly_included(low.weak, high.strict, tol) else 0.0
+            offers[a.signal] = wage_offer(beliefs[a.signal], params)
 
 
 def check_minimality(
@@ -345,20 +348,8 @@ def _remap_equilibrium(
     """Carry an outcome onto a reduced profile: same play, same sent wages,
     Bayes beliefs on path, punishing D1-consistent beliefs off path."""
     strategy = eq.strategy
-    payoffs = {LOW: eq.payoff_L, HIGH: eq.payoff_H}
-    mass_high = strategy.signal_mass(red_profile, HIGH)
-    mass_low = strategy.signal_mass(red_profile, LOW)
-    beliefs: dict[Signal, float] = {}
-    offers: dict[Signal, float | None] = {}
-    for s in red_profile.signals():
-        if s in mass_high or s in mass_low:
-            mu = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
-        else:
-            e = red_profile.min_effort(s)
-            costs = {t: params.cost.cost(t, e) for t in (LOW, HIGH)}
-            mu = _d1_belief_for_unsent(payoffs, red_profile[s.school].fee, costs, params, tol)
-        beliefs[s] = mu
-        offers[s] = wage_offer(mu, params)
+    beliefs, offers = _price_on_path(strategy.signal_mass(red_profile, HIGH), strategy.signal_mass(red_profile, LOW), params)
+    _price_off_path(params, _candidate_actions(red_profile, params), {LOW: eq.payoff_L, HIGH: eq.payoff_H}, beliefs, offers, tol)
     return SubgameEquilibrium(
         profile=red_profile,
         strategy=strategy,
@@ -491,32 +482,27 @@ def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> di
 class _Priced(NamedTuple):
     """A candidate's belief and wage at each priced signal (its sent signals,
     then every other one once _price_off_path has run), what each of its
-    support actions pays each type, and whether the two types share a signal."""
+    support actions pays each type, each type's payoff (its first support
+    action's pay), and whether the two types share a signal."""
 
     beliefs: dict[Signal, float]
     offers: dict[Signal, float | None]
     pays: dict[TypeLabel, list[float]]
+    payoffs: dict[TypeLabel, float]
     pooled: bool
 
 
-def _price_on_path(
+def _price_candidate(
     params: MarketParams,
     sup_h: tuple[_Action, ...],
     weights_h: tuple[float, ...],
     sup_l: tuple[_Action, ...],
     weights_l: tuple[float, ...],
-    tol: float,
-) -> _Priced | None:
-    """Bayes wages on path for one weighted support pair; None when a type's
-    support actions pay it unequally."""
+) -> _Priced:
+    """One weighted support pair, priced on path by _price_on_path."""
     mass_high = _signal_mass(sup_h, weights_h)
     mass_low = _signal_mass(sup_l, weights_l)
-
-    beliefs: dict[Signal, float] = {}
-    offers: dict[Signal, float | None] = {}
-    for s in set(mass_high) | set(mass_low):
-        beliefs[s] = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
-        offers[s] = wage_offer(beliefs[s], params)
+    beliefs, offers = _price_on_path(mass_high, mass_low, params)
 
     def pay(t: TypeLabel, a: _Action) -> float:
         if a.school is OUTSIDE:
@@ -524,23 +510,8 @@ def _price_on_path(
         w = offers[a.signal]
         return (0.0 if w is None else w) - a.fee - a.cost[t]
 
-    pays: dict[TypeLabel, list[float]] = {}
-    for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
-        vals = [pay(t, a) for a in sup]
-        if max(vals) - min(vals) > max(tol, 1e-9):
-            return None
-        pays[t] = vals
-    return _Priced(beliefs, offers, pays, any(s in mass_low for s in mass_high))
-
-
-def _price_off_path(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> None:
-    """Add D1 beliefs and wages at every signal `priced` holds none for.
-    `actions` is the profile's full table from `_candidate_actions`."""
-    payoffs = {t: vals[0] for t, vals in priced.pays.items()}
-    for a in actions[1:]:  # every signal, at its band-minimum effort
-        if a.signal not in priced.beliefs:
-            priced.beliefs[a.signal] = _d1_belief_for_unsent(payoffs, a.fee, a.cost, params, tol)
-            priced.offers[a.signal] = wage_offer(priced.beliefs[a.signal], params)
+    pays = {t: [pay(t, a) for a in sup] for t, sup in ((LOW, sup_l), (HIGH, sup_h))}
+    return _Priced(beliefs, offers, pays, {t: vals[0] for t, vals in pays.items()}, any(s in mass_low for s in mass_high))
 
 
 def _refuses(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> bool:
@@ -575,29 +546,10 @@ def _bundle_candidate(
         strategy=PopulationStrategy(low=low, high=high),
         wages=WageSchedule(offers=priced.offers),
         beliefs=BeliefSystem(mu_high=priced.beliefs),
-        payoff_L=priced.pays[LOW][0],
-        payoff_H=priced.pays[HIGH][0],
+        payoff_L=priced.payoffs[LOW],
+        payoff_H=priced.payoffs[HIGH],
         construction_tag="semi_pooling" if priced.pooled else "separating",
     )
-
-
-def _outcome_signature(eq: SubgameEquilibrium, profile: PolicyProfile) -> tuple:
-    def side(t: TypeLabel):
-        atoms = sorted(
-            (
-                (-1 if a.school is OUTSIDE else a.school, round(a.effort, 9), round(a.prob, 9))
-                for a in eq.strategy.atoms(t)
-                if a.prob > 1e-9
-            ),
-        )
-        return tuple(atoms)
-
-    sent = sorted(eq.strategy.sent_signals(profile))
-    wages = tuple(
-        (s.school, s.message, None if eq.wages.offer(s) is None else round(eq.wages.offer(s), 9))
-        for s in sent
-    )
-    return (side(LOW), side(HIGH), wages)
 
 
 def brute_force_equilibria(
@@ -614,31 +566,25 @@ def brute_force_equilibria(
     floor wage; the rest get D1 wages off path and face the same rule.  Only
     the survivors are built as bundles, and a bundle is kept only if it
     passes both verify_pbe and verify_extended_d1.  Output order is
-    lexicographic in the candidate supports; outcome-equivalent duplicates
-    are dropped.  The function sets no size cap.
+    lexicographic in the candidate supports.  Each support pair yields at
+    most one member, and none is dropped as a duplicate: two pairs differ in
+    an atom, the outside option or a (school, band).  The function sets no
+    size cap.
     """
     if any(p.fee > params.theta_H for p in profile):
         return []
     actions = _candidate_actions(profile, params)
     results: list[SubgameEquilibrium] = []
-    seen: set[tuple] = set()
     for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, tol):
-        priced = _price_on_path(params, sup_h, weights_h, sup_l, weights_l, tol)
-        if priced is None or _refuses(params, actions, priced, tol):  # unsent signals at the floor wage
+        priced = _price_candidate(params, sup_h, weights_h, sup_l, weights_l)
+        if _refuses(params, actions, priced, tol):  # unsent signals at the floor wage
             continue
-        _price_off_path(params, actions, priced, tol)
+        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
         if _refuses(params, actions, priced, tol):
             continue
         eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
-        if not verify_pbe(profile, eq, params, tol).passed:
-            continue
-        if not verify_extended_d1(profile, eq, params, tol).passed:
-            continue
-        sig = _outcome_signature(eq, profile)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        results.append(eq)
+        if verify_pbe(profile, eq, params, tol).passed and verify_extended_d1(profile, eq, params, tol).passed:
+            results.append(eq)
     return results
 
 

@@ -36,7 +36,7 @@ import bisect as _bisect
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, integer, read_field, require_object
+from .errors import InputError, InvariantViolation, finite, integer, read_field, require_object
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, bayes_high, expected_type, low_per_high, wage_offer
 from .monitoring import PolicyProfile, Signal, min_cost
 
@@ -71,10 +71,10 @@ class PopulationStrategy:
             negative = outside_effort = False
             for school, effort, prob in atoms:
                 probs.append(prob)
-                negative = negative or prob < 0
+                negative = negative or not prob >= 0  # NaN counts as negative
                 outside_effort = outside_effort or (school is OUTSIDE and effort != 0.0)
             total = sum(probs)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
                 raise InputError(f"{label}-type probabilities sum to {total}, not 1")
             if negative:
                 raise InputError(f"{label}-type probabilities must be nonnegative")
@@ -116,8 +116,8 @@ class PopulationStrategy:
             return tuple(
                 StrategyAtom(
                     school=read_field(e, "school", lambda v: None if v is None else integer(v), "strategy atom"),
-                    effort=read_field(e, "effort", float, "strategy atom"),
-                    prob=read_field(e, "prob", float, "strategy atom"),
+                    effort=read_field(e, "effort", finite, "strategy atom"),
+                    prob=read_field(e, "prob", finite, "strategy atom"),
                 )
                 for e in entries
             )
@@ -147,7 +147,7 @@ class WageSchedule:
     @classmethod
     def from_dict(cls, data: dict) -> "WageSchedule":
         def offer(v) -> float | None:
-            return None if v is None else float(v)
+            return None if v is None else finite(v)
 
         require_object(data, "wage schedule")
         return cls(offers={Signal.from_key(k): read_field(data, k, offer, "wage schedule") for k in data})
@@ -170,7 +170,7 @@ class BeliefSystem:
     @classmethod
     def from_dict(cls, data: dict) -> "BeliefSystem":
         require_object(data, "belief system")
-        return cls(mu_high={Signal.from_key(k): read_field(data, k, float, "belief system") for k in data})
+        return cls(mu_high={Signal.from_key(k): read_field(data, k, finite, "belief system") for k in data})
 
 
 ConstructionTag = Literal["semi_pooling", "separating"]
@@ -208,8 +208,8 @@ class SubgameEquilibrium:
             strategy=read_field(data, "strategy", PopulationStrategy.from_dict, where),
             wages=read_field(data, "wages", WageSchedule.from_dict, where),
             beliefs=read_field(data, "beliefs", BeliefSystem.from_dict, where),
-            payoff_L=read_field(data, "payoff_L", float, where),
-            payoff_H=read_field(data, "payoff_H", float, where),
+            payoff_L=read_field(data, "payoff_L", finite, where),
+            payoff_H=read_field(data, "payoff_H", finite, where),
             construction_tag=read_field(data, "construction_tag", str, where),
         )
 

@@ -1,11 +1,14 @@
 import argparse
+import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from sigmarket import (
     CostFamily,
+    MarketParams,
     NumericError,
     Policy,
     PolicyProfile,
@@ -479,6 +482,42 @@ def test_non_integral_integer_field_exit_2(tmp_path, screening, capsys, command,
     assert repr(field) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("verify", "0:1", math.nan),
+        ("verify", "payoff_H", math.nan),
+        ("verify", "prob", math.nan),
+        ("verify", "payoff_L", math.inf),
+        ("solve", "theta_H", 10**400),
+    ],
+    ids=["wage=NaN", "payoff_H=NaN", "prob=NaN", "payoff_L=Infinity", "theta_H=400 digits"],
+)
+def test_non_finite_number_field_exit_2(tmp_path, capsys, command, field, value):
+    """A number that is not finite as a float (NaN, infinities, an integer
+    too large to convert) is malformed input, named in the message."""
+    params = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN)
+    profile = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.75)))
+    bundle = construct_epbe(profile, params).to_dict()
+    data = params.to_dict()
+    if field == "0:1":
+        bundle["wages"][field] = value
+    elif field == "prob":
+        bundle["strategy"]["H"][0][field] = value
+    elif field.startswith("payoff"):
+        bundle[field] = value
+    else:
+        data[field] = value
+    params_path, bundle_path = tmp_path / "params.json", tmp_path / "bundle.json"
+    params_path.write_text(json.dumps(data), encoding="utf-8")
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    out = tmp_path / "out.json"
+    extra = ["--profile", str(bundle_path)] if command == "verify" else []
+    assert main([command, "--params", str(params_path), "--out", str(out), *extra]) == 2
+    assert not out.exists()
+    assert repr(field) in capsys.readouterr().err
+
+
 def test_bench_command_lines_run(tmp_path, screening):
     """The command lines of the bench harness (bench/workloads.py), argument
     for argument: an option it passes must keep being accepted."""
@@ -491,3 +530,22 @@ def test_bench_command_lines_run(tmp_path, screening):
     assert main(["audit", "--params", params, "--out", out, "--pessimistic"]) == 0
     assert main(["oracle-compare", "--params", params, "--profile", profile, "--grid-points", "15", "--out", out]) == 0
     assert main(["verify", "--params", params, "--profile", bundle, "--grid-points", "15", "--out", out]) == 0
+
+
+def test_bench_names_resolve():
+    """Every library name the bench harness reaches for exists: each traced
+    (module, attribute) in bench/tracing.py's SPANS, and the names that
+    bench/workloads.py calls.  A rename shows here, not only in the bench's
+    own tests."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [target for pairs in tracing.SPANS.values() for target in pairs]
+    called = ("DeviationGrid.for_profile", "deviation_audit", "EquilibriumOutcome.from_dict", "MarketParams.from_dict", "outer.CSV_COLUMNS")
+    targets += [("sigmarket", name) for name in called]
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr}"
+            owner = getattr(owner, part)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -195,6 +196,15 @@ class TestRiley:
     def test_needs_competition(self, sorting):
         with pytest.raises(InputError):
             riley_rpbe(sorting, 1)
+
+    def test_many_schools_in_linear_time(self, sorting):
+        """Every school's profit comes from one pass over the atoms, so a
+        20000-school outcome is built in well under 5 s; per-school scans
+        are quadratic in n."""
+        start = time.perf_counter()
+        out = riley_rpbe(sorting, 20000)
+        assert time.perf_counter() - start < 5.0
+        assert set(out.profits) == {0.0} and len(out.profits) == 20000
 
 
 class TestOutcomeFromDict:

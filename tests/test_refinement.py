@@ -113,15 +113,6 @@ class TestD1WageSets:
         sets_a = {t: d1_wage_sets(prof, above, s, t, self.PARAMS) for t in ("L", "H")}
         assert not strictly_included(sets_a["L"].weak, sets_a["H"].strict)
 
-    def test_contains_at_closed_and_open_ends(self):
-        closed = WageInterval(lower=1.0, closed=True, empty=False)
-        assert closed.contains(1.0) and not closed.contains(1.0 - 1e-6)
-        assert closed.contains(1.0 - 1e-6, tol=1e-6)
-        open_ = WageInterval(lower=1.0, closed=False, empty=False)
-        assert not open_.contains(1.0) and open_.contains(1.0 + 1e-6)
-        assert not open_.contains(1.0 + 1e-6, tol=1e-6) and open_.contains(1.0 + 2e-6, tol=1e-6)
-        assert not WageInterval(lower=0.0, closed=True, empty=True).contains(5.0, tol=1.0)
-
     def test_strictly_included_with_an_empty_side(self):
         empty = WageInterval(lower=2.0, closed=True, empty=True)
         full = WageInterval(lower=0.5, closed=True, empty=False)
@@ -440,17 +431,16 @@ def oracle_candidates(profile, params, tol=1e-9):
     from sigmarket.refinement import (
         _bundle_candidate,
         _candidate_actions,
+        _price_candidate,
         _price_off_path,
-        _price_on_path,
         _weighted_pairs,
     )
 
     actions = _candidate_actions(profile, params)
     for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
-        priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
-        if priced is not None:
-            _price_off_path(params, actions, priced, tol)
-            yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+        priced = _price_candidate(params, sup_h, w_h, sup_l, w_l)
+        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
+        yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
 
 
 def oracle_verdicts(profile, params, tol=1e-9):
@@ -460,20 +450,19 @@ def oracle_verdicts(profile, params, tol=1e-9):
     from sigmarket.refinement import (
         _bundle_candidate,
         _candidate_actions,
+        _price_candidate,
         _price_off_path,
-        _price_on_path,
         _refuses,
         _weighted_pairs,
     )
 
     actions = _candidate_actions(profile, params)
     for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
-        priced = _price_on_path(params, sup_h, w_h, sup_l, w_l, tol)
-        if priced is not None:
-            at_floor = _refuses(params, actions, priced, tol)
-            _price_off_path(params, actions, priced, tol)
-            bundle = _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
-            yield bundle, _refuses(params, actions, priced, tol), at_floor
+        priced = _price_candidate(params, sup_h, w_h, sup_l, w_l)
+        at_floor = _refuses(params, actions, priced, tol)
+        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
+        bundle = _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+        yield bundle, _refuses(params, actions, priced, tol), at_floor
 
 
 class TestExactBestResponse:
@@ -557,6 +546,24 @@ class TestExactBestResponse:
                         screened += floor_refuses
                         passed += not refuses
         assert screened > 1000 and passed > 100
+
+    def test_weighted_pairs_emit_each_support_pair_once(self):
+        """_weighted_pairs emits an (H support, L support) pair at most once,
+        so two oracle members never share their atoms and need no dedup."""
+        from sigmarket.refinement import _candidate_actions, _weighted_pairs
+
+        emitted = 0
+        for cost in self.COSTS:
+            for theta_l, lam in self.MARKETS:
+                params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
+                for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
+                    pairs = [
+                        tuple(tuple((a.school, a.effort) for a in sup) for sup in (sup_h, sup_l))
+                        for sup_h, _, sup_l, _ in _weighted_pairs(params, _candidate_actions(prof, params), tol)
+                    ]
+                    assert len(pairs) == len(set(pairs))
+                    emitted += len(pairs)
+        assert emitted > 1000
 
     @pytest.mark.parametrize("case", ["tie_three", "linear-screening-5", "power-sorting-6"])
     def test_oracle_verifies_only_survivors(self, case, monkeypatch):
