@@ -107,6 +107,12 @@ def _monopoly(params: MarketParams) -> EquilibriumOutcome | CreditFamily:
     return credit_monopoly_rpbe(params)
 
 
+def _monopoly_outcome(params: MarketParams) -> EquilibriumOutcome:
+    """The single monopoly outcome: a credit family gives its zero-effort member."""
+    result = _monopoly(params)
+    return result.zero_effort_member() if isinstance(result, CreditFamily) else result
+
+
 def _solve_outcomes(params: MarketParams, tol: float):
     """Outcome bundle for one parameter point, per market structure."""
     if params.n_schools == 1:
@@ -158,9 +164,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if params.n_schools >= 2:
         outcome = riley_rpbe(params, params.n_schools)
     else:
-        outcome = _monopoly(params)
-        if isinstance(outcome, CreditFamily):
-            outcome = outcome.zero_effort_member()
+        outcome = _monopoly_outcome(params)
     grid = DeviationGrid.for_profile(outcome.profile, params, n_points=args.grid_points)
     report = deviation_audit(outcome, params, grid, args.tol, pessimistic=args.pessimistic)
     payload = {
@@ -281,10 +285,7 @@ def cmd_welfare(args: argparse.Namespace) -> int:
         except InputError:
             continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
-        mono_out = _monopoly(p1)
-        if isinstance(mono_out, CreditFamily):
-            mono_out = mono_out.zero_effort_member()
-        mono = welfare(mono_out, p1)
+        mono = welfare(_monopoly_outcome(p1), p1)
         comp_n = p.n_schools if p.n_schools >= 2 else 2
         comp = welfare(riley_rpbe(p, comp_n), p)
         rows.append(

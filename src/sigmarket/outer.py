@@ -150,11 +150,6 @@ def _school_profits(profile: PolicyProfile, params: MarketParams, strategy: Popu
     return [p.fee * (params.lam * h + (1.0 - params.lam) * l) for p, h, l in zip(profile, high, low)]
 
 
-def _school_profit(profile: PolicyProfile, params: MarketParams, strategy: PopulationStrategy, school: int) -> float:
-    """Fee times the enrolled population mass at one school."""
-    return _school_profits(profile, params, strategy)[school]
-
-
 def _assemble_outcome(
     profile: PolicyProfile,
     params: MarketParams,
@@ -186,6 +181,38 @@ def _assemble_outcome(
     )
 
 
+def _symmetric_outcome(
+    params: MarketParams,
+    n: int,
+    fee: float,
+    thresholds: tuple[float, ...],
+    band_wages: tuple[float | None, ...],
+    low: list[tuple[float | None, float]],
+    high: list[tuple[float | None, float]],
+    payoffs: tuple[float, float],
+    label: str,
+    boundary: bool = False,
+) -> EquilibriumOutcome:
+    """n identical schools post (fee, thresholds) with messages 0..k and pay
+    band_wages[j] for band j.
+
+    `low` and `high` list each type's (effort, prob) entries per school: an
+    entry is split evenly over the schools, in school order; effort None
+    stays out with its whole prob, after the school atoms.
+    """
+    mon = StepMonitoringPolicy(thresholds=thresholds, messages=tuple(range(len(thresholds) + 1)))
+    profile = PolicyProfile.symmetric(Policy(fee=fee, monitoring=mon), n)
+    share = 1.0 / n
+
+    def atoms(entries: list[tuple[float | None, float]]) -> tuple[StrategyAtom, ...]:
+        enrolled = [StrategyAtom(i, e, p * share) for i in range(n) for e, p in entries if e is not None]
+        return tuple(enrolled + [StrategyAtom(OUTSIDE, 0.0, p) for e, p in entries if e is None])
+
+    offers = {Signal(i, m): w for i in range(n) for m, w in enumerate(band_wages)}
+    strategy = PopulationStrategy(low=atoms(low), high=atoms(high))
+    return _assemble_outcome(profile, params, strategy, WageSchedule(offers=offers), payoffs, label, boundary)
+
+
 # ---------------------------------------------------------------------------
 # Monopoly
 # ---------------------------------------------------------------------------
@@ -200,23 +227,11 @@ def monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome:
     """
     if params.n_schools != 1:
         raise InputError(f"monopoly solver needs n_schools == 1, got {params.n_schools}")
-    mono = StepMonitoringPolicy.uninformative()
-    sig = Signal(0, mono.messages[0])
     if params.is_sorting:
-        fee = expected_type(params)
-        profile = PolicyProfile.of(Policy(fee=fee, monitoring=mono))
-        strategy = PopulationStrategy(
-            low=(StrategyAtom(0, 0.0, 1.0),), high=(StrategyAtom(0, 0.0, 1.0),)
-        )
-        wages = WageSchedule(offers={sig: fee})
-        return _assemble_outcome(profile, params, strategy, wages, (0.0, 0.0), "monopoly_sorting")
-    fee = params.theta_H
-    profile = PolicyProfile.of(Policy(fee=fee, monitoring=mono))
-    strategy = PopulationStrategy(
-        low=(StrategyAtom(OUTSIDE, 0.0, 1.0),), high=(StrategyAtom(0, 0.0, 1.0),)
-    )
-    wages = WageSchedule(offers={sig: params.theta_H})
-    return _assemble_outcome(profile, params, strategy, wages, (0.0, 0.0), "monopoly_screening")
+        fee, low, label = expected_type(params), [(0.0, 1.0)], "monopoly_sorting"
+    else:
+        fee, low, label = params.theta_H, [(None, 1.0)], "monopoly_screening"
+    return _symmetric_outcome(params, 1, fee, (), (fee,), low, [(0.0, 1.0)], (0.0, 0.0), label)
 
 
 @dataclass(frozen=True)
@@ -254,24 +269,16 @@ class CreditFamily:
         e_l = max(e_l, 0.0)
         mean = expected_type(params)
         if e_l > 0:
-            mon = StepMonitoringPolicy.cutoff(e_l)
-            offers = {Signal(0, 0): wage_offer(0.0, params), Signal(0, 1): mean}
-            atom_effort = e_l
+            thresholds, band_wages, pooled = (e_l,), (wage_offer(0.0, params), mean), [(e_l, 1.0)]
         else:
-            mon = StepMonitoringPolicy.uninformative()
-            offers = {Signal(0, 0): mean}
-            atom_effort = 0.0
-        profile = PolicyProfile.of(Policy(fee=self.fee, monitoring=mon))
-        strategy = PopulationStrategy(
-            low=(StrategyAtom(0, atom_effort, 1.0),), high=(StrategyAtom(0, atom_effort, 1.0),)
-        )
+            thresholds, band_wages, pooled = (), (mean,), [(0.0, 1.0)]
         payoffs = (
             mean - self.fee - params.cost.cost(LOW, e_l),
             mean - self.fee - params.cost.cost(HIGH, e_l),
         )
         boundary = abs(e_l - self.e_limit) <= tol
-        return _assemble_outcome(
-            profile, params, strategy, WageSchedule(offers=offers), payoffs, "credit_family", boundary
+        return _symmetric_outcome(
+            params, 1, self.fee, thresholds, band_wages, pooled, pooled, payoffs, "credit_family", boundary
         )
 
     def partial_member(self, e_l: float, q_h: float, tol: float = DEFAULT_TOL) -> EquilibriumOutcome | None:
@@ -333,15 +340,8 @@ def credit_monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome | CreditFam
         if params.is_sorting:
             return monopoly_rpbe(params.with_(credit_cap=None))
         alpha = low_per_high(cap, params)
-        mono = StepMonitoringPolicy.uninformative()
-        profile = PolicyProfile.of(Policy(fee=cap, monitoring=mono))
-        sig = Signal(0, mono.messages[0])
-        strategy = PopulationStrategy(
-            low=(StrategyAtom(0, 0.0, alpha), StrategyAtom(OUTSIDE, 0.0, 1.0 - alpha)),
-            high=(StrategyAtom(0, 0.0, 1.0),),
-        )
-        wages = WageSchedule(offers={sig: cap})
-        return _assemble_outcome(profile, params, strategy, wages, (0.0, 0.0), "monopoly_credit")
+        low = [(0.0, alpha), (None, 1.0 - alpha)]
+        return _symmetric_outcome(params, 1, cap, (), (cap,), low, [(0.0, 1.0)], (0.0, 0.0), "monopoly_credit")
     cf = params.cost
     e_prime = cf.inverse(LOW, mean - cap)
     cap_eff = max(cap, params.theta_L, 0.0)
@@ -392,23 +392,13 @@ def riley_rpbe(params: MarketParams, n: int) -> EquilibriumOutcome:
     if n < 2:
         raise InputError(f"competition solver needs n >= 2 schools, got {n}")
     e_r = riley_effort(params)
-    mon = StepMonitoringPolicy.cutoff(e_r)
-    profile = PolicyProfile.symmetric(Policy(fee=0.0, monitoring=mon), n)
-    share = 1.0 / n
-    high = tuple(StrategyAtom(i, e_r, share) for i in range(n))
     if params.is_sorting:
-        low = tuple(StrategyAtom(i, 0.0, share) for i in range(n))
-        payoff_l = params.theta_L
+        low, payoff_l = [(0.0, 1.0)], params.theta_L
     else:
-        low = (StrategyAtom(OUTSIDE, 0.0, 1.0),)
-        payoff_l = 0.0
-    offers = {}
-    for i in range(n):
-        offers[Signal(i, 0)] = wage_offer(0.0, params)
-        offers[Signal(i, 1)] = params.theta_H
-    strategy = PopulationStrategy(low=low, high=high)
+        low, payoff_l = [(None, 1.0)], 0.0
     payoffs = (payoff_l, params.theta_H - params.cost.cost(HIGH, e_r))
-    return _assemble_outcome(profile, params, strategy, WageSchedule(offers=offers), payoffs, "riley")
+    band_wages = (wage_offer(0.0, params), params.theta_H)
+    return _symmetric_outcome(params, n, 0.0, (e_r,), band_wages, low, [(e_r, 1.0)], payoffs, "riley")
 
 
 def _mixed_wage(q_h: float, params: MarketParams) -> float:
@@ -459,31 +449,13 @@ def _semipooling_outcome(
     boundary: bool = False,
 ) -> EquilibriumOutcome:
     if e_l > 0:
-        mon = StepMonitoringPolicy(thresholds=(e_l, e_h), messages=(0, 1, 2))
-        mid_msg, top_msg = 1, 2
+        thresholds, band_wages = (e_l, e_h), (wage_offer(0.0, params), w_l, params.theta_H)
     else:
-        mon = StepMonitoringPolicy.cutoff(e_h)
-        mid_msg, top_msg = 0, 1
-    profile = PolicyProfile.symmetric(Policy(fee=fee, monitoring=mon), n)
-    share = 1.0 / n
-    low = tuple(StrategyAtom(i, e_l, share) for i in range(n))
-    high = tuple(
-        atom
-        for i in range(n)
-        for atom in (StrategyAtom(i, e_l, q_h * share), StrategyAtom(i, e_h, (1.0 - q_h) * share))
-    )
-    offers = {}
-    for i in range(n):
-        if e_l > 0:
-            offers[Signal(i, 0)] = wage_offer(0.0, params)
-        offers[Signal(i, mid_msg)] = w_l
-        offers[Signal(i, top_msg)] = params.theta_H
-    strategy = PopulationStrategy(low=low, high=high)
+        thresholds, band_wages = (e_h,), (w_l, params.theta_H)
     cf = params.cost
     payoffs = (w_l - fee - cf.cost(LOW, e_l), params.theta_H - fee - cf.cost(HIGH, e_h))
-    return _assemble_outcome(
-        profile, params, strategy, WageSchedule(offers=offers), payoffs, label, boundary
-    )
+    high = [(e_l, q_h), (e_h, 1.0 - q_h)]
+    return _symmetric_outcome(params, n, fee, thresholds, band_wages, [(e_l, 1.0)], high, payoffs, label, boundary)
 
 
 def semipooling_family(
@@ -895,7 +867,7 @@ def deviation_audit(
         for fee, mon, _ in devs:
             attempt = base_profile.replace(rep, Policy(fee=fee, monitoring=mon))
             eq = construct_epbe(attempt, params, tol)
-            profits.append(_school_profit(attempt, params, eq.strategy, rep))
+            profits.append(_school_profits(attempt, params, eq.strategy)[rep])
     entries = [
         AuditEntry(school, fee, mon.thresholds, template, profit - outcome.profits[school], "canonical")
         for school in range(base_profile.n)
@@ -932,7 +904,7 @@ def deviation_audit(
             )
             candidates = brute_force_equilibria(attempt, params, tol)
             worst_profit[key] = (
-                min(_school_profit(attempt, params, eq.strategy, rep) for eq in candidates) if candidates else None
+                min(_school_profits(attempt, params, eq.strategy)[rep] for eq in candidates) if candidates else None
             )
         worst = worst_profit[key]
         gain = entry.gain if worst is None else worst - outcome.profits[entry.school]

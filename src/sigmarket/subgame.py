@@ -338,11 +338,8 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
     c_high_star = fr.cost_high_marginal
     gain = params.theta_H - fr.u_low
 
-    pooling = True
-    for s in fr.high_signals:
-        if gain > min_cost(profile, cf, HIGH, s) - c_high_star + c_low_star + tol:
-            pooling = False
-            break
+    costs_high = {s: min_cost(profile, cf, HIGH, s) for s in fr.high_signals}
+    pooling = not any(gain > c - c_high_star + c_low_star + tol for c in costs_high.values())
 
     w_low, w_high = wage_offer(0.0, params), wage_offer(1.0, params)
     if pooling:
@@ -362,7 +359,6 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
         payoff_L = pooled_wage - c_low_star if q >= 1.0 else fr.u_low
         tag = "semi_pooling"
     else:
-        costs_high = {s: min_cost(profile, cf, HIGH, s) for s in fr.high_signals}
         cheapest = min(costs_high.values())
         winners = sorted(s for s, c in costs_high.items() if c <= cheapest + tol)
         share = 1.0 / len(winners)

@@ -17,6 +17,7 @@ from sigmarket import (
     riley_effort,
 )
 from sigmarket.cli import COMMANDS, _dump, build_parser, main
+from sigmarket.market import MAX_SCHOOLS
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -516,6 +517,26 @@ def test_non_finite_number_field_exit_2(tmp_path, capsys, command, field, value)
     assert main([command, "--params", str(params_path), "--out", str(out), *extra]) == 2
     assert not out.exists()
     assert repr(field) in capsys.readouterr().err
+
+
+def test_n_schools_cap_parses():
+    data = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN).to_dict()
+    data["n_schools"] = MAX_SCHOOLS
+    assert MarketParams.from_dict(data).n_schools == MAX_SCHOOLS
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("value", [MAX_SCHOOLS + 1, 10**400], ids=["cap+1", "400 digits"])
+def test_n_schools_beyond_cap_exit_2(tmp_path, capsys, command, value):
+    """Too many schools is malformed input, refused while the params are
+    parsed, so no profile of that size is ever built."""
+    data = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN).to_dict()
+    data["n_schools"] = value
+    params_path, out = tmp_path / "params.json", tmp_path / "out.json"
+    params_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, "--params", str(params_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "'n_schools'" in capsys.readouterr().err
 
 
 def test_bench_command_lines_run(tmp_path, screening):

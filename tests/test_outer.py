@@ -40,7 +40,7 @@ from sigmarket import (
     welfare,
 )
 from sigmarket import outer, subgame
-from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _rank, _school_profit
+from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _rank, _school_profits
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -465,7 +465,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
         for fee, mon, template in _audit_deviations(outcome, params, grids):
             attempt = base.replace(school, Policy(fee=fee, monitoring=mon))
             eq = construct_epbe(attempt, params, tol)
-            gain = _school_profit(attempt, params, eq.strategy, school) - outcome.profits[school]
+            gain = _school_profits(attempt, params, eq.strategy)[school] - outcome.profits[school]
             entries.append(AuditEntry(school, fee, mon.thresholds, template, gain, "canonical"))
     entries.sort(key=lambda e: (-e.gain, e.school, e.fee, e.thresholds))
     canonical = AuditReport(
@@ -485,7 +485,7 @@ def per_school_audit(outcome, params, grids, tol=1e-9):
         candidates = brute_force_equilibria(attempt, params, tol)
         gain = entry.gain
         if candidates:
-            worst = min(_school_profit(attempt, params, eq.strategy, entry.school) for eq in candidates)
+            worst = min(_school_profits(attempt, params, eq.strategy)[entry.school] for eq in candidates)
             gain = worst - outcome.profits[entry.school]
         pess = AuditEntry(entry.school, entry.fee, entry.thresholds, entry.template, gain, "pessimistic")
         pess_entries.append(pess)
