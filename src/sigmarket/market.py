@@ -299,9 +299,9 @@ class MarketParams:
 
 
 # The belief -> wage rule.  A competitive labor market pays a graduate the
-# posterior expected productivity given the signal (Spence 1973).  Wages,
-# Bayes beliefs and pooling mixes are computed here and nowhere else, except
-# outer._mixed_wage, which keeps its own arithmetic (see there).
+# posterior expected productivity given the signal (Spence 1973).  Wages, their
+# inverse, Bayes beliefs and pooling mixes are computed here and nowhere else,
+# except outer._mixed_wage, which keeps its own arithmetic (see there).
 
 
 def posterior_mean(mu: float, params: MarketParams) -> float:
@@ -313,6 +313,13 @@ def wage_offer(mu: float, params: MarketParams) -> float | None:
     """Competitive wage response to a belief: posterior mean, or no offer."""
     w = posterior_mean(mu, params)
     return w if w >= 0.0 else None
+
+
+def wage_belief(w: float | None, params: MarketParams) -> float:
+    """wage_offer inverted: the belief an offer reveals, clipped to [0, 1]; 0 for no offer."""
+    if w is None:
+        return 0.0
+    return min(max((w - params.theta_L) / (params.theta_H - params.theta_L), 0.0), 1.0)
 
 
 def bayes_high(mass_high: float, mass_low: float, params: MarketParams) -> float:

@@ -168,6 +168,14 @@ class PolicyProfile:
         ps[school] = policy
         return PolicyProfile(policies=tuple(ps))
 
+    def classes(self) -> dict[Policy, tuple[int, ...]]:
+        """Classes of identical schools: each distinct policy, in the order of
+        its first school, mapped to the schools posting it, in index order."""
+        members: dict[Policy, list[int]] = {}
+        for i, policy in enumerate(self.policies):
+            members.setdefault(policy, []).append(i)
+        return {policy: tuple(schools) for policy, schools in members.items()}
+
     def signals(self) -> tuple[Signal, ...]:
         """Every signal any school can emit, in (school, band) order."""
         out = []

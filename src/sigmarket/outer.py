@@ -37,6 +37,7 @@ from .market import (
     low_per_high,
     max_welfare,
     riley_effort,
+    wage_belief,
     wage_offer,
 )
 from .monitoring import Policy, PolicyProfile, Signal, StepMonitoringPolicy
@@ -86,13 +87,7 @@ class EquilibriumOutcome:
     def to_subgame(self, params: MarketParams) -> SubgameEquilibrium:
         """View the outcome as a subgame bundle (beliefs recovered from wages,
         construction tag from the label)."""
-        spread = params.theta_H - params.theta_L
-        beliefs = {}
-        for s, w in self.wages.offers.items():
-            if w is None:
-                beliefs[s] = 0.0
-            else:
-                beliefs[s] = min(max((w - params.theta_L) / spread, 0.0), 1.0)
+        beliefs = {s: wage_belief(w, params) for s, w in self.wages.offers.items()}
         pooling = self.label.startswith(("semipooling", "monopoly_sorting", "monopoly_credit", "credit"))
         return SubgameEquilibrium(
             profile=self.profile,
@@ -200,7 +195,7 @@ def _symmetric_outcome(
     entry is split evenly over the schools, in school order; effort None
     stays out with its whole prob, after the school atoms.
     """
-    mon = StepMonitoringPolicy(thresholds=thresholds, messages=tuple(range(len(thresholds) + 1)))
+    mon = StepMonitoringPolicy.informative_on_grid((0.0, *thresholds))
     profile = PolicyProfile.symmetric(Policy(fee=fee, monitoring=mon), n)
     share = 1.0 / n
 
@@ -843,14 +838,14 @@ def deviation_audit(
     threat the equilibrium can legitimately lean on); the pruning is exact
     because the worst-case profit never exceeds the canonical one.
 
-    Schools whose policies are exactly equal (same fee, same monitoring map)
-    form a class, and each deviation is answered once per class, for its
-    lowest-index member.  Every member still gets its own entry: the shared
-    deviator profit minus that member's own on-path profit.  This is exact
-    because the candidate deviations do not depend on the deviating school,
-    and two members' deviation profiles are permutations of each other, so
-    the continuation play, canonical or worst case, gives the deviator the
-    same profit.  A symmetric audit thus costs O(n) constructions, not O(n^2).
+    Each deviation is answered once per class of identical schools
+    (PolicyProfile.classes), for its lowest-index member.  Every member still
+    gets its own entry: the shared deviator profit minus that member's own
+    on-path profit.  This is exact because the candidate deviations do not
+    depend on the deviating school, and two members' deviation profiles are
+    permutations of each other, so the continuation play, canonical or worst
+    case, gives the deviator the same profit.  A symmetric audit thus costs
+    O(n) constructions, not O(n^2).
 
     Entries are ranked by descending gain, ties by (school, fee, thresholds)
     ascending, in both modes; canonical `best` is the first of them.
@@ -858,63 +853,52 @@ def deviation_audit(
     if not grids.covers(outcome.profile):
         raise InputError("deviation grid must contain every policy threshold of the outcome")
     base_profile = outcome.profile
-    classes: dict[Policy, int] = {}  # policy -> lowest index posting it
-    rep_of = [classes.setdefault(policy, i) for i, policy in enumerate(base_profile)]
-    devs = _audit_deviations(outcome, params, grids)
-    shared: dict[int, list[float]] = {}  # representative -> deviator profit per deviation
-    for rep in classes.values():
-        profits = shared[rep] = []
-        for fee, mon, _ in devs:
-            attempt = base_profile.replace(rep, Policy(fee=fee, monitoring=mon))
+    classes = base_profile.classes()
+    devs = [
+        (Policy(fee=fee, monitoring=mon), template) for fee, mon, template in _audit_deviations(outcome, params, grids)
+    ]
+    entries: list[AuditEntry] = []
+    for members in classes.values():
+        rep = members[0]
+        profits = []  # the deviator's profit per deviation
+        for dev, _ in devs:
+            attempt = base_profile.replace(rep, dev)
             eq = construct_epbe(attempt, params, tol)
             profits.append(_school_profits(attempt, params, eq.strategy)[rep])
-    entries = [
-        AuditEntry(school, fee, mon.thresholds, template, profit - outcome.profits[school], "canonical")
-        for school in range(base_profile.n)
-        for (fee, mon, template), profit in zip(devs, shared[rep_of[school]])
-    ]
+        entries.extend(
+            AuditEntry(
+                school, dev.fee, dev.monitoring.thresholds, template, profit - outcome.profits[school], "canonical"
+            )
+            for school in members
+            for (dev, template), profit in zip(devs, profits)
+        )
     _rank(entries)
 
-    if not pessimistic:
-        best = entries[0] if entries else None
-        return AuditReport(
-            max_gain=best.gain if best else 0.0, best=best, entries=tuple(entries)
-        )
+    if not pessimistic:  # every audit tries at least the undercut template
+        return AuditReport(max_gain=entries[0].gain, best=entries[0], entries=tuple(entries))
 
+    dev_of = {(dev.fee, dev.monitoring.thresholds): dev for dev, _ in devs}
     worst_profit: dict[tuple, float | None] = {}  # (representative, fee, thresholds) -> oracle's worst
     best_gain = float("-inf")
     best_entry: AuditEntry | None = None
     pess_entries: list[AuditEntry] = []
     for entry in entries:
-        if entry.gain <= max(best_gain, tol):
-            # worst-case gain can only be lower than the canonical one
-            pess_entries.append(entry)
-            if entry.gain > best_gain:
-                best_gain = entry.gain
-                best_entry = entry
-            continue
-        key = (rep_of[entry.school], entry.fee, entry.thresholds)
-        if key not in worst_profit:
-            rep = key[0]
-            attempt = base_profile.replace(
-                rep, Policy(fee=entry.fee, monitoring=StepMonitoringPolicy(
-                    thresholds=entry.thresholds,
-                    messages=tuple(range(len(entry.thresholds) + 1)),
-                ))
-            )
-            candidates = brute_force_equilibria(attempt, params, tol)
-            worst_profit[key] = (
-                min(_school_profits(attempt, params, eq.strategy)[rep] for eq in candidates) if candidates else None
-            )
-        worst = worst_profit[key]
-        gain = entry.gain if worst is None else worst - outcome.profits[entry.school]
-        pess = AuditEntry(
-            entry.school, entry.fee, entry.thresholds, entry.template, gain, "pessimistic"
-        )
-        pess_entries.append(pess)
-        if gain > best_gain:
-            best_gain = gain
-            best_entry = pess
+        # replay only what could still raise the best: the worst-case gain never exceeds the canonical one
+        if entry.gain > max(best_gain, tol):
+            rep = classes[base_profile[entry.school]][0]
+            key = (rep, entry.fee, entry.thresholds)
+            if key not in worst_profit:
+                attempt = base_profile.replace(rep, dev_of[entry.fee, entry.thresholds])
+                candidates = brute_force_equilibria(attempt, params, tol)
+                deviator_profits = (_school_profits(attempt, params, eq.strategy)[rep] for eq in candidates)
+                worst_profit[key] = min(deviator_profits, default=None)
+            worst = worst_profit[key]
+            gain = entry.gain if worst is None else worst - outcome.profits[entry.school]
+            entry = entry._replace(gain=gain, mode="pessimistic")
+        pess_entries.append(entry)
+        if entry.gain > best_gain:
+            best_gain = entry.gain
+            best_entry = entry
     _rank(pess_entries)
     return AuditReport(max_gain=best_gain, best=best_entry, entries=tuple(pess_entries))
 

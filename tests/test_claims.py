@@ -14,8 +14,10 @@ from sigmarket import (
     DeviationGrid,
     EquilibriumOutcome,
     MarketParams,
+    WelfareReport,
     credit_monopoly_rpbe,
     deviation_audit,
+    max_welfare,
     monopoly_rpbe,
     riley_rpbe,
     verify_extended_d1,
@@ -24,15 +26,82 @@ from sigmarket import (
 )
 
 
-def certified_welfare(outcome: EquilibriumOutcome, params: MarketParams) -> float:
-    """Total welfare of an outcome, after checking that it is an equilibrium."""
+# The paper-style points: cheap high-type effort under screening, and a
+# sorting market where both types are worth hiring.
+SCREENING = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 0.3))
+SORTING = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.0))
+
+
+def audit_gains(outcome: EquilibriumOutcome, params: MarketParams) -> list[float]:
+    """The canonical and pessimistic audits' max gains, after checking the
+    outcome's subgame bundle with verify_pbe and verify_extended_d1."""
     eq = outcome.to_subgame(params)
     assert verify_pbe(outcome.profile, eq, params).passed, outcome.label
     assert verify_extended_d1(outcome.profile, eq, params).passed, outcome.label
     grid = DeviationGrid.for_profile(outcome.profile, params)
-    for pessimistic in (False, True):
-        assert deviation_audit(outcome, params, grid, pessimistic=pessimistic).max_gain == 0.0, outcome.label
+    return [deviation_audit(outcome, params, grid, pessimistic=p).max_gain for p in (False, True)]
+
+
+def certified_welfare(outcome: EquilibriumOutcome, params: MarketParams) -> float:
+    """Total welfare of an outcome, after checking that it is an equilibrium."""
+    for gain in audit_gains(outcome, params):
+        assert gain == 0.0, outcome.label
     return welfare(outcome, params).total
+
+
+def certified(outcome: EquilibriumOutcome, params: MarketParams) -> WelfareReport:
+    """Welfare report of an outcome whose bundle verifies and against which no
+    school deviation gains (a deviation may lose: gains <= 0)."""
+    assert max(audit_gains(outcome, params)) <= 0.0, outcome.label
+    return welfare(outcome, params)
+
+
+@pytest.mark.parametrize("params, fee, profit", [(SCREENING, 2.0, 1.0), (SORTING, 1.25, 1.25)])
+def test_a_monopolist_extracts_all_surplus_with_a_low_information_policy(params, fee, profit):
+    """First claim: a monopolist posts no threshold at all and sets a fee that
+    takes the whole, maximal, welfare, leaving both types nothing."""
+    outcome = monopoly_rpbe(params)
+    report = certified(outcome, params)
+    assert outcome.profile.thresholds() == ()
+    assert outcome.fee == pytest.approx(fee, abs=1e-12)
+    assert outcome.profits == pytest.approx((profit,), abs=1e-12)
+    assert profit == pytest.approx(max_welfare(params), abs=1e-12)
+    assert report.total == pytest.approx(profit, abs=1e-12)
+    assert outcome.payoffs == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("params, cutoff, payoffs", [(SCREENING, 1.0, (0.0, 1.7)), (SORTING, 0.75, (0.5, 1.25))])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_competition_moves_surplus_to_students(params, cutoff, payoffs, n):
+    """Second claim: competing schools earn nothing, and the students keep
+    the whole welfare, where the monopolist kept it all."""
+    monopoly = certified(monopoly_rpbe(params), params)
+    assert monopoly.school_profit_total == pytest.approx(monopoly.total, abs=1e-12)
+    assert sum(monopoly.student_surplus) == pytest.approx(0.0, abs=1e-12)
+    market = params.with_(n_schools=n)
+    outcome = riley_rpbe(market, n)
+    report = certified(outcome, market)
+    assert outcome.profile.thresholds() == pytest.approx((cutoff,), abs=1e-12)
+    assert outcome.profits == (0.0,) * n
+    assert outcome.payoffs == pytest.approx(payoffs, abs=1e-12)
+    assert sum(report.student_surplus) == pytest.approx(report.total, abs=1e-12)
+
+
+@pytest.mark.parametrize("params, waste, total", [(SCREENING, 0.15, 0.85), (SORTING, 0.375, 0.875)])
+def test_competition_signals_more_and_burns_effort(params, waste, total):
+    """Third claim: competing schools post a cutoff where the monopolist posts
+    none, and the effort it makes students burn lowers welfare."""
+    monopoly = monopoly_rpbe(params)
+    unburnt = certified(monopoly, params)
+    assert unburnt.effort_waste == 0.0
+    for n in (2, 3, 4):
+        market = params.with_(n_schools=n)
+        outcome = riley_rpbe(market, n)
+        report = certified(outcome, market)
+        assert len(outcome.profile.thresholds()) > len(monopoly.profile.thresholds())
+        assert report.effort_waste == pytest.approx(waste, abs=1e-12)
+        assert report.total == pytest.approx(total, abs=1e-12)
+        assert report.total < unburnt.total
 
 
 def test_binding_fee_caps_reverse_the_welfare_ranking():

@@ -147,6 +147,25 @@ class TestProfile:
             Policy(fee=-0.1, monitoring=StepMonitoringPolicy.uninformative())
 
 
+class TestClasses:
+    def test_equal_policies_share_a_class(self):
+        a = Policy(fee=0.5, monitoring=StepMonitoringPolicy.cutoff(1.0))
+        b = Policy(fee=0.5, monitoring=StepMonitoringPolicy((1.0,), (0, 1)))
+        assert a is not b
+        assert PolicyProfile.of(a, b).classes() == {a: (0, 1)}
+
+    def test_message_ids_tell_policies_apart(self):
+        a = Policy(fee=0.5, monitoring=StepMonitoringPolicy((1.0,), (0, 1)))
+        b = Policy(fee=0.5, monitoring=StepMonitoringPolicy((1.0,), (1, 0)))
+        assert PolicyProfile.of(a, b).classes() == {a: (0,), b: (1,)}
+
+    def test_first_index_order(self):
+        p, q, r = (Policy(fee=f, monitoring=StepMonitoringPolicy.uninformative()) for f in (0.75, 0.25, 0.5))
+        classes = PolicyProfile.of(p, q, p, r, q).classes()
+        assert list(classes.items()) == [(p, (0, 2)), (q, (1, 4)), (r, (3,))]
+        assert PolicyProfile.symmetric(r, 3).classes() == {r: (0, 1, 2)}
+
+
 class TestSignal:
     @given(st.integers(0, 64), st.integers(-8, 10**6))
     def test_hashes_and_round_trips_as_the_plain_pair(self, school, message):

@@ -637,21 +637,20 @@ class TestAuditWorkCount:
     """Every deviation of every class of identical schools is answered by one
     construct_epbe call, looked up on `outer`, which calls mimic_frontier once,
     looked up on `subgame`.  Tracers that wrap those module attributes count
-    exactly these calls."""
+    exactly these calls.  Each deviation's Policy is built once per audit, and
+    the pessimistic pass replays a deviation once per class."""
 
-    @pytest.mark.parametrize("pessimistic", [False, True])
-    def test_calls_per_audit(self, monkeypatch, sorting, screening, pessimistic):
-        calls = Counter()
+    @staticmethod
+    def counting(calls, name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        return wrapper
 
-            return wrapper
-
-        monkeypatch.setattr(outer, "construct_epbe", counting("construct_epbe", outer.construct_epbe))
-        monkeypatch.setattr(subgame, "mimic_frontier", counting("mimic_frontier", subgame.mimic_frontier))
+    @staticmethod
+    def audits(sorting, screening):
+        """(outcome, params, number of classes): riley at n = 2, 4, 8 and the two-class profile."""
         audits = [
             (riley_rpbe(params.with_(n_schools=n), n), params, 1)
             for market in (sorting, screening)
@@ -659,12 +658,43 @@ class TestAuditWorkCount:
             for n in (2, 4, 8)
         ]
         audits.append((two_class_outcome(sorting), sorting, 2))
-        for outcome, params, classes in audits:
+        return audits
+
+    @pytest.mark.parametrize("pessimistic", [False, True])
+    def test_calls_per_audit(self, monkeypatch, sorting, screening, pessimistic):
+        calls = Counter()
+        monkeypatch.setattr(outer, "construct_epbe", self.counting(calls, "construct_epbe", outer.construct_epbe))
+        monkeypatch.setattr(subgame, "mimic_frontier", self.counting(calls, "mimic_frontier", subgame.mimic_frontier))
+        for outcome, params, classes in self.audits(sorting, screening):
             grid = DeviationGrid.for_profile(outcome.profile, params)
             calls.clear()
             deviation_audit(outcome, params, grid, pessimistic=pessimistic)
             per_kind = classes * len(_audit_deviations(outcome, params, grid))
             assert calls == {"construct_epbe": per_kind, "mimic_frontier": per_kind}
+
+    @pytest.mark.parametrize("pessimistic", [False, True])
+    def test_one_policy_per_deviation(self, monkeypatch, sorting, screening, pessimistic):
+        built = Counter()
+        monkeypatch.setattr(Policy, "__post_init__", self.counting(built, "Policy", Policy.__post_init__))
+        for outcome, params, _ in self.audits(sorting, screening):
+            grid = DeviationGrid.for_profile(outcome.profile, params)
+            built.clear()
+            deviation_audit(outcome, params, grid, pessimistic=pessimistic)
+            assert built == {"Policy": len(_audit_deviations(outcome, params, grid))}
+
+    @pytest.mark.parametrize("theta_L, n, replays", [(1.0, 2, 1), (1.0, 4, 1), (0.5, 2, 14), (0.5, 4, 14)])
+    def test_replays_per_planted_audit(self, monkeypatch, sorting, theta_L, n, replays):
+        """At theta_L = 0.5 several members of the one class gain; each deviation is still replayed once."""
+        calls = Counter()
+        replay = self.counting(calls, "brute_force_equilibria", outer.brute_force_equilibria)
+        monkeypatch.setattr(outer, "brute_force_equilibria", replay)
+        monkeypatch.setattr(Policy, "__post_init__", self.counting(calls, "Policy", Policy.__post_init__))
+        params = sorting.with_(theta_L=theta_L)
+        outcome = TestDeviationAudit().planted(params, n)
+        grid = DeviationGrid.for_profile(outcome.profile, params)
+        calls.clear()
+        deviation_audit(outcome, params, grid, pessimistic=True)
+        assert calls == {"brute_force_equilibria": replays, "Policy": len(_audit_deviations(outcome, params, grid))}
 
 
 class TestAuditEntry:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -30,6 +31,7 @@ from sigmarket import (
     verify_extended_d1,
     verify_pbe,
 )
+from sigmarket.refinement import Violation
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -182,6 +184,86 @@ class TestVerifyPbe:
         report = verify_pbe(eq.profile, bad, screening)
         assert not report.passed
         assert any(v.kind == "student_best_response" for v in report.violations)
+
+
+def riley_bundle(params):
+    """Certified duopoly riley bundle: every signal has an offer under sorting,
+    and under screening the low type stays out and only the cutoff messages
+    are sent."""
+    out = riley_rpbe(params.with_(n_schools=2), 2)
+    eq = out.to_subgame(params)
+    assert verify_pbe(out.profile, eq, params).passed
+    return eq
+
+
+def tampered(eq, offers=None, beliefs=None, high=None):
+    """A copy of eq with some wage offers, beliefs or high-type atoms replaced."""
+    return dataclasses.replace(
+        eq,
+        wages=WageSchedule(offers={**eq.wages.offers, **(offers or {})}),
+        beliefs=BeliefSystem(mu_high={**eq.beliefs.mu_high, **(beliefs or {})}),
+        strategy=eq.strategy if high is None else PopulationStrategy(low=eq.strategy.low, high=high),
+    )
+
+
+class TestTamperedBundles:
+    """Each verifier branch catches one tampering of a certified bundle."""
+
+    def test_belief_outside_the_unit_interval(self, sorting):
+        bad = tampered(riley_bundle(sorting), beliefs={Signal(0, 0): 1.5})
+        violations = verify_pbe(bad.profile, bad, sorting).violations
+        assert Violation("wage_belief_consistency", Signal(0, 0), 0.5) in violations
+
+    def test_no_offer_at_a_positive_posterior(self, sorting):
+        # belief 0 at (0, 0) has posterior mean theta_L = 1, so some offer is due
+        bad = tampered(riley_bundle(sorting), offers={Signal(0, 0): None})
+        violations = verify_pbe(bad.profile, bad, sorting).violations
+        assert Violation("wage_belief_consistency", Signal(0, 0), 1.0) in violations
+
+    def test_belief_off_bayes_on_path(self, sorting):
+        # only high types send (0, 1); belief and wage agree with each other, not with Bayes
+        bad = tampered(riley_bundle(sorting), offers={Signal(0, 1): 1.5}, beliefs={Signal(0, 1): 0.5})
+        violations = verify_pbe(bad.profile, bad, sorting).violations
+        assert Violation("bayes_on_path", Signal(0, 1), 0.5) in violations
+        assert not any(v.kind == "wage_belief_consistency" for v in violations)
+
+    def test_bundle_of_another_profile(self, sorting):
+        eq = riley_bundle(sorting)
+        other = eq.profile.replace(1, Policy(fee=0.25, monitoring=StepMonitoringPolicy.uninformative()))
+        for verify in (verify_pbe, verify_extended_d1):
+            with pytest.raises(InputError, match="different profile"):
+                verify(other, eq, sorting)
+
+    def test_equivalence_needs_the_same_atom_count(self, screening):
+        # every share and matched atom moves by less than the share tolerance, so
+        # only the third atom, above the tolerance and in an already sent band, tells
+        eq = riley_bundle(screening)
+        (school0, e, p0), (school1, _, p1) = eq.strategy.high
+        d = 0.9e-6
+        extra = (
+            StrategyAtom(school0, e, p0 - d),
+            StrategyAtom(school1, e, p1 - d),
+            StrategyAtom(school1, e + 1.0, 2 * d),
+        )
+        assert outcome_equivalent(eq, eq, eq.profile)
+        assert not outcome_equivalent(eq, tampered(eq, high=extra), eq.profile)
+
+    def test_equivalence_needs_the_same_sent_signals(self, screening):
+        # a sliver below the share tolerance leaves every share and atom alike but sends (0, 0)
+        eq = riley_bundle(screening)
+        (school0, e, p), rest = eq.strategy.high[0], eq.strategy.high[1:]
+        sliver = 1e-7
+        moved = tampered(eq, high=(StrategyAtom(school0, e, p - sliver), *rest, StrategyAtom(school0, 0.0, sliver)))
+        assert Signal(0, 0) in moved.strategy.sent_signals(eq.profile) - eq.strategy.sent_signals(eq.profile)
+        assert not outcome_equivalent(eq, moved, eq.profile)
+
+    def test_equivalence_needs_an_offer_where_the_other_makes_one(self, screening):
+        eq = riley_bundle(screening)
+        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): None}), eq.profile)
+
+    def test_equivalence_needs_close_wages(self, screening):
+        eq = riley_bundle(screening)
+        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): 2.0 + 1e-3}), eq.profile)
 
 
 class TestVerifyExtendedD1:
