@@ -35,7 +35,7 @@ def main() -> None:
     e_r = riley_effort(params)
     print(f"separating effort e_R = {e_r:.6g}")
 
-    out = riley_rpbe(params, 2)
+    out = riley_rpbe(params)
     rep = welfare(out, params)
     mono = welfare(monopoly_rpbe(params.with_(n_schools=1)), params.with_(n_schools=1))
     print(f"competition welfare   : {rep.total:.6g}")

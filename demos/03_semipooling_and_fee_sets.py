@@ -26,7 +26,7 @@ def main() -> None:
     print(f"{'q_h':>6} {'pooled wage':>12} {'pooled effort':>14} {'U_L':>8} {'U_H':>8}")
     for k in range(1, 10):
         q_h = k / 10
-        fam = semipooling_family(params, 2, "zero_fee", q_h=q_h)
+        fam = semipooling_family(params, "zero_fee", q_h=q_h)
         if not len(fam):
             print(f"{q_h:6.2f} {'(no member: pooled wage below the separating payoff)':>46}")
             continue
@@ -37,12 +37,12 @@ def main() -> None:
 
     print("\nfee sets sustainable in symmetric equilibrium:")
     mild = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.0), n_schools=2)
-    print(f"  mild sorting  (theta_L=0.5, n=2): {mild_fee_set(mild, 2).to_dict()}")
+    print(f"  mild sorting  (theta_L=0.5, n=2): {mild_fee_set(mild).to_dict()}")
     scr = mild.with_(theta_L=-1.0)
-    print(f"  mild screening(theta_L=-1,  n=2): {mild_fee_set(scr, 2).to_dict()}")
+    print(f"  mild screening(theta_L=-1,  n=2): {mild_fee_set(scr).to_dict()}")
     fierce = mild.with_(theta_L=-3.0)
-    verdict = is_fierce(fierce, 2)
-    print(f"  fierce screening(theta_L=-3, n=2): {mild_fee_set(fierce, 2).to_dict()}"
+    verdict = is_fierce(fierce)
+    print(f"  fierce screening(theta_L=-3, n=2): {mild_fee_set(fierce).to_dict()}"
           f"  (reasons: {', '.join(verdict.reasons)})")
 
 

@@ -22,7 +22,7 @@ COST = CostFamily.linear(kappa_L=2.0, kappa_H=1.0)
 
 def main() -> None:
     params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=COST)
-    comp = welfare(riley_rpbe(params.with_(n_schools=2), 2), params.with_(n_schools=2)).total
+    comp = welfare(riley_rpbe(params.with_(n_schools=2)), params.with_(n_schools=2)).total
     print(f"mean productivity = {expected_type(params):.4g}; "
           f"competition welfare = {comp:.4g} at every cap (fees are zero anyway)\n")
     print(f"{'cap K':>6} {'low enrolled':>13} {'profit':>8} {'monopoly welfare':>17} {'winner':>12}")
@@ -48,7 +48,7 @@ def main() -> None:
     # Cheap high-type effort flips the race: the separating effort bill is
     # small, while the capped monopolist still employs destructive low types.
     cheap = params.with_(cost=CostFamily.linear(kappa_L=2.0, kappa_H=0.3))
-    comp2 = welfare(riley_rpbe(cheap.with_(n_schools=2), 2), cheap.with_(n_schools=2)).total
+    comp2 = welfare(riley_rpbe(cheap.with_(n_schools=2)), cheap.with_(n_schools=2)).total
     print(f"\nwith kappa_H = 0.3 (cheap separating effort), competition welfare = {comp2:.4g}:")
     for cap in (1.5, 0.75, 0.6):
         out = credit_monopoly_rpbe(cheap.with_(credit_cap=cap))

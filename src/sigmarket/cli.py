@@ -31,7 +31,6 @@ from .outer import (
     EquilibriumOutcome,
     credit_monopoly_rpbe,
     deviation_audit,
-    is_fierce,
     mild_fee_set,
     monopoly_rpbe,
     outcome_csv_row,
@@ -118,18 +117,13 @@ def _solve_outcomes(params: MarketParams, tol: float):
     if params.n_schools == 1:
         result = _monopoly(params)
         return result.sample(4) if isinstance(result, CreditFamily) else [result]
-    n = params.n_schools
-    outcomes = [riley_rpbe(params, n)]
+    outcomes = [riley_rpbe(params)]
     for q_h in (0.25, 0.5, 0.75):
-        outcomes.extend(semipooling_family(params, n, "zero_fee", q_h=q_h, tol=tol))
-    if not is_fierce(params, n).fierce:
-        fee_set = mild_fee_set(params, n)
-        for iv in fee_set.intervals:
-            fee = 0.5 * (iv.lo + iv.hi)
-            if fee <= 0.0:
-                continue
-            for q_h in (0.5, 0.8):
-                outcomes.extend(semipooling_family(params, n, "with_fee", q_h=q_h, fee=fee, tol=tol))
+        outcomes.extend(semipooling_family(params, "zero_fee", q_h=q_h, tol=tol))
+    for iv in mild_fee_set(params).intervals:  # none under fierce competition; each has hi > lo >= 0
+        fee = 0.5 * (iv.lo + iv.hi)
+        for q_h in (0.5, 0.8):
+            outcomes.extend(semipooling_family(params, "with_fee", q_h=q_h, fee=fee, tol=tol))
     return outcomes
 
 
@@ -162,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     if params.n_schools >= 2:
-        outcome = riley_rpbe(params, params.n_schools)
+        outcome = riley_rpbe(params)
     else:
         outcome = _monopoly_outcome(params)
     grid = DeviationGrid.for_profile(outcome.profile, params, n_points=args.grid_points)
@@ -286,8 +280,8 @@ def cmd_welfare(args: argparse.Namespace) -> int:
             continue  # the value leaves the valid parameter range
         p1 = p.with_(n_schools=1)
         mono = welfare(_monopoly_outcome(p1), p1)
-        comp_n = p.n_schools if p.n_schools >= 2 else 2
-        comp = welfare(riley_rpbe(p, comp_n), p)
+        pn = p.with_(n_schools=max(p.n_schools, 2))
+        comp = welfare(riley_rpbe(pn), pn)
         rows.append(
             [format(value, ".12g")]
             + [format(x, ".12g") for x in (mono.total, comp.total, mono.max_welfare)]

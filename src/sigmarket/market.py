@@ -19,6 +19,7 @@ The boundary theta_L = 0 counts as sorting.
 from __future__ import annotations
 
 import bisect as _bisect
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -262,16 +263,8 @@ class MarketParams:
         return self.theta_L >= 0.0
 
     def with_(self, **changes) -> "MarketParams":
-        data = {
-            "theta_L": self.theta_L,
-            "theta_H": self.theta_H,
-            "lam": self.lam,
-            "cost": self.cost,
-            "n_schools": self.n_schools,
-            "credit_cap": self.credit_cap,
-        }
-        data.update(changes)
-        return MarketParams(**data)
+        """A copy with the given fields changed, validated as a new instance."""
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         return {

@@ -32,7 +32,6 @@ from .market import (
     LOW,
     DEFAULT_TOL,
     MarketParams,
-    TypeLabel,
     expected_type,
     low_per_high,
     max_welfare,
@@ -80,9 +79,6 @@ class EquilibriumOutcome:
     @property
     def fee(self) -> float:
         return self.profile[0].fee
-
-    def payoff(self, type_label: TypeLabel) -> float:
-        return self.payoffs[1] if type_label == HIGH else self.payoffs[0]
 
     def to_subgame(self, params: MarketParams) -> SubgameEquilibrium:
         """View the outcome as a subgame bundle (beliefs recovered from wages,
@@ -178,7 +174,6 @@ def _assemble_outcome(
 
 def _symmetric_outcome(
     params: MarketParams,
-    n: int,
     fee: float,
     thresholds: tuple[float, ...],
     band_wages: tuple[float | None, ...],
@@ -188,13 +183,14 @@ def _symmetric_outcome(
     label: str,
     boundary: bool = False,
 ) -> EquilibriumOutcome:
-    """n identical schools post (fee, thresholds) with messages 0..k and pay
-    band_wages[j] for band j.
+    """params.n_schools identical schools post (fee, thresholds) with messages
+    0..k and pay band_wages[j] for band j.
 
     `low` and `high` list each type's (effort, prob) entries per school: an
     entry is split evenly over the schools, in school order; effort None
     stays out with its whole prob, after the school atoms.
     """
+    n = params.n_schools
     mon = StepMonitoringPolicy.informative_on_grid((0.0, *thresholds))
     profile = PolicyProfile.symmetric(Policy(fee=fee, monitoring=mon), n)
     share = 1.0 / n
@@ -226,7 +222,9 @@ def monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome:
         fee, low, label = expected_type(params), [(0.0, 1.0)], "monopoly_sorting"
     else:
         fee, low, label = params.theta_H, [(None, 1.0)], "monopoly_screening"
-    return _symmetric_outcome(params, 1, fee, (), (fee,), low, [(0.0, 1.0)], (0.0, 0.0), label)
+    if params.credit_cap is not None and params.credit_cap < fee:
+        raise InputError(f"credit_cap {params.credit_cap} is below the monopoly fee {fee}; use credit_monopoly_rpbe")
+    return _symmetric_outcome(params, fee, (), (fee,), low, [(0.0, 1.0)], (0.0, 0.0), label)
 
 
 @dataclass(frozen=True)
@@ -249,9 +247,13 @@ class CreditFamily:
     """
 
     params: MarketParams
-    fee: float
     e_prime: float
     e_limit: float
+
+    @property
+    def fee(self) -> float:
+        """The cap K, which every member charges."""
+        return self.params.credit_cap
 
     def zero_effort_member(self) -> EquilibriumOutcome:
         return self.pooling_member(0.0)
@@ -273,7 +275,7 @@ class CreditFamily:
         )
         boundary = abs(e_l - self.e_limit) <= tol
         return _symmetric_outcome(
-            params, 1, self.fee, thresholds, band_wages, pooled, pooled, payoffs, "credit_family", boundary
+            params, self.fee, thresholds, band_wages, pooled, pooled, payoffs, "credit_family", boundary
         )
 
     def partial_member(self, e_l: float, q_h: float, tol: float = DEFAULT_TOL) -> EquilibriumOutcome | None:
@@ -299,7 +301,7 @@ class CreditFamily:
         if e_h <= e_l + tol:
             return None
         return _semipooling_outcome(
-            params, 1, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol
+            params, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol
         )
 
     def sample(self, num: int = 5) -> list[EquilibriumOutcome]:
@@ -336,12 +338,12 @@ def credit_monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome | CreditFam
             return monopoly_rpbe(params.with_(credit_cap=None))
         alpha = low_per_high(cap, params)
         low = [(0.0, alpha), (None, 1.0 - alpha)]
-        return _symmetric_outcome(params, 1, cap, (), (cap,), low, [(0.0, 1.0)], (0.0, 0.0), "monopoly_credit")
+        return _symmetric_outcome(params, cap, (), (cap,), low, [(0.0, 1.0)], (0.0, 0.0), "monopoly_credit")
     cf = params.cost
     e_prime = cf.inverse(LOW, mean - cap)
     cap_eff = max(cap, params.theta_L, 0.0)
     e_limit = e_prime if cap_eff == cap else cf.inverse(LOW, mean - cap_eff)
-    return CreditFamily(params=params, fee=cap, e_prime=e_prime, e_limit=e_limit)
+    return CreditFamily(params=params, e_prime=e_prime, e_limit=e_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +359,15 @@ class FierceVerdict:
     reasons: tuple[str, ...]
 
 
-def is_fierce(params: MarketParams, n: int) -> FierceVerdict:
-    """Competition intensity test; any single condition suffices.
+def is_fierce(params: MarketParams) -> FierceVerdict:
+    """Competition intensity test at params.n_schools; any single condition suffices.
 
     (i) enough schools that grabbing all high types beats an equal split,
     (ii) low types alone are worth more than the pooled pie (sorting),
     (iii) low types are so destructive that pooled fees cannot stay positive
     (screening).  Conditions are evaluated literally regardless of regime.
     """
+    n = params.n_schools
     if n < 2:
         raise InputError(f"fierceness is defined for n >= 2 schools, got {n}")
     reasons = []
@@ -377,15 +380,16 @@ def is_fierce(params: MarketParams, n: int) -> FierceVerdict:
     return FierceVerdict(fierce=bool(reasons), reasons=tuple(reasons))
 
 
-def riley_rpbe(params: MarketParams, n: int) -> EquilibriumOutcome:
+def riley_rpbe(params: MarketParams) -> EquilibriumOutcome:
     """Cheapest separating outcome under competition: zero fees everywhere.
 
-    Each school posts a two-message cutoff at the separating effort; high
-    types split evenly and earn theta_H; low types exert nothing (enrolled
-    under sorting, outside under screening) and schools earn nothing.
+    Each of params.n_schools schools posts a two-message cutoff at the
+    separating effort; high types split evenly and earn theta_H; low types
+    exert nothing (enrolled under sorting, outside under screening) and
+    schools earn nothing.
     """
-    if n < 2:
-        raise InputError(f"competition solver needs n >= 2 schools, got {n}")
+    if params.n_schools < 2:
+        raise InputError(f"competition solver needs n >= 2 schools, got {params.n_schools}")
     e_r = riley_effort(params)
     if params.is_sorting:
         low, payoff_l = [(0.0, 1.0)], params.theta_L
@@ -393,7 +397,7 @@ def riley_rpbe(params: MarketParams, n: int) -> EquilibriumOutcome:
         low, payoff_l = [(None, 1.0)], 0.0
     payoffs = (payoff_l, params.theta_H - params.cost.cost(HIGH, e_r))
     band_wages = (wage_offer(0.0, params), params.theta_H)
-    return _symmetric_outcome(params, n, 0.0, (e_r,), band_wages, low, [(e_r, 1.0)], payoffs, "riley")
+    return _symmetric_outcome(params, 0.0, (e_r,), band_wages, low, [(e_r, 1.0)], payoffs, "riley")
 
 
 def _mixed_wage(q_h: float, params: MarketParams) -> float:
@@ -425,16 +429,12 @@ class FamilyResult:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
     def __getitem__(self, k: int) -> EquilibriumOutcome:
         return self.members[k]
 
 
 def _semipooling_outcome(
     params: MarketParams,
-    n: int,
     fee: float,
     e_l: float,
     e_h: float,
@@ -450,19 +450,18 @@ def _semipooling_outcome(
     cf = params.cost
     payoffs = (w_l - fee - cf.cost(LOW, e_l), params.theta_H - fee - cf.cost(HIGH, e_h))
     high = [(e_l, q_h), (e_h, 1.0 - q_h)]
-    return _symmetric_outcome(params, n, fee, thresholds, band_wages, [(e_l, 1.0)], high, payoffs, label, boundary)
+    return _symmetric_outcome(params, fee, thresholds, band_wages, [(e_l, 1.0)], high, payoffs, label, boundary)
 
 
 def semipooling_family(
     params: MarketParams,
-    n: int,
     variant: Literal["zero_fee", "with_fee"],
     e_l: float | None = None,
     q_h: float | None = None,
     fee: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> FamilyResult:
-    """Symmetric semi-pooling outcome for one value of the free parameter.
+    """Symmetric semi-pooling outcome at params.n_schools for one value of the free parameter.
 
     zero_fee: the top threshold is pinned at the separating effort; given
     q_h the pooled wage follows from the mix and the pooled effort from the
@@ -476,8 +475,8 @@ def semipooling_family(
     interior, pooled effort below the top threshold, and full enrollment
     worthwhile for low types.
     """
-    if n < 2:
-        raise InputError(f"competition family needs n >= 2 schools, got {n}")
+    if params.n_schools < 2:
+        raise InputError(f"competition family needs n >= 2 schools, got {params.n_schools}")
     if (e_l is None) == (q_h is None):
         raise InputError("provide exactly one of e_l, q_h as the free parameter")
     cf = params.cost
@@ -507,7 +506,7 @@ def semipooling_family(
     elif variant == "with_fee":
         if fee is None or fee <= 0:
             raise InputError("with_fee variant needs a positive fee")
-        verdict = is_fierce(params, n)
+        verdict = is_fierce(params)
         if verdict.fierce:
             return FamilyResult(
                 members=(),
@@ -517,7 +516,7 @@ def semipooling_family(
                     required_pooled_wage=float("inf"),
                 ),
             )
-        if not mild_fee_set(params, n).contains(fee):
+        if not mild_fee_set(params).contains(fee):
             return FamilyResult(members=())
         fee_val = base = fee
         anchor, e_l_cap = LOW, float("inf")
@@ -555,7 +554,7 @@ def semipooling_family(
         return FamilyResult(members=())
     boundary = abs(low_payoff - max(0.0, params.theta_L - fee_val)) <= tol
     member = _semipooling_outcome(
-        params, n, fee_val, e_l_val, e_h_val, q_val, w_l, label, boundary
+        params, fee_val, e_l_val, e_h_val, q_val, w_l, label, boundary
     )
     return FamilyResult(members=(member,))
 
@@ -599,16 +598,17 @@ class FeeSet:
         }
 
 
-def mild_fee_set(params: MarketParams, n: int) -> FeeSet:
-    """Fees sustainable in a symmetric equilibrium with n competing schools.
+def mild_fee_set(params: MarketParams) -> FeeSet:
+    """Fees sustainable in a symmetric equilibrium with n = params.n_schools competing schools.
 
     Fierce competition collapses the set to {0}.  Otherwise, under sorting
     the set is {0} together with [n*theta_L, min(theta_H, mean/(lam*n)));
     under screening it is the closed interval from 0 to the per-school share
     of the pooled pie, max((theta_H + (n-1)*theta_L)/n, 0).
     """
-    if is_fierce(params, n).fierce:
+    if is_fierce(params).fierce:
         return FeeSet(points=(0.0,))
+    n = params.n_schools
     if params.is_sorting:
         lo = n * params.theta_L
         hi = min(params.theta_H, expected_type(params) / (params.lam * n))
@@ -930,8 +930,6 @@ CSV_COLUMNS = (
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".12g")

@@ -70,7 +70,7 @@ def test_criterion_02_riley_outcome():
     for params, e_r_expected, welfare_expected in ((SCREENING, 1.0, 0.5), (SORTING, 0.5, 1.25)):
         e_r = riley_effort(params)
         assert e_r == pytest.approx(e_r_expected, abs=TOL)
-        out = riley_rpbe(params, 2)
+        out = riley_rpbe(params.with_(n_schools=2))
         rep = welfare(out, params)
         assert rep.total == pytest.approx(welfare_expected, abs=TOL)
         assert all(p.fee == 0.0 for p in out.profile)
@@ -103,9 +103,9 @@ def test_criterion_03_competition_never_attains_max_welfare():
         ceiling = max_welfare(params)
         mono = monopoly_rpbe(params.with_(n_schools=1))
         assert welfare(mono, params).total == pytest.approx(ceiling, abs=TOL)
-        outcomes = [riley_rpbe(params, 2)]
+        outcomes = [riley_rpbe(params)]
         for q_h in (0.25, 0.5, 0.75):
-            outcomes.extend(semipooling_family(params, 2, "zero_fee", q_h=q_h))
+            outcomes.extend(semipooling_family(params, "zero_fee", q_h=q_h))
         for out in outcomes:
             total = welfare(out, params).total
             assert total < ceiling - TOL, (params.to_dict(), out.label)
@@ -132,20 +132,20 @@ def test_criterion_04_fierce_classification_and_zero_fees():
     fierce_count = 0
     for theta_l, theta_h, lam, n, expected in FIERCE_INSTANCES:
         params = MarketParams(theta_L=theta_l, theta_H=theta_h, lam=lam, cost=LIN, n_schools=n)
-        verdict = is_fierce(params, n)
+        verdict = is_fierce(params)
         assert verdict.fierce == expected, (theta_l, theta_h, lam, n)
         if not verdict.fierce:
             continue
         fierce_count += 1
         # every emitted symmetric equilibrium charges exactly zero
-        out = riley_rpbe(params, n)
+        out = riley_rpbe(params)
         assert all(p.fee == 0.0 for p in out.profile)
         for q_h in (0.3, 0.6, 0.9):
-            for member in semipooling_family(params, n, "zero_fee", q_h=q_h):
+            for member in semipooling_family(params, "zero_fee", q_h=q_h):
                 assert all(p.fee == 0.0 for p in member.profile)
-        fee_set = mild_fee_set(params, n)
+        fee_set = mild_fee_set(params)
         assert fee_set.points == (0.0,) and fee_set.intervals == ()
-        with_fee = semipooling_family(params, n, "with_fee", q_h=0.5, fee=0.1)
+        with_fee = semipooling_family(params, "with_fee", q_h=0.5, fee=0.1)
         assert len(with_fee) == 0
     record_acceptance(
         "04 fierce classification and zero fees",
@@ -156,7 +156,7 @@ def test_criterion_04_fierce_classification_and_zero_fees():
 @pytest.mark.acceptance("05 semi-pooling family")
 def test_criterion_05_semipooling_family():
     params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
-    fam = semipooling_family(params, 2, "zero_fee", e_l=0.0)
+    fam = semipooling_family(params, "zero_fee", e_l=0.0)
     assert len(fam) == 1
     m = fam[0]
     q_h = sum(a.prob for a in m.on_path.high if a.effort < 1e-9)
@@ -170,7 +170,7 @@ def test_criterion_05_semipooling_family():
     assert lhs == pytest.approx(rhs, abs=1e-6)
 
     flat = params.with_(cost=LIN)
-    empty = semipooling_family(flat, 2, "zero_fee", e_l=0.0)
+    empty = semipooling_family(flat, "zero_fee", e_l=0.0)
     assert len(empty) == 0
     cert = empty.certificate
     assert cert is not None
@@ -204,13 +204,13 @@ def test_criterion_06_credit_constraint():
 @pytest.mark.acceptance("07 mild-competition fee sets")
 def test_criterion_07_mild_fee_sets():
     srt = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2)
-    fee_set = mild_fee_set(srt, 2)
+    fee_set = mild_fee_set(srt)
     assert fee_set.points == (0.0,)
     (iv,) = fee_set.intervals
     assert (iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) == (1.0, 1.25, True, False)
 
     scr = SCREENING.with_(n_schools=2)
-    fee_set2 = mild_fee_set(scr, 2)
+    fee_set2 = mild_fee_set(scr)
     assert fee_set2.points == ()
     (iv2,) = fee_set2.intervals
     assert (iv2.lo, iv2.hi, iv2.closed_lo, iv2.closed_hi) == (0.0, 0.5, True, True)
@@ -310,7 +310,7 @@ def test_criterion_09_d1_interval_algebra():
 def test_criterion_10_deviation_audits():
     gains = []
     for params in (SORTING, SCREENING):
-        out = riley_rpbe(params, 2)
+        out = riley_rpbe(params.with_(n_schools=2))
         grid = DeviationGrid.for_profile(out.profile, params, n_points=21)
         canonical = deviation_audit(out, params, grid)
         pessimistic = deviation_audit(out, params, grid, pessimistic=True)

@@ -240,7 +240,7 @@ def audit_inputs(case):
         return params, EquilibriumOutcome.from_dict(planted_pooling(int(n)))
     theta_L, cost = AUDIT_MARKETS[name.removeprefix("riley-")]
     params = MarketParams.from_dict(market(theta_L, 2.0, 0.5, cost, n=int(n)))
-    return params, riley_rpbe(params, int(n))
+    return params, riley_rpbe(params)
 
 
 # case -> sha256 of the report's sorted-key JSON, every entry included.  A riley

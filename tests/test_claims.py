@@ -79,7 +79,7 @@ def test_competition_moves_surplus_to_students(params, cutoff, payoffs, n):
     assert monopoly.school_profit_total == pytest.approx(monopoly.total, abs=1e-12)
     assert sum(monopoly.student_surplus) == pytest.approx(0.0, abs=1e-12)
     market = params.with_(n_schools=n)
-    outcome = riley_rpbe(market, n)
+    outcome = riley_rpbe(market)
     report = certified(outcome, market)
     assert outcome.profile.thresholds() == pytest.approx((cutoff,), abs=1e-12)
     assert outcome.profits == (0.0,) * n
@@ -96,7 +96,7 @@ def test_competition_signals_more_and_burns_effort(params, waste, total):
     assert unburnt.effort_waste == 0.0
     for n in (2, 3, 4):
         market = params.with_(n_schools=n)
-        outcome = riley_rpbe(market, n)
+        outcome = riley_rpbe(market)
         report = certified(outcome, market)
         assert len(outcome.profile.thresholds()) > len(monopoly.profile.thresholds())
         assert report.effort_waste == pytest.approx(waste, abs=1e-12)
@@ -116,7 +116,7 @@ def test_binding_fee_caps_reverse_the_welfare_ranking():
     """
     params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 0.3))
     duopoly = params.with_(n_schools=2)
-    competition = certified_welfare(riley_rpbe(duopoly, 2), duopoly)
+    competition = certified_welfare(riley_rpbe(duopoly), duopoly)
     assert competition == pytest.approx(0.85, abs=1e-12)
     assert certified_welfare(monopoly_rpbe(params), params) == pytest.approx(1.0, abs=1e-12)
 

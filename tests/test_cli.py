@@ -15,8 +15,10 @@ from sigmarket import (
     StepMonitoringPolicy,
     construct_epbe,
     riley_effort,
+    riley_rpbe,
 )
-from sigmarket.cli import COMMANDS, _dump, build_parser, main
+from sigmarket.cli import COMMANDS, _dump, _solve_outcomes, build_parser, main
+from sigmarket.outer import CSV_COLUMNS, outcome_csv_row
 from sigmarket.market import MAX_SCHOOLS
 
 LIN = CostFamily.linear(2.0, 1.0)
@@ -47,7 +49,7 @@ class TestSolve:
         assert main(["solve", "--params", params_path, "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload[0]["label"] == "riley"
-        fee_set = mild_fee_set(params, 2)
+        fee_set = mild_fee_set(params)
         for entry in payload:
             fee = entry["profile"][0]["fee"]
             if entry["label"] == "semipooling_with_fee":
@@ -164,6 +166,22 @@ class TestVerify:
         assert code == 1
         violations = json.loads(out_path.read_text())["reports"]["pbe"]["violations"]
         assert any(v["kind"] == "student_best_response" and "type H" in v["detail"] for v in violations)
+
+
+    @pytest.mark.parametrize("tol, code", [(None, 1), ("1e-6", 0)], ids=["default", "1e-6"])
+    def test_tol_reaches_the_verifiers(self, tmp_path, screening, tol, code):
+        """A stored payoff 1e-7 off its recomputation fails at the default
+        tolerance and passes at --tol 1e-6."""
+        params = screening.with_(n_schools=2)
+        payload = riley_rpbe(params).to_subgame(params).to_dict()
+        payload["payoff_H"] += 1e-7
+        eq_path = tmp_path / "eq.json"
+        eq_path.write_text(json.dumps(payload), encoding="utf-8")
+        out_path = tmp_path / "rep.json"
+        argv = ["verify", "--params", write_params(tmp_path, params), "--profile", str(eq_path), "--out", str(out_path)]
+        assert main(argv + ([] if tol is None else ["--tol", tol])) == code
+        details = [v["detail"] for v in json.loads(out_path.read_text())["reports"]["pbe"]["violations"]]
+        assert ("stored payoff for type H off by recomputation" in details) == (code == 1)
 
 
 class TestOracleCompare:
@@ -517,6 +535,19 @@ def test_non_finite_number_field_exit_2(tmp_path, capsys, command, field, value)
     assert main([command, "--params", str(params_path), "--out", str(out), *extra]) == 2
     assert not out.exists()
     assert repr(field) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, cap", [(1, None), (1, 1.0), (2, None), (3, None)])
+@pytest.mark.parametrize("market", ["sorting", "screening"])
+def test_outcomes_have_the_markets_school_count(request, market, n, cap):
+    """Every outcome solved for a market has its school count, and its CSV
+    row says so."""
+    params = request.getfixturevalue(market).with_(n_schools=n, credit_cap=cap)
+    outcomes = _solve_outcomes(params, 1e-9)
+    assert outcomes
+    for outcome in outcomes:
+        assert outcome.profile.n == n
+        assert outcome_csv_row(outcome, params)[CSV_COLUMNS.index("n_schools")] == str(n)
 
 
 def test_n_schools_cap_parses():

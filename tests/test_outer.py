@@ -73,6 +73,19 @@ class TestMonopoly:
         with pytest.raises(InputError):
             monopoly_rpbe(sorting.with_(n_schools=2))
 
+    @pytest.mark.parametrize("market, cap", [("screening", 0.5), ("screening", 1.9), ("sorting", 1.4)])
+    def test_binding_cap_is_refused(self, request, market, cap):
+        """A cap below the fee it would charge (theta_H under screening, the
+        mean under sorting) is the credit solver's case; students could not pay."""
+        params = request.getfixturevalue(market).with_(credit_cap=cap)
+        with pytest.raises(InputError, match="credit_cap.*credit_monopoly_rpbe"):
+            monopoly_rpbe(params)
+
+    @pytest.mark.parametrize("market, cap", [("screening", 2.0), ("sorting", 1.5), ("sorting", 1.9)])
+    def test_slack_cap_keeps_the_outcome(self, request, market, cap):
+        params = request.getfixturevalue(market)
+        assert monopoly_rpbe(params.with_(credit_cap=cap)).to_dict() == monopoly_rpbe(params).to_dict()
+
     def test_bundle_verifies(self, sorting, screening):
         for params in (sorting, screening):
             out = monopoly_rpbe(params)
@@ -165,22 +178,53 @@ class TestCreditMonopoly:
         assert eq.wages.offer(Signal(0, 0)) == pytest.approx(1.5)
 
 
+SCREENING = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN)
+TIGHT_CAP = MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap=1.0)  # a credit family
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: semipooling_family(SCREENING, "zero_fee", q_h=0.5), "n >= 2 schools, got 1"),
+        (lambda: semipooling_family(SCREENING.with_(n_schools=2), "zero_fee", q_h=0.5, fee=0.1), "does not take a fee"),
+        (lambda: semipooling_family(SCREENING.with_(n_schools=2), "no_fee", q_h=0.5), "unknown variant"),
+        (lambda: credit_monopoly_rpbe(SCREENING.with_(n_schools=2, credit_cap=1.0)), "n_schools == 1, got 2"),
+        (lambda: credit_monopoly_rpbe(TIGHT_CAP).partial_member(0.0, 1.0), "q_h must lie"),
+        (lambda: credit_monopoly_rpbe(TIGHT_CAP).partial_member(-0.1, 0.5), "nonnegative"),
+        (lambda: SCREENING.with_(n_schools=0), "n_schools must be >= 1"),
+    ],
+    ids=[
+        "family-one-school",
+        "zero_fee-with-fee",
+        "unknown-variant",
+        "credit-two-schools",
+        "partial-q_h",
+        "partial-e_l",
+        "no-school",
+    ],
+)
+def test_market_guards(call, match):
+    """Each guard on the market a solver reads raises InputError."""
+    with pytest.raises(InputError, match=match):
+        call()
+
+
 class TestFierce:
     def test_documented_instances(self):
         base = dict(theta_H=2.0, lam=0.5, cost=LIN)
-        v = is_fierce(MarketParams(theta_L=-1.0, **{**base, "lam": 0.4}), 3)
+        v = is_fierce(MarketParams(theta_L=-1.0, **{**base, "lam": 0.4}).with_(n_schools=3))
         assert v.fierce and "n_exceeds_inv_lambda" in v.reasons
-        v = is_fierce(MarketParams(theta_L=1.0, **base), 2)
+        v = is_fierce(MarketParams(theta_L=1.0, **base).with_(n_schools=2))
         assert v.fierce and v.reasons == ("n_thetaL_exceeds_mean",)
-        v = is_fierce(MarketParams(theta_L=-1.0, **base), 2)
+        v = is_fierce(MarketParams(theta_L=-1.0, **base).with_(n_schools=2))
         assert not v.fierce
         with pytest.raises(InputError):
-            is_fierce(MarketParams(theta_L=-1.0, **base), 1)
+            is_fierce(MarketParams(theta_L=-1.0, **base))
 
 
 class TestRiley:
     def test_screening_values(self, screening):
-        out = riley_rpbe(screening, 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         assert out.fee == 0.0
         assert out.profits == (0.0, 0.0)
         assert out.payoffs == (0.0, pytest.approx(1.0, abs=1e-9))
@@ -188,28 +232,28 @@ class TestRiley:
         assert rep.total == pytest.approx(0.5, abs=1e-9)
 
     def test_sorting_values(self, sorting):
-        out = riley_rpbe(sorting, 2)
+        out = riley_rpbe(sorting.with_(n_schools=2))
         rep = welfare(out, sorting)
         assert rep.total == pytest.approx(1.25, abs=1e-9)
         assert out.enrollment == (1.0, 1.0)
 
     def test_needs_competition(self, sorting):
         with pytest.raises(InputError):
-            riley_rpbe(sorting, 1)
+            riley_rpbe(sorting)
 
     def test_many_schools_in_linear_time(self, sorting):
         """Every school's profit comes from one pass over the atoms, so a
         20000-school outcome is built in well under 5 s; per-school scans
         are quadratic in n."""
         start = time.perf_counter()
-        out = riley_rpbe(sorting, 20000)
+        out = riley_rpbe(sorting.with_(n_schools=20000))
         assert time.perf_counter() - start < 5.0
         assert set(out.profits) == {0.0} and len(out.profits) == 20000
 
 
 class TestOutcomeFromDict:
     def test_round_trip(self, screening):
-        out = riley_rpbe(screening, 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         assert EquilibriumOutcome.from_dict(out.to_dict()).to_dict() == out.to_dict()
 
     @pytest.mark.parametrize(
@@ -217,7 +261,7 @@ class TestOutcomeFromDict:
         [("profits", ["x"]), ("payoffs", [0, 0]), ("enrollment", {"L": 1.0}), ("label", None)],
     )
     def test_malformed_field_is_input_error(self, screening, field, value):
-        data = riley_rpbe(screening, 2).to_dict()
+        data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
         if value is None:
             del data[field]
         else:
@@ -230,7 +274,7 @@ class TestSemipooling:
     PARAMS = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
 
     def test_zero_fee_at_e_l_zero(self):
-        fam = semipooling_family(self.PARAMS, 2, "zero_fee", e_l=0.0)
+        fam = semipooling_family(self.PARAMS, "zero_fee", e_l=0.0)
         assert len(fam) == 1
         m = fam[0]
         q_h = sum(a.prob for a in m.on_path.high if a.effort < 1e-9)
@@ -238,23 +282,23 @@ class TestSemipooling:
         assert m.wages.offer(Signal(0, 0)) == pytest.approx(0.2, abs=1e-6)
 
     def test_zero_fee_at_e_l_tenth(self):
-        fam = semipooling_family(self.PARAMS, 2, "zero_fee", e_l=0.1)
+        fam = semipooling_family(self.PARAMS, "zero_fee", e_l=0.1)
         m = fam[0]
         q_h = sum(a.prob for a in m.on_path.high if abs(a.effort - 0.1) < 1e-9)
         assert q_h == pytest.approx(1.38 / 1.62, abs=1e-6)
         assert m.wages.offer(Signal(0, 1)) == pytest.approx(0.38, abs=1e-6)
 
     def test_free_parameter_inversion_consistency(self):
-        fam_e = semipooling_family(self.PARAMS, 2, "zero_fee", e_l=0.05)
+        fam_e = semipooling_family(self.PARAMS, "zero_fee", e_l=0.05)
         m = fam_e[0]
         q_h = sum(a.prob for a in m.on_path.high if abs(a.effort - 0.05) < 1e-9)
-        fam_q = semipooling_family(self.PARAMS, 2, "zero_fee", q_h=q_h)
+        fam_q = semipooling_family(self.PARAMS, "zero_fee", q_h=q_h)
         m2 = fam_q[0]
         e_l = min(a.effort for a in m2.on_path.high)
         assert e_l == pytest.approx(0.05, abs=1e-6)
 
     def test_empty_family_certificate(self, screening):
-        fam = semipooling_family(screening.with_(n_schools=2), 2, "zero_fee", e_l=0.0)
+        fam = semipooling_family(screening.with_(n_schools=2), "zero_fee", e_l=0.0)
         assert len(fam) == 0
         cert = fam.certificate
         assert cert is not None
@@ -266,7 +310,7 @@ class TestSemipooling:
 
     def test_member_indifference_and_interval(self):
         for q in (0.3, 0.5, 0.8):
-            fam = semipooling_family(self.PARAMS, 2, "zero_fee", q_h=q)
+            fam = semipooling_family(self.PARAMS, "zero_fee", q_h=q)
             if not len(fam):
                 continue
             m = fam[0]
@@ -283,11 +327,11 @@ class TestSemipooling:
 
     def test_with_fee_member(self):
         params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
-        fee_set = mild_fee_set(params, 2)
+        fee_set = mild_fee_set(params)
         fee = 0.2
         assert fee_set.contains(fee)
         # q_h = 0.8 puts the pooled wage at 1/3 > fee, so low types clear it
-        fam = semipooling_family(params, 2, "with_fee", q_h=0.8, fee=fee)
+        fam = semipooling_family(params, "with_fee", q_h=0.8, fee=fee)
         assert len(fam) == 1
         m = fam[0]
         assert m.fee == fee
@@ -302,12 +346,12 @@ class TestSemipooling:
 
     def test_with_fee_infeasible_probe_is_empty(self):
         params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
-        fam = semipooling_family(params, 2, "with_fee", q_h=0.6, fee=0.2)
+        fam = semipooling_family(params, "with_fee", q_h=0.6, fee=0.2)
         assert len(fam) == 0 and fam.certificate is None
 
     def test_with_fee_rejected_under_fierce(self):
         fierce = MarketParams(theta_L=-3.0, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2)
-        fam = semipooling_family(fierce, 2, "with_fee", q_h=0.5, fee=0.2)
+        fam = semipooling_family(fierce, "with_fee", q_h=0.5, fee=0.2)
         assert len(fam) == 0
         assert "fierce" in fam.certificate.reason
 
@@ -337,13 +381,13 @@ class TestSemipooling:
 
     def test_bad_free_params(self):
         with pytest.raises(InputError):
-            semipooling_family(self.PARAMS, 2, "zero_fee", e_l=5.0)
+            semipooling_family(self.PARAMS, "zero_fee", e_l=5.0)
         with pytest.raises(InputError):
-            semipooling_family(self.PARAMS, 2, "zero_fee", q_h=1.5)
+            semipooling_family(self.PARAMS, "zero_fee", q_h=1.5)
         with pytest.raises(InputError):
-            semipooling_family(self.PARAMS, 2, "zero_fee")
+            semipooling_family(self.PARAMS, "zero_fee")
         with pytest.raises(InputError):
-            semipooling_family(self.PARAMS, 2, "with_fee", q_h=0.5)
+            semipooling_family(self.PARAMS, "with_fee", q_h=0.5)
 
 
 class TestFamilyBundlesVerify:
@@ -357,7 +401,7 @@ class TestFamilyBundlesVerify:
         probes.append(("with_fee", dict(q_h=0.8, fee=0.2)))
         checked = 0
         for variant, kwargs in probes:
-            for m in semipooling_family(params, 2, variant, **kwargs):
+            for m in semipooling_family(params, variant, **kwargs):
                 eq = m.to_subgame(params)
                 assert verify_pbe(m.profile, eq, params).passed
                 assert verify_extended_d1(m.profile, eq, params).passed
@@ -379,7 +423,7 @@ class TestFamilyBundlesVerify:
 class TestMildFeeSet:
     def test_sorting_instance(self):
         p = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2)
-        fs = mild_fee_set(p, 2)
+        fs = mild_fee_set(p)
         assert fs.points == (0.0,)
         (iv,) = fs.intervals
         assert (iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) == (1.0, 1.25, True, False)
@@ -387,14 +431,14 @@ class TestMildFeeSet:
         assert fs.contains(0.0) and not fs.contains(0.5)
 
     def test_screening_instance(self, screening):
-        fs = mild_fee_set(screening.with_(n_schools=2), 2)
+        fs = mild_fee_set(screening.with_(n_schools=2))
         (iv,) = fs.intervals
         assert (iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) == (0.0, 0.5, True, True)
         assert fs.contains(0.5) and not fs.contains(0.51)
 
     def test_fierce_collapses(self):
         p = MarketParams(theta_L=-3.0, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2)
-        fs = mild_fee_set(p, 2)
+        fs = mild_fee_set(p)
         assert fs.points == (0.0,) and fs.intervals == ()
 
 
@@ -404,9 +448,9 @@ class TestWelfare:
         for params in (sorting, screening):
             outcomes.append((monopoly_rpbe(params), params))
             p2 = params.with_(n_schools=2)
-            outcomes.append((riley_rpbe(p2, 2), p2))
+            outcomes.append((riley_rpbe(p2), p2))
         sp = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
-        for m in semipooling_family(sp, 2, "zero_fee", q_h=0.5):
+        for m in semipooling_family(sp, "zero_fee", q_h=0.5):
             outcomes.append((m, sp))
         cr = credit_monopoly_rpbe(screening.with_(credit_cap=1.0))
         outcomes.append((cr, screening.with_(credit_cap=1.0)))
@@ -445,8 +489,8 @@ class TestWelfare:
 class TestSelectIIS:
     def test_riley_selected(self, screening):
         p = screening.with_(theta_L=-3.0, n_schools=2)  # fierce via losses
-        r = riley_rpbe(p, 2)
-        family = [r] + list(semipooling_family(p, 2, "zero_fee", q_h=0.5))
+        r = riley_rpbe(p)
+        family = [r] + list(semipooling_family(p, "zero_fee", q_h=0.5))
         assert select_iis(family) is r
         assert select_iis([r]) is r
         with pytest.raises(InvariantViolation):
@@ -538,7 +582,7 @@ class TestDeviationAudit:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_class_audit_matches_per_school_on_riley(self, sorting, screening, n):
         for params in (sorting, screening):
-            self.assert_matches_per_school(riley_rpbe(params.with_(n_schools=n), n), params)
+            self.assert_matches_per_school(riley_rpbe(params.with_(n_schools=n)), params)
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("theta_L", [1.0, 0.5])
@@ -558,7 +602,7 @@ class TestDeviationAudit:
 
     def test_riley_certified_both_modes(self, sorting, screening):
         for params in (sorting, screening):
-            out = riley_rpbe(params.with_(n_schools=2), 2)
+            out = riley_rpbe(params.with_(n_schools=2))
             grid = DeviationGrid.for_profile(out.profile, params)
             assert deviation_audit(out, params, grid).max_gain <= 1e-9
             assert deviation_audit(out, params, grid, pessimistic=True).max_gain <= 1e-9
@@ -586,7 +630,7 @@ class TestDeviationAudit:
             theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2
         )
         for q in (0.7, 0.85):
-            m = semipooling_family(params, 2, "zero_fee", q_h=q)[0]
+            m = semipooling_family(params, "zero_fee", q_h=q)[0]
             grid = DeviationGrid.for_profile(m.profile, params)
             assert deviation_audit(m, params, grid).max_gain <= 1e-9
             assert deviation_audit(m, params, grid, pessimistic=True).max_gain <= 1e-9
@@ -603,7 +647,7 @@ class TestDeviationAudit:
         assert deviation_audit(member, sorting.with_(credit_cap=1.0), grid2).max_gain <= 1e-9
 
     def test_grid_must_cover_thresholds(self, sorting):
-        out = riley_rpbe(sorting.with_(n_schools=2), 2)
+        out = riley_rpbe(sorting.with_(n_schools=2))
         e_r = riley_effort(sorting)
         assert out.profile.thresholds() == (e_r,)
         with pytest.raises(InputError, match="every policy threshold"):
@@ -621,7 +665,7 @@ class TestDeviationAudit:
         assert deviation_audit(out, sorting, DeviationGrid(effort_grid=(0.0, 1.0))).max_gain <= 1e-9
 
     def test_own_policy_is_gainless(self, screening):
-        out = riley_rpbe(screening.with_(n_schools=2), 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         grid = DeviationGrid.for_profile(out.profile, screening)
         rep = deviation_audit(out, screening, grid)
         e_r = riley_effort(screening)
@@ -652,7 +696,7 @@ class TestAuditWorkCount:
     def audits(sorting, screening):
         """(outcome, params, number of classes): riley at n = 2, 4, 8 and the two-class profile."""
         audits = [
-            (riley_rpbe(params.with_(n_schools=n), n), params, 1)
+            (riley_rpbe(params.with_(n_schools=n)), params, 1)
             for market in (sorting, screening)
             for params in (market, market.with_(cost=CostFamily.power(3.0, 1.0, 1.5)))
             for n in (2, 4, 8)
@@ -713,7 +757,7 @@ class TestAuditEntry:
                 setattr(e, field, 0)
 
     def test_dict_round_trip(self, screening):
-        out = riley_rpbe(screening.with_(n_schools=2), 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         grid = DeviationGrid.for_profile(out.profile, screening)
         for pessimistic in (False, True):
             report = deviation_audit(out, screening, grid, pessimistic=pessimistic)

@@ -165,7 +165,7 @@ class TestVerifyPbe:
         assert any(v.kind == "wage_belief_consistency" for v in report.violations)
 
     def test_excess_effort_flagged(self, screening):
-        out = riley_rpbe(screening, 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         eq = out.to_subgame(screening)
         e_r = riley_effort(screening)
         bumped = PopulationStrategy(
@@ -190,7 +190,7 @@ def riley_bundle(params):
     """Certified duopoly riley bundle: every signal has an offer under sorting,
     and under screening the low type stays out and only the cutoff messages
     are sent."""
-    out = riley_rpbe(params.with_(n_schools=2), 2)
+    out = riley_rpbe(params.with_(n_schools=2))
     eq = out.to_subgame(params)
     assert verify_pbe(out.profile, eq, params).passed
     return eq
@@ -303,7 +303,7 @@ class TestVerifyExtendedD1:
         assert [v.signal for v in report.violations] == [Signal(0, 1)]
 
     def test_riley_bundle_passes(self, screening):
-        out = riley_rpbe(screening, 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         eq = out.to_subgame(screening)
         assert verify_extended_d1(out.profile, eq, screening).passed
 
@@ -340,7 +340,7 @@ class TestCheckMinimality:
 
     def test_riley_two_messages_pass_both_regimes(self, sorting, screening):
         for params in (sorting, screening):
-            out = riley_rpbe(params, 2)
+            out = riley_rpbe(params.with_(n_schools=2))
             eq = out.to_subgame(params)
             assert check_minimality(out.profile, eq, params).passed
 
@@ -375,7 +375,7 @@ class TestBruteForce:
         assert any(outcome_equivalent(target, eq, prof) for eq in eqs)
 
     def test_riley_outcome_is_found(self, screening):
-        out = riley_rpbe(screening, 2)
+        out = riley_rpbe(screening.with_(n_schools=2))
         eqs = brute_force_equilibria(out.profile, screening)
         bundle = out.to_subgame(screening)
         assert any(outcome_equivalent(bundle, eq, out.profile) for eq in eqs)
@@ -411,7 +411,7 @@ class TestBruteForce:
         params = MarketParams(
             theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2
         )
-        member = semipooling_family(params, 2, "zero_fee", q_h=0.8)[0]
+        member = semipooling_family(params, "zero_fee", q_h=0.8)[0]
         prof = member.profile
         oracle = brute_force_equilibria(prof, params)
         mixes = [

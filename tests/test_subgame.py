@@ -150,7 +150,7 @@ class TestExactFrontier:
     @pytest.mark.parametrize("theta_L", [1.0, -1.0])
     def test_audit_profiles_need_no_inverse(self, monkeypatch, sorting, theta_L):
         params = sorting.with_(theta_L=theta_L, n_schools=4)
-        outcome = riley_rpbe(params, 4)
+        outcome = riley_rpbe(params)
         grid = DeviationGrid.for_profile(outcome.profile, params)
         devs = _audit_deviations(outcome, params, grid)
 
@@ -241,7 +241,7 @@ def riley_audit_profiles(n):
     for theta_L in (1.0, -1.0):
         for cf in (LIN, TIE_COSTS["power"]):
             params = MarketParams(theta_L=theta_L, theta_H=2.0, lam=0.5, cost=cf, n_schools=n)
-            outcome = riley_rpbe(params, n)
+            outcome = riley_rpbe(params)
             grid = DeviationGrid.for_profile(outcome.profile, params)
             for fee, mon, _ in _audit_deviations(outcome, params, grid):
                 for school in {0, n - 1}:
