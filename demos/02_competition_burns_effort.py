@@ -63,8 +63,6 @@ def main() -> None:
         ),
         wages=WageSchedule(offers={Signal(i, 0): fee for i in range(2)}),
         profits=(fee / 2, fee / 2),
-        enrollment=(1.0, 1.0),
-        employment=(1.0, 1.0),
         payoffs=(0.0, 0.0),
         label="riley",
     )

@@ -20,7 +20,7 @@ from sigmarket import (
 )
 
 
-def describe(eq, profile) -> str:
+def describe(eq) -> str:
     def side(atoms):
         return ", ".join(
             f"{'out' if a.school is None else f's{a.school}'}@{a.effort:.3g}x{a.prob:.3g}"
@@ -39,17 +39,17 @@ def main() -> None:
         Policy(fee=0.05, monitoring=StepMonitoringPolicy.cutoff(0.8)),
     )
     eq = construct_epbe(profile, params)
-    print("constructed:", describe(eq, profile))
+    print("constructed:", describe(eq))
     print(f"payoffs (L, H) = ({eq.payoff_L:.5g}, {eq.payoff_H:.5g})")
 
-    print("verify_pbe        :", verify_pbe(profile, eq, params).passed)
-    print("verify_extended_d1:", verify_extended_d1(profile, eq, params).passed)
+    print("verify_pbe        :", verify_pbe(eq, params).passed)
+    print("verify_extended_d1:", verify_extended_d1(eq, params).passed)
 
     members = brute_force_equilibria(profile, params)
     print(f"\nbrute force finds {len(members)} refined equilibria:")
     for k, member in enumerate(members):
-        tag = "  <- matches the constructed outcome" if outcome_equivalent(eq, member, profile) else ""
-        print(f"  {k}: {describe(member, profile)}{tag}")
+        tag = "  <- matches the constructed outcome" if outcome_equivalent(eq, member) else ""
+        print(f"  {k}: {describe(member)}{tag}")
 
 
 if __name__ == "__main__":

@@ -140,12 +140,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
-    profile = eq.profile
-    DeviationGrid.for_profile(profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
+    DeviationGrid.for_profile(eq.profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
     reports = {
-        "pbe": verify_pbe(profile, eq, params, args.tol),
-        "extended_d1": verify_extended_d1(profile, eq, params, args.tol),
-        "minimality": check_minimality(profile, eq, params, args.tol),
+        "pbe": verify_pbe(eq, params, args.tol),
+        "extended_d1": verify_extended_d1(eq, params, args.tol),
+        "minimality": check_minimality(eq, params, args.tol),
     }
     # minimality is a property of the posted policies, reported but not fatal
     passed = reports["pbe"].passed and reports["extended_d1"].passed
@@ -180,9 +179,7 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
         raise InputError(f"profile has {n_actions} candidate actions; oracle-compare takes at most {MAX_ORACLE_ACTIONS}")
     constructed = construct_epbe(profile, params, args.tol)
     oracle = brute_force_equilibria(profile, params, args.tol)
-    match_index = next(
-        (k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq, profile)), None
-    )
+    match_index = next((k for k, eq in enumerate(oracle) if outcome_equivalent(constructed, eq)), None)
     _dump(
         {
             "match": match_index is not None,

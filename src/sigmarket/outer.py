@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, read_field
+from .errors import InputError, InvariantViolation, finite, read_field
 from .market import (
     HIGH,
     LOW,
@@ -49,6 +49,7 @@ from .subgame import (
     SubgameEquilibrium,
     WageSchedule,
     construct_epbe,
+    pooling_tag,
 )
 
 OutcomeLabel = Literal[
@@ -64,14 +65,15 @@ OutcomeLabel = Literal[
 
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """An equilibrium of the full game, reduced to its observable outcome."""
+    """An equilibrium of the full game, reduced to its observable outcome.
+
+    Enrollment and employment are read off the strategy on each access.
+    """
 
     profile: PolicyProfile
     on_path: PopulationStrategy
     wages: WageSchedule
     profits: tuple[float, ...]
-    enrollment: tuple[float, float]  # (low, high)
-    employment: tuple[float, float]  # (low, high)
     payoffs: tuple[float, float]  # (U_L, U_H)
     label: str
     boundary: bool = False  # member sits on a weak-inequality family edge
@@ -80,51 +82,66 @@ class EquilibriumOutcome:
     def fee(self) -> float:
         return self.profile[0].fee
 
+    @property
+    def enrollment(self) -> tuple[float, float]:
+        """Enrolled mass of each type, (low, high)."""
+        return self.on_path.enrollment_total(LOW), self.on_path.enrollment_total(HIGH)
+
+    @property
+    def employment(self) -> tuple[float, float]:
+        """Mass of each type, (low, high), enrolled at a signal that draws a wage offer."""
+
+        def employed(atoms: tuple[StrategyAtom, ...]) -> float:
+            mass = 0.0
+            for a in atoms:
+                if a.school is not OUTSIDE and self.wages.offer(self.profile.signal_of(a.school, a.effort)) is not None:
+                    mass += a.prob
+            return mass
+
+        return employed(self.on_path.low), employed(self.on_path.high)
+
     def to_subgame(self, params: MarketParams) -> SubgameEquilibrium:
         """View the outcome as a subgame bundle (beliefs recovered from wages,
-        construction tag from the label)."""
+        construction tag from the strategy)."""
         beliefs = {s: wage_belief(w, params) for s, w in self.wages.offers.items()}
-        pooling = self.label.startswith(("semipooling", "monopoly_sorting", "monopoly_credit", "credit"))
+        strategy, profile = self.on_path, self.profile
         return SubgameEquilibrium(
-            profile=self.profile,
-            strategy=self.on_path,
+            profile=profile,
+            strategy=strategy,
             wages=self.wages,
             beliefs=BeliefSystem(mu_high=beliefs),
             payoff_L=self.payoffs[0],
             payoff_H=self.payoffs[1],
-            construction_tag="semi_pooling" if pooling else "separating",
+            construction_tag=pooling_tag(strategy.signal_mass(profile, HIGH), strategy.signal_mass(profile, LOW)),
         )
 
     def to_dict(self) -> dict:
+        enrollment, employment = self.enrollment, self.employment
         return {
             "profile": self.profile.to_list(),
             "on_path": self.on_path.to_dict(),
             "wages": self.wages.to_dict(),
             "profits": list(self.profits),
-            "enrollment": {"L": self.enrollment[0], "H": self.enrollment[1]},
-            "employment": {"L": self.employment[0], "H": self.employment[1]},
+            "enrollment": {"L": enrollment[0], "H": enrollment[1]},
+            "employment": {"L": employment[0], "H": employment[1]},
             "payoffs": {"L": self.payoffs[0], "H": self.payoffs[1]},
             "label": self.label,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EquilibriumOutcome":
+        """Parse a to_dict record; its derived enrollment and employment keys are ignored."""
         where = "outcome"
 
-        def by_type(key: str) -> tuple[float, float]:
-            def pair(v) -> tuple[float, float]:
-                return read_field(v, LOW, float, f"{where} {key}"), read_field(v, HIGH, float, f"{where} {key}")
-
-            return read_field(data, key, pair, where)
+        def payoffs(v) -> tuple[float, float]:
+            return read_field(v, LOW, finite, f"{where} payoffs"), read_field(v, HIGH, finite, f"{where} payoffs")
 
         return cls(
             profile=read_field(data, "profile", PolicyProfile.from_list, where),
             on_path=read_field(data, "on_path", PopulationStrategy.from_dict, where),
             wages=read_field(data, "wages", WageSchedule.from_dict, where),
-            profits=read_field(data, "profits", lambda v: tuple(float(x) for x in v), where),
-            enrollment=by_type("enrollment"),
-            employment=by_type("employment"),
-            payoffs=by_type("payoffs"),
+            profits=read_field(data, "profits", lambda v: tuple(finite(x) for x in v), where),
+            payoffs=read_field(data, "payoffs", payoffs, where),
             label=read_field(data, "label", str, where),
         )
 
@@ -139,37 +156,6 @@ def _school_profits(profile: PolicyProfile, params: MarketParams, strategy: Popu
             if school is not OUTSIDE:
                 masses[school] += prob
     return [p.fee * (params.lam * h + (1.0 - params.lam) * l) for p, h, l in zip(profile, high, low)]
-
-
-def _assemble_outcome(
-    profile: PolicyProfile,
-    params: MarketParams,
-    strategy: PopulationStrategy,
-    wages: WageSchedule,
-    payoffs: tuple[float, float],
-    label: str,
-    boundary: bool = False,
-) -> EquilibriumOutcome:
-    employment = []
-    for t in (LOW, HIGH):
-        employed = 0.0
-        for a in strategy.atoms(t):
-            if a.school is OUTSIDE:
-                continue
-            if wages.offer(profile.signal_of(a.school, a.effort)) is not None:
-                employed += a.prob
-        employment.append(employed)
-    return EquilibriumOutcome(
-        profile=profile,
-        on_path=strategy,
-        wages=wages,
-        profits=tuple(_school_profits(profile, params, strategy)),
-        enrollment=(strategy.enrollment_total(LOW), strategy.enrollment_total(HIGH)),
-        employment=(employment[0], employment[1]),
-        payoffs=payoffs,
-        label=label,
-        boundary=boundary,
-    )
 
 
 def _symmetric_outcome(
@@ -201,7 +187,15 @@ def _symmetric_outcome(
 
     offers = {Signal(i, m): w for i in range(n) for m, w in enumerate(band_wages)}
     strategy = PopulationStrategy(low=atoms(low), high=atoms(high))
-    return _assemble_outcome(profile, params, strategy, WageSchedule(offers=offers), payoffs, label, boundary)
+    return EquilibriumOutcome(
+        profile=profile,
+        on_path=strategy,
+        wages=WageSchedule(offers=offers),
+        profits=tuple(_school_profits(profile, params, strategy)),
+        payoffs=payoffs,
+        label=label,
+        boundary=boundary,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +658,8 @@ class WelfareReport:
 
 def welfare(outcome: EquilibriumOutcome, params: MarketParams) -> WelfareReport:
     """Productivity of the employed minus effort burned; transfers cancel."""
-    prod = (
-        params.lam * params.theta_H * outcome.employment[1]
-        + (1.0 - params.lam) * params.theta_L * outcome.employment[0]
-    )
+    employment = outcome.employment
+    prod = params.lam * params.theta_H * employment[1] + (1.0 - params.lam) * params.theta_L * employment[0]
     waste = 0.0
     for t, weight in ((LOW, 1.0 - params.lam), (HIGH, params.lam)):
         waste += weight * sum(
@@ -848,11 +840,19 @@ def deviation_audit(
     O(n) constructions, not O(n^2).
 
     Entries are ranked by descending gain, ties by (school, fee, thresholds)
-    ascending, in both modes; canonical `best` is the first of them.
+    ascending, in both modes; canonical `best` is the first of them.  The
+    outcome's stored profits enter the gains, so each must match, within tol,
+    the fee times the enrolled mass that its strategy gives.
     """
     if not grids.covers(outcome.profile):
         raise InputError("deviation grid must contain every policy threshold of the outcome")
     base_profile = outcome.profile
+    on_path_profits = _school_profits(base_profile, params, outcome.on_path)
+    if len(outcome.profits) != len(on_path_profits):
+        raise InputError(f"outcome lists {len(outcome.profits)} profits for {len(on_path_profits)} schools")
+    for school, (stored, actual) in enumerate(zip(outcome.profits, on_path_profits)):
+        if not abs(stored - actual) <= tol:
+            raise InputError(f"outcome profit of school {school} is {stored}, but its strategy gives {actual}")
     classes = base_profile.classes()
     devs = [
         (Policy(fee=fee, monitoring=mon), template) for fee, mon, template in _audit_deviations(outcome, params, grids)

@@ -61,6 +61,7 @@ from .subgame import (
     StrategyAtom,
     SubgameEquilibrium,
     WageSchedule,
+    pooling_tag,
 )
 
 _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
@@ -130,14 +131,10 @@ def _d1_sets(payoff: float, fee: float, cost: float, params: MarketParams, tol: 
 
 
 def d1_wage_sets(
-    profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    s: Signal,
-    type_label: TypeLabel,
-    params: MarketParams,
-    tol: float = DEFAULT_TOL,
+    eq: SubgameEquilibrium, s: Signal, type_label: TypeLabel, params: MarketParams, tol: float = DEFAULT_TOL
 ) -> D1WageSets:
     """Closed-form deviation-rationalizing wage sets for an unsent signal."""
+    profile = eq.profile
     if s in eq.strategy.sent_signals(profile):
         raise InputError(f"signal {s.key()} is on-path; D1 sets apply to unsent signals")
     cost = params.cost.cost(type_label, profile.min_effort(s))
@@ -153,23 +150,11 @@ def strictly_included(weak: WageInterval, strict: WageInterval, tol: float = DEF
     return strict.lower < weak.lower - tol
 
 
-def _check_inputs(profile: PolicyProfile, eq: SubgameEquilibrium):
-    if eq.profile != profile:
-        raise InputError("equilibrium was built for a different profile")
-
-
-def _payoff(
-    profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    params: MarketParams,
-    type_label: TypeLabel,
-    school,
-    effort: float,
-) -> float:
+def _payoff(eq: SubgameEquilibrium, params: MarketParams, type_label: TypeLabel, school, effort: float) -> float:
     if school is OUTSIDE:
         return 0.0
-    s = profile.signal_of(school, effort)
-    return eq.wages.income(s) - profile[school].fee - params.cost.cost(type_label, effort)
+    s = eq.profile.signal_of(school, effort)
+    return eq.wages.income(s) - eq.profile[school].fee - params.cost.cost(type_label, effort)
 
 
 def _best_response_gaps(
@@ -186,19 +171,14 @@ def _best_response_gaps(
     return [(j, best - pay) for j, pay in enumerate(pays) if pay < best - tol]
 
 
-def verify_pbe(
-    profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    params: MarketParams,
-    tol: float = DEFAULT_TOL,
-) -> VerificationReport:
+def verify_pbe(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Mutual best response + wage/belief consistency + Bayes on path.
 
     The best response is exact: within a message band the wage is constant
     and cost strictly rises with effort, so a type's best deviation payoff is
     max(0, max over signals s of income(s) - fee - c(type, min_effort(s))).
     """
-    _check_inputs(profile, eq)
+    profile = eq.profile
     violations: list[Violation] = []
     signals = profile.signals()
     nets = [eq.wages.income(s) - profile[s.school].fee for s in signals]
@@ -206,7 +186,7 @@ def verify_pbe(
 
     for type_label in (LOW, HIGH):
         atoms = eq.strategy.atoms(type_label)
-        pays = [_payoff(profile, eq, params, type_label, a.school, a.effort) for a in atoms]
+        pays = [_payoff(eq, params, type_label, a.school, a.effort) for a in atoms]
         costs = [params.cost.cost(type_label, e) for e in starts]
         for j, gap in _best_response_gaps(nets, costs, pays, tol):
             atom = atoms[j]
@@ -248,14 +228,9 @@ def verify_pbe(
     return VerificationReport.from_violations(violations)
 
 
-def verify_extended_d1(
-    profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    params: MarketParams,
-    tol: float = DEFAULT_TOL,
-) -> VerificationReport:
+def verify_extended_d1(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Flag beliefs at unsent signals that put weight on a D1-excluded type."""
-    _check_inputs(profile, eq)
+    profile = eq.profile
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
     for s in profile.signals():
@@ -297,12 +272,7 @@ def _price_off_path(
             offers[a.signal] = wage_offer(beliefs[a.signal], params)
 
 
-def check_minimality(
-    profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    params: MarketParams,
-    tol: float = DEFAULT_TOL,
-) -> VerificationReport:
+def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Flag schools whose unsent messages are strategically removable.
 
     A school fails when replacing its policy by the coarsest sent-agreeing
@@ -311,6 +281,7 @@ def check_minimality(
     a profitable deviation (the usual reason an unsent band exists at all),
     the retained partition is necessary and the school passes.
     """
+    profile = eq.profile
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
     for i, policy in enumerate(profile):
@@ -323,11 +294,7 @@ def check_minimality(
             continue
         red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
         red_eq = _remap_equilibrium(red_profile, eq, params, tol)
-        ok = (
-            verify_pbe(red_profile, red_eq, params, tol).passed
-            and verify_extended_d1(red_profile, red_eq, params, tol).passed
-        )
-        if ok:
+        if verify_pbe(red_eq, params, tol).passed and verify_extended_d1(red_eq, params, tol).passed:
             violations.append(
                 Violation(
                     "minimality",
@@ -483,13 +450,13 @@ class _Priced(NamedTuple):
     """A candidate's belief and wage at each priced signal (its sent signals,
     then every other one once _price_off_path has run), what each of its
     support actions pays each type, each type's payoff (its first support
-    action's pay), and whether the two types share a signal."""
+    action's pay), and its construction tag (pooling_tag)."""
 
     beliefs: dict[Signal, float]
     offers: dict[Signal, float | None]
     pays: dict[TypeLabel, list[float]]
     payoffs: dict[TypeLabel, float]
-    pooled: bool
+    tag: str
 
 
 def _price_candidate(
@@ -511,7 +478,7 @@ def _price_candidate(
         return (0.0 if w is None else w) - a.fee - a.cost[t]
 
     pays = {t: [pay(t, a) for a in sup] for t, sup in ((LOW, sup_l), (HIGH, sup_h))}
-    return _Priced(beliefs, offers, pays, {t: vals[0] for t, vals in pays.items()}, any(s in mass_low for s in mass_high))
+    return _Priced(beliefs, offers, pays, {t: vals[0] for t, vals in pays.items()}, pooling_tag(mass_high, mass_low))
 
 
 def _refuses(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> bool:
@@ -548,7 +515,7 @@ def _bundle_candidate(
         beliefs=BeliefSystem(mu_high=priced.beliefs),
         payoff_L=priced.payoffs[LOW],
         payoff_H=priced.payoffs[HIGH],
-        construction_tag="semi_pooling" if priced.pooled else "separating",
+        construction_tag=priced.tag,
     )
 
 
@@ -583,16 +550,19 @@ def brute_force_equilibria(
         if _refuses(params, actions, priced, tol):
             continue
         eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
-        if verify_pbe(profile, eq, params, tol).passed and verify_extended_d1(profile, eq, params, tol).passed:
+        if verify_pbe(eq, params, tol).passed and verify_extended_d1(eq, params, tol).passed:
             results.append(eq)
     return results
 
 
-def outcome_equivalent(a: SubgameEquilibrium, b: SubgameEquilibrium, profile: PolicyProfile) -> bool:
-    """Same enrollment shares, effort supports, and on-path wages.
+def outcome_equivalent(a: SubgameEquilibrium, b: SubgameEquilibrium) -> bool:
+    """Same profile, enrollment shares, effort supports, and on-path wages.
 
     Off-path beliefs (and hence off-path wages) are allowed to differ.
     """
+    profile = a.profile
+    if b.profile != profile:
+        return False
     for t in (LOW, HIGH):
         for i in range(profile.n):
             if abs(a.strategy.enrollment(t, i) - b.strategy.enrollment(t, i)) > _SHARE_TOL:

@@ -176,6 +176,12 @@ class BeliefSystem:
 ConstructionTag = Literal["semi_pooling", "separating"]
 
 
+def pooling_tag(mass_high: dict[Signal, float], mass_low: dict[Signal, float]) -> ConstructionTag:
+    """The tag of play with these per-signal masses (signal_mass): "semi_pooling"
+    exactly when both types send some common signal."""
+    return "semi_pooling" if any(s in mass_low for s in mass_high) else "separating"
+
+
 @dataclass(frozen=True)
 class SubgameEquilibrium:
     profile: PolicyProfile

@@ -76,9 +76,9 @@ def test_criterion_02_riley_outcome():
         assert all(p.fee == 0.0 for p in out.profile)
         assert out.profits == (0.0, 0.0)
         bundle = out.to_subgame(params)
-        assert verify_pbe(out.profile, bundle, params).passed
-        assert verify_extended_d1(out.profile, bundle, params).passed
-        assert check_minimality(out.profile, bundle, params).passed
+        assert verify_pbe(bundle, params).passed
+        assert verify_extended_d1(bundle, params).passed
+        assert check_minimality(bundle, params).passed
         details.append(f"e^R={e_r:.10g} welfare={rep.total:.10g}")
     record_acceptance("02 riley outcome", "; ".join(details))
 
@@ -255,8 +255,8 @@ def test_criterion_08_constructor_matches_oracle():
         oracle = brute_force_equilibria(prof, params)
         oracle_members += len(oracle)
         for member in oracle:
-            assert verify_extended_d1(prof, member, params).passed
-        if not any(outcome_equivalent(eq, member, prof) for member in oracle):
+            assert verify_extended_d1(member, params).passed
+        if not any(outcome_equivalent(eq, member) for member in oracle):
             mismatches += 1
     assert mismatches == 0
     record_acceptance(
@@ -286,19 +286,19 @@ def test_criterion_09_d1_interval_algebra():
         )
 
     half = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.5)))
-    sets = d1_wage_sets(half, idle(half), Signal(0, 1), "L", params)
+    sets = d1_wage_sets(idle(half), Signal(0, 1), "L", params)
     assert (sets.weak.lower, sets.weak.empty) == (pytest.approx(1.0), False)
-    sets = d1_wage_sets(half, idle(half), Signal(0, 0), "H", params)
+    sets = d1_wage_sets(idle(half), Signal(0, 0), "H", params)
     assert (sets.weak.lower, sets.weak.empty) == (0.0, False)
     steep = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(1.5)))
-    assert d1_wage_sets(steep, idle(steep), Signal(0, 1), "L", params).weak.empty
+    assert d1_wage_sets(idle(steep), Signal(0, 1), "L", params).weak.empty
 
     # the strict-inclusion verdict flips as U(H) crosses the cost-gap bound
     gap = LIN.cost("L", 0.5) - LIN.cost("H", 0.5)
     s = Signal(0, 1)
     for delta, expected in ((-1e-6, True), (0.0, False), (1e-6, False)):
         eq = idle(half, u_l=0.0, u_h=gap + delta)
-        pair = {t: d1_wage_sets(half, eq, s, t, params) for t in ("L", "H")}
+        pair = {t: d1_wage_sets(eq, s, t, params) for t in ("L", "H")}
         assert strictly_included(pair["L"].weak, pair["H"].strict) is expected, delta
     record_acceptance(
         "09 refinement unit layer",
@@ -327,8 +327,6 @@ def test_criterion_10_deviation_audits():
         ),
         wages=WageSchedule(offers={Signal(i, 0): 1.5 for i in range(2)}),
         profits=(0.75, 0.75),
-        enrollment=(1.0, 1.0),
-        employment=(1.0, 1.0),
         payoffs=(0.0, 0.0),
         label="riley",
     )

@@ -36,8 +36,8 @@ def audit_gains(outcome: EquilibriumOutcome, params: MarketParams) -> list[float
     """The canonical and pessimistic audits' max gains, after checking the
     outcome's subgame bundle with verify_pbe and verify_extended_d1."""
     eq = outcome.to_subgame(params)
-    assert verify_pbe(outcome.profile, eq, params).passed, outcome.label
-    assert verify_extended_d1(outcome.profile, eq, params).passed, outcome.label
+    assert verify_pbe(eq, params).passed, outcome.label
+    assert verify_extended_d1(eq, params).passed, outcome.label
     grid = DeviationGrid.for_profile(outcome.profile, params)
     return [deviation_audit(outcome, params, grid, pessimistic=p).max_gain for p in (False, True)]
 

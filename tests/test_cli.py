@@ -2,18 +2,22 @@ import argparse
 import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from sigmarket import (
     CostFamily,
+    DeviationGrid,
+    EquilibriumOutcome,
     MarketParams,
     NumericError,
     Policy,
     PolicyProfile,
     StepMonitoringPolicy,
     construct_epbe,
+    deviation_audit,
     riley_effort,
     riley_rpbe,
 )
@@ -601,3 +605,19 @@ def test_bench_names_resolve():
         for part in attr.split("."):
             assert hasattr(owner, part), f"{module_name}.{attr}"
             owner = getattr(owner, part)
+
+
+def test_bench_planted_audit_call_shape():
+    """The bench's planted pessimistic audit, run as bench/workloads.py runs
+    it: a drawn outcome goes through JSON and EquilibriumOutcome.from_dict,
+    then a 21-point DeviationGrid and deviation_audit.  A record change that
+    breaks the bench's frozen outcome files shows here first."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    params_data, outcome_data = workloads._planted(random.Random(5), 2, "linear")
+    params = MarketParams.from_dict(json.loads(json.dumps(params_data)))
+    outcome = EquilibriumOutcome.from_dict(json.loads(json.dumps(outcome_data)))
+    grid = DeviationGrid.for_profile(outcome.profile, params, n_points=21)
+    assert deviation_audit(outcome, params, grid, pessimistic=True).max_gain >= 0.1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -11,6 +12,7 @@ from sigmarket import (
     CreditFamily,
     DeviationGrid,
     EquilibriumOutcome,
+    FeeInterval,
     InputError,
     InvariantViolation,
     MarketParams,
@@ -28,6 +30,7 @@ from sigmarket import (
     deviation_audit,
     expected_type,
     is_fierce,
+    low_per_high,
     max_welfare,
     mild_fee_set,
     monopoly_rpbe,
@@ -40,7 +43,7 @@ from sigmarket import (
     welfare,
 )
 from sigmarket import outer, subgame
-from sigmarket.outer import AuditEntry, _assemble_outcome, _audit_deviations, _rank, _school_profits
+from sigmarket.outer import AuditEntry, _audit_deviations, _rank, _school_profits
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -90,9 +93,9 @@ class TestMonopoly:
         for params in (sorting, screening):
             out = monopoly_rpbe(params)
             eq = out.to_subgame(params)
-            assert verify_pbe(out.profile, eq, params).passed
-            assert verify_extended_d1(out.profile, eq, params).passed
-            assert check_minimality(out.profile, eq, params).passed
+            assert verify_pbe(eq, params).passed
+            assert verify_extended_d1(eq, params).passed
+            assert check_minimality(eq, params).passed
 
 
 class TestCreditMonopoly:
@@ -160,6 +163,21 @@ class TestCreditMonopoly:
     def test_requires_cap(self, screening):
         with pytest.raises(InputError):
             credit_monopoly_rpbe(screening)
+
+    def test_cap_below_theta_l_limits_the_pooling_cutoff(self, sorting):
+        # low types could drop to the below-cutoff wage theta_L > K, so e_limit < e_prime
+        params = sorting.with_(credit_cap=0.5)
+        fam = credit_monopoly_rpbe(params)
+        e_limit = params.cost.inverse("L", expected_type(params) - params.theta_L)
+        assert fam.e_limit == e_limit < fam.e_prime == params.cost.inverse("L", expected_type(params) - 0.5)
+
+    def test_partial_member_boundary_at_zero_slack(self, screening):
+        fam = credit_monopoly_rpbe(screening.with_(theta_L=-0.2, credit_cap=0.5))
+        # the pooled wage equals the cap: low types clear fee plus effort with no slack
+        edge = fam.partial_member(0.0, 1.0 / low_per_high(0.5, fam.params))
+        assert edge is not None and edge.payoffs[0] == pytest.approx(0.0, abs=1e-12)
+        assert edge.boundary
+        assert not fam.partial_member(0.0, 0.6).boundary
 
     def test_alpha_equals_subgame_mixing_weight(self, screening, sorting):
         """The capped-pooling enrollment fraction is exactly the mixing
@@ -258,7 +276,14 @@ class TestOutcomeFromDict:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("profits", ["x"]), ("payoffs", [0, 0]), ("enrollment", {"L": 1.0}), ("label", None)],
+        [
+            ("profits", ["x"]),
+            ("payoffs", [0, 0]),
+            ("payoffs", {"L": 1.0}),
+            ("label", None),
+            ("profits", [float("nan"), 0.0]),
+            ("payoffs", {"L": 0.0, "H": float("inf")}),
+        ],
     )
     def test_malformed_field_is_input_error(self, screening, field, value):
         data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
@@ -268,6 +293,14 @@ class TestOutcomeFromDict:
             data[field] = value
         with pytest.raises(InputError, match=field):
             EquilibriumOutcome.from_dict(data)
+
+    def test_derived_fields_are_read_off_the_strategy(self, screening):
+        # enrollment and employment in a file are accepted and ignored
+        out = riley_rpbe(screening.with_(n_schools=2))
+        data = out.to_dict()
+        data["enrollment"] = data["employment"] = {"L": 7.0, "H": 7.0}
+        assert EquilibriumOutcome.from_dict(data).to_dict() == out.to_dict()
+        assert out.enrollment == out.employment == (0.0, 1.0)
 
 
 class TestSemipooling:
@@ -344,6 +377,14 @@ class TestSemipooling:
             params.theta_H - cf.cost("H", efforts[1]), abs=1e-8
         )
 
+    def test_boundary_marks_the_squeezed_low_payoff(self):
+        # with_fee squeezes low types to max(0, theta_L - fee) = 0; zero_fee leaves them above it
+        params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
+        (squeezed,) = semipooling_family(params, "with_fee", q_h=0.8, fee=0.2)
+        assert squeezed.payoffs[0] == pytest.approx(0.0, abs=1e-12) and squeezed.boundary
+        (interior,) = semipooling_family(params, "zero_fee", e_l=0.05)
+        assert interior.payoffs[0] > 0.1 and not interior.boundary
+
     def test_with_fee_infeasible_probe_is_empty(self):
         params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
         fam = semipooling_family(params, "with_fee", q_h=0.6, fee=0.2)
@@ -359,7 +400,6 @@ class TestSemipooling:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from sigmarket import low_per_high
         from sigmarket.outer import _mixed_wage
 
         @given(
@@ -403,9 +443,9 @@ class TestFamilyBundlesVerify:
         for variant, kwargs in probes:
             for m in semipooling_family(params, variant, **kwargs):
                 eq = m.to_subgame(params)
-                assert verify_pbe(m.profile, eq, params).passed
-                assert verify_extended_d1(m.profile, eq, params).passed
-                assert check_minimality(m.profile, eq, params).passed
+                assert verify_pbe(eq, params).passed
+                assert verify_extended_d1(eq, params).passed
+                assert check_minimality(eq, params).passed
                 checked += 1
         assert checked >= 3
 
@@ -416,8 +456,30 @@ class TestFamilyBundlesVerify:
         members += [(m, sorting.with_(credit_cap=1.0)) for m in fam.sample(3)]
         for m, params in members:
             eq = m.to_subgame(params)
-            assert verify_pbe(m.profile, eq, params).passed, m.label
-            assert verify_extended_d1(m.profile, eq, params).passed, m.label
+            assert verify_pbe(eq, params).passed, m.label
+            assert verify_extended_d1(eq, params).passed, m.label
+
+
+class TestToSubgame:
+    def test_tag_reads_whether_the_types_share_a_signal(self, sorting, screening):
+        capped = screening.with_(credit_cap=1.0)
+        two = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
+        pooled = [
+            (monopoly_rpbe(sorting), sorting),
+            (credit_monopoly_rpbe(capped), capped),
+            *((m, two) for m in semipooling_family(two, "zero_fee", q_h=0.8)),
+            *((m, two) for m in semipooling_family(two, "with_fee", q_h=0.8, fee=0.2)),
+            *((m, sorting) for m in credit_monopoly_rpbe(sorting.with_(credit_cap=1.0)).sample(3)),
+        ]
+        separated = [(monopoly_rpbe(screening), screening)]
+        separated += [(riley_rpbe(p.with_(n_schools=2)), p) for p in (sorting, screening)]
+        assert len(pooled) >= 7
+        assert {m.to_subgame(p).construction_tag for m, p in pooled} == {"semi_pooling"}
+        assert {m.to_subgame(p).construction_tag for m, p in separated} == {"separating"}
+
+    def test_tag_ignores_the_label(self, sorting):
+        planted = TestDeviationAudit().planted(sorting)  # pooled play labelled "riley"
+        assert planted.label == "riley" and planted.to_subgame(sorting).construction_tag == "semi_pooling"
 
 
 class TestMildFeeSet:
@@ -440,6 +502,10 @@ class TestMildFeeSet:
         p = MarketParams(theta_L=-3.0, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2)
         fs = mild_fee_set(p)
         assert fs.points == (0.0,) and fs.intervals == ()
+
+    def test_open_lower_end(self):
+        iv = FeeInterval(lo=1.0, hi=1.25, closed_lo=False)
+        assert not iv.contains(1.0) and iv.contains(1.0000001)
 
 
 class TestWelfare:
@@ -474,8 +540,6 @@ class TestWelfare:
             on_path=strat,
             wages=WageSchedule(offers={Signal(0, 0): None}),
             profits=(0.0,),
-            enrollment=(0.0, 0.0),
-            employment=(0.0, 0.0),
             payoffs=(0.0, 0.0),
             label="monopoly_screening",
         )
@@ -545,7 +609,8 @@ def two_class_outcome(params):
     other = Policy(fee=0.25, monitoring=StepMonitoringPolicy.cutoff(0.2))
     profile = PolicyProfile.of(same, other, same)
     eq = construct_epbe(profile, params)
-    return _assemble_outcome(profile, params, eq.strategy, eq.wages, (eq.payoff_L, eq.payoff_H), "constructed")
+    profits = tuple(_school_profits(profile, params, eq.strategy))
+    return EquilibriumOutcome(profile, eq.strategy, eq.wages, profits, (eq.payoff_L, eq.payoff_H), "constructed")
 
 
 class TestDeviationAudit:
@@ -567,8 +632,6 @@ class TestDeviationAudit:
             on_path=strat,
             wages=wages,
             profits=profits,
-            enrollment=(1.0, 1.0),
-            employment=(1.0, 1.0),
             payoffs=(0.0, 0.0),
             label="riley",
         )
@@ -599,6 +662,15 @@ class TestDeviationAudit:
         outcome = self.planted(params, 2, high_at=0)
         assert outcome.profits[0] != outcome.profits[1]
         self.assert_matches_per_school(outcome, params)
+
+    def test_profits_off_the_strategy_are_refused(self, sorting):
+        outcome = self.planted(sorting)
+        grid = DeviationGrid.for_profile(outcome.profile, sorting)
+        doubled = dataclasses.replace(outcome, profits=tuple(2 * p for p in outcome.profits))
+        with pytest.raises(InputError, match="profit of school 0"):
+            deviation_audit(doubled, sorting, grid)
+        with pytest.raises(InputError, match="1 profits for 2 schools"):
+            deviation_audit(dataclasses.replace(outcome, profits=outcome.profits[:1]), sorting, grid)
 
     def test_riley_certified_both_modes(self, sorting, screening):
         for params in (sorting, screening):

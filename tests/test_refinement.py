@@ -64,18 +64,18 @@ class TestD1WageSets:
 
     def test_low_type_halfway(self):
         prof = self.profile(0.5)
-        sets = d1_wage_sets(prof, idle_equilibrium(prof), Signal(0, 1), "L", self.PARAMS)
+        sets = d1_wage_sets(idle_equilibrium(prof), Signal(0, 1), "L", self.PARAMS)
         assert not sets.weak.empty and sets.weak.lower == pytest.approx(1.0)
         assert sets.weak.closed
 
     def test_high_type_free_deviation(self):
         prof = self.profile(0.5)
-        sets = d1_wage_sets(prof, idle_equilibrium(prof), Signal(0, 0), "H", self.PARAMS)
+        sets = d1_wage_sets(idle_equilibrium(prof), Signal(0, 0), "H", self.PARAMS)
         assert not sets.weak.empty and sets.weak.lower == pytest.approx(0.0)
 
     def test_unaffordable_signal_empty(self):
         prof = self.profile(1.5)
-        sets = d1_wage_sets(prof, idle_equilibrium(prof), Signal(0, 1), "L", self.PARAMS)
+        sets = d1_wage_sets(idle_equilibrium(prof), Signal(0, 1), "L", self.PARAMS)
         assert sets.weak.empty
 
     def test_on_path_signal_rejected(self, sorting):
@@ -83,7 +83,7 @@ class TestD1WageSets:
         eq = construct_epbe(prof, sorting)
         sent = next(iter(eq.strategy.sent_signals(prof)))
         with pytest.raises(InputError):
-            d1_wage_sets(prof, eq, sent, "L", sorting)
+            d1_wage_sets(eq, sent, "L", sorting)
 
     def test_strict_subset_of_weak_always(self):
         rng = np.random.default_rng(3)
@@ -91,7 +91,7 @@ class TestD1WageSets:
         for _ in range(50):
             eq = idle_equilibrium(prof, payoff_l=float(rng.uniform(0, 2)), payoff_h=float(rng.uniform(0, 2)))
             for t in ("L", "H"):
-                sets = d1_wage_sets(prof, eq, Signal(0, 1), t, self.PARAMS)
+                sets = d1_wage_sets(eq, Signal(0, 1), t, self.PARAMS)
                 if sets.weak.empty:
                     assert sets.strict.empty
                 elif not sets.strict.empty:
@@ -104,15 +104,15 @@ class TestD1WageSets:
         base = idle_equilibrium(prof, payoff_l=0.0, payoff_h=threshold_gap)
         s = Signal(0, 1)
         at = {
-            t: d1_wage_sets(prof, base, s, t, self.PARAMS) for t in ("L", "H")
+            t: d1_wage_sets(base, s, t, self.PARAMS) for t in ("L", "H")
         }
         # exactly at the boundary: no exclusion (ties are not strict)
         assert not strictly_included(at["L"].weak, at["H"].strict)
         below = idle_equilibrium(prof, payoff_l=0.0, payoff_h=threshold_gap - 1e-6)
-        sets_b = {t: d1_wage_sets(prof, below, s, t, self.PARAMS) for t in ("L", "H")}
+        sets_b = {t: d1_wage_sets(below, s, t, self.PARAMS) for t in ("L", "H")}
         assert strictly_included(sets_b["L"].weak, sets_b["H"].strict)
         above = idle_equilibrium(prof, payoff_l=0.0, payoff_h=threshold_gap + 1e-6)
-        sets_a = {t: d1_wage_sets(prof, above, s, t, self.PARAMS) for t in ("L", "H")}
+        sets_a = {t: d1_wage_sets(above, s, t, self.PARAMS) for t in ("L", "H")}
         assert not strictly_included(sets_a["L"].weak, sets_a["H"].strict)
 
     def test_strictly_included_with_an_empty_side(self):
@@ -135,7 +135,7 @@ class TestD1WageSets:
     def test_values_of_the_documented_cases(self):
         def sets(threshold, s, t):
             prof = self.profile(threshold)
-            return d1_wage_sets(prof, idle_equilibrium(prof), s, t, self.PARAMS)
+            return d1_wage_sets(idle_equilibrium(prof), s, t, self.PARAMS)
 
         assert sets(0.5, Signal(0, 1), "L") == D1WageSets(WageInterval(1.0, True, False), WageInterval(1.0, False, False))
         assert sets(0.5, Signal(0, 0), "H") == D1WageSets(WageInterval(0.0, True, False), WageInterval(0.0, False, False))
@@ -146,7 +146,7 @@ class TestVerifyPbe:
     def test_constructed_pooling_passes(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eq = construct_epbe(prof, sorting)
-        assert verify_pbe(prof, eq, sorting).passed
+        assert verify_pbe(eq, sorting).passed
 
     def test_wage_belief_mismatch_flagged(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
@@ -160,7 +160,7 @@ class TestVerifyPbe:
             payoff_H=eq.payoff_H,
             construction_tag=eq.construction_tag,
         )
-        report = verify_pbe(prof, bad, sorting)
+        report = verify_pbe(bad, sorting)
         assert not report.passed
         assert any(v.kind == "wage_belief_consistency" for v in report.violations)
 
@@ -181,7 +181,7 @@ class TestVerifyPbe:
             payoff_H=eq.payoff_H,
             construction_tag="separating",
         )
-        report = verify_pbe(eq.profile, bad, screening)
+        report = verify_pbe(bad, screening)
         assert not report.passed
         assert any(v.kind == "student_best_response" for v in report.violations)
 
@@ -192,7 +192,7 @@ def riley_bundle(params):
     are sent."""
     out = riley_rpbe(params.with_(n_schools=2))
     eq = out.to_subgame(params)
-    assert verify_pbe(out.profile, eq, params).passed
+    assert verify_pbe(eq, params).passed
     return eq
 
 
@@ -211,28 +211,21 @@ class TestTamperedBundles:
 
     def test_belief_outside_the_unit_interval(self, sorting):
         bad = tampered(riley_bundle(sorting), beliefs={Signal(0, 0): 1.5})
-        violations = verify_pbe(bad.profile, bad, sorting).violations
+        violations = verify_pbe(bad, sorting).violations
         assert Violation("wage_belief_consistency", Signal(0, 0), 0.5) in violations
 
     def test_no_offer_at_a_positive_posterior(self, sorting):
         # belief 0 at (0, 0) has posterior mean theta_L = 1, so some offer is due
         bad = tampered(riley_bundle(sorting), offers={Signal(0, 0): None})
-        violations = verify_pbe(bad.profile, bad, sorting).violations
+        violations = verify_pbe(bad, sorting).violations
         assert Violation("wage_belief_consistency", Signal(0, 0), 1.0) in violations
 
     def test_belief_off_bayes_on_path(self, sorting):
         # only high types send (0, 1); belief and wage agree with each other, not with Bayes
         bad = tampered(riley_bundle(sorting), offers={Signal(0, 1): 1.5}, beliefs={Signal(0, 1): 0.5})
-        violations = verify_pbe(bad.profile, bad, sorting).violations
+        violations = verify_pbe(bad, sorting).violations
         assert Violation("bayes_on_path", Signal(0, 1), 0.5) in violations
         assert not any(v.kind == "wage_belief_consistency" for v in violations)
-
-    def test_bundle_of_another_profile(self, sorting):
-        eq = riley_bundle(sorting)
-        other = eq.profile.replace(1, Policy(fee=0.25, monitoring=StepMonitoringPolicy.uninformative()))
-        for verify in (verify_pbe, verify_extended_d1):
-            with pytest.raises(InputError, match="different profile"):
-                verify(other, eq, sorting)
 
     def test_equivalence_needs_the_same_atom_count(self, screening):
         # every share and matched atom moves by less than the share tolerance, so
@@ -245,8 +238,8 @@ class TestTamperedBundles:
             StrategyAtom(school1, e, p1 - d),
             StrategyAtom(school1, e + 1.0, 2 * d),
         )
-        assert outcome_equivalent(eq, eq, eq.profile)
-        assert not outcome_equivalent(eq, tampered(eq, high=extra), eq.profile)
+        assert outcome_equivalent(eq, eq)
+        assert not outcome_equivalent(eq, tampered(eq, high=extra))
 
     def test_equivalence_needs_the_same_sent_signals(self, screening):
         # a sliver below the share tolerance leaves every share and atom alike but sends (0, 0)
@@ -255,15 +248,22 @@ class TestTamperedBundles:
         sliver = 1e-7
         moved = tampered(eq, high=(StrategyAtom(school0, e, p - sliver), *rest, StrategyAtom(school0, 0.0, sliver)))
         assert Signal(0, 0) in moved.strategy.sent_signals(eq.profile) - eq.strategy.sent_signals(eq.profile)
-        assert not outcome_equivalent(eq, moved, eq.profile)
+        assert not outcome_equivalent(eq, moved)
 
     def test_equivalence_needs_an_offer_where_the_other_makes_one(self, screening):
         eq = riley_bundle(screening)
-        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): None}), eq.profile)
+        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): None}))
 
     def test_equivalence_needs_close_wages(self, screening):
         eq = riley_bundle(screening)
-        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): 2.0 + 1e-3}), eq.profile)
+        assert not outcome_equivalent(eq, tampered(eq, offers={Signal(0, 1): 2.0 + 1e-3}))
+
+    def test_equivalence_needs_the_same_profile(self, screening):
+        # same play and wages, but school 1 posts another fee: a bundle of another subgame
+        eq = riley_bundle(screening)
+        other = dataclasses.replace(eq, profile=eq.profile.replace(1, dataclasses.replace(eq.profile[1], fee=0.25)))
+        assert outcome_equivalent(other, other)
+        assert not outcome_equivalent(eq, other) and not outcome_equivalent(other, eq)
 
 
 class TestVerifyExtendedD1:
@@ -286,7 +286,7 @@ class TestVerifyExtendedD1:
             payoff_H=-0.4,  # now the mid band rationalizes only high wages for H
             construction_tag=eq.construction_tag,
         )
-        report = verify_extended_d1(prof, sabotaged, screening)
+        report = verify_extended_d1(sabotaged, screening)
         assert not report.passed
         assert all(v.kind == "d1_belief" for v in report.violations)
 
@@ -298,14 +298,14 @@ class TestVerifyExtendedD1:
         fee = screening.theta_H - LIN.cost("H", eps) - gamma
         prof = PolicyProfile.of(Policy(fee=fee, monitoring=StepMonitoringPolicy.cutoff(eps)))
         eq = idle_equilibrium(prof)  # both types outside, mu = 0 everywhere
-        report = verify_extended_d1(prof, eq, screening)
+        report = verify_extended_d1(eq, screening)
         assert not report.passed
         assert [v.signal for v in report.violations] == [Signal(0, 1)]
 
     def test_riley_bundle_passes(self, screening):
         out = riley_rpbe(screening.with_(n_schools=2))
         eq = out.to_subgame(screening)
-        assert verify_extended_d1(out.profile, eq, screening).passed
+        assert verify_extended_d1(eq, screening).passed
 
     def test_cost_advantage_widens_high_wage_sets(self):
         """weak(H) contains weak(L) at any costly unsent signal whenever the
@@ -319,8 +319,8 @@ class TestVerifyExtendedD1:
             gap = LIN.cost("L", e) - LIN.cost("H", e)
             u_h = u_l + float(rng.uniform(0.0, gap))
             eq = idle_equilibrium(prof, payoff_l=u_l, payoff_h=u_h)
-            sets_l = d1_wage_sets(prof, eq, Signal(0, 1), "L", params)
-            sets_h = d1_wage_sets(prof, eq, Signal(0, 1), "H", params)
+            sets_l = d1_wage_sets(eq, Signal(0, 1), "L", params)
+            sets_h = d1_wage_sets(eq, Signal(0, 1), "H", params)
             if sets_l.weak.empty:
                 continue
             assert not sets_h.weak.empty
@@ -329,20 +329,20 @@ class TestVerifyExtendedD1:
     def test_vacuous_without_unsent_signals(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eq = construct_epbe(prof, sorting)
-        assert verify_extended_d1(prof, eq, sorting).passed
+        assert verify_extended_d1(eq, sorting).passed
 
 
 class TestCheckMinimality:
     def test_pooled_single_message_passes(self, sorting):
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eq = construct_epbe(prof, sorting)
-        assert check_minimality(prof, eq, sorting).passed
+        assert check_minimality(eq, sorting).passed
 
     def test_riley_two_messages_pass_both_regimes(self, sorting, screening):
         for params in (sorting, screening):
             out = riley_rpbe(params.with_(n_schools=2))
             eq = out.to_subgame(params)
-            assert check_minimality(out.profile, eq, params).passed
+            assert check_minimality(eq, params).passed
 
     def test_unsent_third_message_flagged(self, sorting):
         # separating outcome on a three-band policy: the middle band is waste
@@ -352,7 +352,7 @@ class TestCheckMinimality:
         eq = construct_epbe(prof, sorting)
         sent = eq.strategy.sent_signals(prof)
         assert Signal(0, 1) not in sent
-        report = check_minimality(prof, eq, sorting)
+        report = check_minimality(eq, sorting)
         assert not report.passed
         assert report.violations[0].kind == "minimality"
 
@@ -362,7 +362,7 @@ class TestCheckMinimality:
         prof = PolicyProfile.of(Policy(fee=0.0, monitoring=pol))
         eq = construct_epbe(prof, sorting)
         assert {s.message for s in eq.strategy.sent_signals(prof)} == {0, 2}
-        report = check_minimality(prof, eq, sorting)
+        report = check_minimality(eq, sorting)
         assert not report.passed
         assert report.violations[0].gap == 2.0
 
@@ -372,13 +372,13 @@ class TestBruteForce:
         prof = PolicyProfile.of(Policy(fee=1.5, monitoring=StepMonitoringPolicy.uninformative()))
         eqs = brute_force_equilibria(prof, sorting)
         target = construct_epbe(prof, sorting)
-        assert any(outcome_equivalent(target, eq, prof) for eq in eqs)
+        assert any(outcome_equivalent(target, eq) for eq in eqs)
 
     def test_riley_outcome_is_found(self, screening):
         out = riley_rpbe(screening.with_(n_schools=2))
         eqs = brute_force_equilibria(out.profile, screening)
         bundle = out.to_subgame(screening)
-        assert any(outcome_equivalent(bundle, eq, out.profile) for eq in eqs)
+        assert any(outcome_equivalent(bundle, eq) for eq in eqs)
 
     def test_fee_above_surplus_yields_nothing(self, sorting):
         # fee admissible (= theta_H) but the outside option weakly dominates:
@@ -399,8 +399,8 @@ class TestBruteForce:
         eqs = brute_force_equilibria(prof, params)
         assert eqs
         for eq in eqs:
-            assert verify_pbe(prof, eq, params).passed
-            assert verify_extended_d1(prof, eq, params).passed
+            assert verify_pbe(eq, params).passed
+            assert verify_extended_d1(eq, params).passed
 
     def test_oracle_rediscovers_semipooling_mix(self):
         """On a pooling-band profile, the enumerator independently finds a
@@ -590,7 +590,7 @@ class TestExactBestResponse:
                 for prof in self.profiles():
                     grids = [DeviationGrid.for_profile(prof, params, n_points=k) for k in (4, 15, 21)]
                     for eq in oracle_candidates(prof, params):
-                        exact = verify_pbe(prof, eq, params).to_dict()
+                        exact = verify_pbe(eq, params).to_dict()
                         for grid in grids:
                             assert exact == grid_scan_verify_pbe(prof, eq, params, grid).to_dict()
                             checked += 1
@@ -608,7 +608,7 @@ class TestExactBestResponse:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
                     for eq, refuses, _ in oracle_verdicts(prof, params, tol):
-                        report = verify_pbe(prof, eq, params, tol)
+                        report = verify_pbe(eq, params, tol)
                         assert refuses == any(v.kind == "student_best_response" for v in report.violations)
                         refused += refuses
                         kept += not refuses
@@ -677,7 +677,7 @@ class TestExactBestResponse:
         offers = {s: (1.0 if s.message == 0 else 2.0) for s in prof.signals()}
         mus = {s: (0.0 if s.message == 0 else 1.0) for s in prof.signals()}
         eq = SubgameEquilibrium(prof, eq.strategy, WageSchedule(offers), BeliefSystem(mus), 0.0, 0.0, "separating")
-        report = verify_pbe(prof, eq, sorting)
+        report = verify_pbe(eq, sorting)
         gaps = {v.detail: v.gap for v in report.violations}
         # L: max(1 - 0.25, 2 - 0.25 - 2 * 0.75) = 0.75; H: max(0.75, 2 - 0.25 - 0.75) = 1
         assert gaps == {"type L": pytest.approx(0.75), "type H": pytest.approx(1.0)}

@@ -114,8 +114,8 @@ class TestExactFrontier:
         assert {(a.school, a.effort, a.prob) for a in eq.strategy.low} == {(None, 0.0, 1.0)}  # q = 0
         assert {(a.school, a.effort, a.prob) for a in eq.strategy.high} == {(0, t, 1.0)}
         assert eq.wages.offer(Signal(0, 1)) == params.theta_H
-        assert verify_pbe(prof, eq, params).passed
-        assert verify_extended_d1(prof, eq, params).passed
+        assert verify_pbe(eq, params).passed
+        assert verify_extended_d1(eq, params).passed
 
         beyond = PolicyProfile.of(cutoff(0.0, math.nextafter(t, math.inf)))
         assert mimic_frontier(beyond, params).marginal_effort == 0.0
@@ -442,8 +442,8 @@ class TestConstructInvariants:
             params = random_params(rng)
             prof = random_profile(rng, params)
             eq = construct_epbe(prof, params)
-            assert verify_pbe(prof, eq, params).passed
-            assert verify_extended_d1(prof, eq, params).passed
+            assert verify_pbe(eq, params).passed
+            assert verify_extended_d1(eq, params).passed
 
 
 class TestSerialization:
