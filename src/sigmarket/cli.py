@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import InputError, NumericError, SigMarketError, read_field, require_object
-from .market import MarketParams
+from .market import MAX_GRID_POINTS, MAX_SWEEP_VALUES, MarketParams
 from .monitoring import PolicyProfile
 from .outer import (
     CSV_COLUMNS,
@@ -140,7 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
-    DeviationGrid.for_profile(eq.profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
+    DeviationGrid.for_profile(eq.profile, params, n_points=args.grid_points)  # unused; the bench traces its inverse call (ROADMAP item 1)
     reports = {
         "pbe": verify_pbe(eq, params, args.tol),
         "extended_d1": verify_extended_d1(eq, params, args.tol),
@@ -173,7 +173,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     profile = PolicyProfile.from_list(_load_json(args.profile, "profile"))
-    DeviationGrid.for_profile(profile, params, n_points=args.grid_points)  # validates --grid-points as audit does
+    DeviationGrid.for_profile(profile, params, n_points=args.grid_points)  # unused; the bench traces its inverse call (ROADMAP item 1)
     n_actions = oracle_actions(profile)
     if n_actions > MAX_ORACLE_ACTIONS:  # refused before anything is solved
         raise InputError(f"profile has {n_actions} candidate actions; oracle-compare takes at most {MAX_ORACLE_ACTIONS}")
@@ -252,8 +252,8 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError:
         raise InputError(f"sweep range must look like lo:hi:count, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and count >= 2):
-        raise InputError(f"sweep range needs finite hi > lo and count >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and 2 <= count <= MAX_SWEEP_VALUES):
+        raise InputError(f"sweep range needs finite hi > lo and a count from 2 to {MAX_SWEEP_VALUES}, got {text!r}")
     step = (hi - lo) / (count - 1)
     return [lo + k * step for k in range(count)]
 
@@ -298,10 +298,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _grid_points(text: str) -> int:
+    """argparse type for --grid-points: an integer from 2 to MAX_GRID_POINTS."""
+    if not 2 <= (value := int(text)) <= MAX_GRID_POINTS:  # argparse reports a ValueError too
+        raise argparse.ArgumentTypeError(f"must be an integer from 2 to {MAX_GRID_POINTS}, got {text!r}")
+    return value
+
+
 # Options beyond --params, --tol and --out, each taken only by the commands naming it below.
 _FLAGS = {
     "--profile": {"required": True, "help": "policy profile / equilibrium bundle JSON"},
-    "--grid-points": {"type": int, "default": 21, "help": "efforts in the audit's deviation grid (verify, oracle-compare: validated only)"},
+    "--grid-points": {"type": _grid_points, "default": 21, "help": "efforts in the audit's deviation grid (verify, oracle-compare: validated only)"},
     "--format": {"choices": ("json", "csv"), "default": "json"},
     "--pessimistic": {"action": "store_true"},
     "--sweep-param": {"default": "lambda"},

@@ -39,6 +39,10 @@ DEFAULT_TOL = 1e-9
 # takes 0.13 s at 64 schools, 0.53 s at 256 and 3.4 s at 1024.  A larger
 # count (a 400-digit one overflows outright) is refused as malformed input.
 MAX_SCHOOLS = 1024
+# The most points --grid-points may ask for.  The audit replays about 11
+# deviations per point: an n = 2 screening audit takes 1.5 s at the cap.
+MAX_GRID_POINTS = 4096
+MAX_SWEEP_VALUES = 10_000  # the largest welfare --sweep-range count: about 1 s of solving
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,10 @@ class EquilibriumOutcome:
     label: str
     boundary: bool = False  # member sits on a weak-inequality family edge
 
+    def __post_init__(self):
+        if len(self.profits) != self.profile.n:
+            raise InputError(f"outcome field 'profits' lists {len(self.profits)} profits for {self.profile.n} schools")
+
     @property
     def fee(self) -> float:
         return self.profile[0].fee
@@ -848,8 +852,6 @@ def deviation_audit(
         raise InputError("deviation grid must contain every policy threshold of the outcome")
     base_profile = outcome.profile
     on_path_profits = _school_profits(base_profile, params, outcome.on_path)
-    if len(outcome.profits) != len(on_path_profits):
-        raise InputError(f"outcome lists {len(outcome.profits)} profits for {len(on_path_profits)} schools")
     for school, (stored, actual) in enumerate(zip(outcome.profits, on_path_profits)):
         if not abs(stored - actual) <= tol:
             raise InputError(f"outcome profit of school {school} is {stored}, but its strategy gives {actual}")

@@ -19,15 +19,14 @@ never consults the construction, enumerating instead candidate supports over
 band-minimum efforts (within a message band, any higher effort is strictly
 dominated) and solving mixing weights in closed form from the wage identity.
 Each weight condition reads one support, so it is tabulated per support and
-only the support pairs it admits are joined.  A candidate's on-path wages
-are priced first, and the student best-response rule that verify_pbe
-applies refuses it straight from the action table, first with every unsent
-signal at the floor wage (a D1 wage is never lower), then with its D1 wages;
-only the survivors are built as equilibrium bundles, and it keeps exactly
-those that pass both verifiers.  Each support pair yields at most one
-member, so none is dropped as a duplicate.  The oracle and check_minimality
-price a strategy alike: Bayes beliefs on path (_price_on_path), punishing D1
-beliefs off path (_price_off_path).
+only the support pairs it admits are joined.  verify_pbe's student
+best-response rule refuses a pair first from a per-type table of the best
+floor-wage values (a D1 wage is never lower) and its sent signals' Bayes
+wages; only survivors are priced, face the rule again with D1 wages, and are
+built as bundles, kept exactly when they pass both verifiers.  Each support
+pair yields at most one member, so none is dropped as a duplicate.  The
+oracle and check_minimality price a strategy alike: Bayes beliefs on path
+(_price_on_path), punishing D1 beliefs off path (_price_off_path).
 
 Best responses and candidate actions both come from band-minimum efforts (0
 and the policy thresholds), so no check here discretises effort.  The
@@ -69,7 +68,7 @@ _EDGE = 1e-9  # mixing weights this close to {0,1} duplicate a pure support
 _SHARE_TOL = 1e-6
 _EFFORT_TOL = 1e-9
 # Largest oracle_actions(profile) that oracle-compare accepts.  One call at
-# A = 25 takes about 0.04 s on 2 shared vCPUs (one school of 24 bands, or
+# A = 25 takes about 0.015 s on 2 shared vCPUs (one school of 24 bands, or
 # three of 8).  Library callers (deviation_audit's replays) are not capped.
 MAX_ORACLE_ACTIONS = 25
 
@@ -293,7 +292,12 @@ def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = 
         if reduced == policy.monitoring:
             continue
         red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
-        red_eq = _remap_equilibrium(red_profile, eq, params, tol)
+        # the same play, sent wages and payoffs; Bayes beliefs on path, punishing D1 beliefs off path
+        beliefs, offers = _price_on_path(eq.strategy.signal_mass(red_profile, HIGH), eq.strategy.signal_mass(red_profile, LOW), params)
+        _price_off_path(params, _candidate_actions(red_profile, params), {LOW: eq.payoff_L, HIGH: eq.payoff_H}, beliefs, offers, tol)
+        red_eq = SubgameEquilibrium(
+            red_profile, eq.strategy, WageSchedule(offers), BeliefSystem(beliefs), eq.payoff_L, eq.payoff_H, eq.construction_tag
+        )
         if verify_pbe(red_eq, params, tol).passed and verify_extended_d1(red_eq, params, tol).passed:
             violations.append(
                 Violation(
@@ -304,28 +308,6 @@ def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = 
                 )
             )
     return VerificationReport.from_violations(violations)
-
-
-def _remap_equilibrium(
-    red_profile: PolicyProfile,
-    eq: SubgameEquilibrium,
-    params: MarketParams,
-    tol: float,
-) -> SubgameEquilibrium:
-    """Carry an outcome onto a reduced profile: same play, same sent wages,
-    Bayes beliefs on path, punishing D1-consistent beliefs off path."""
-    strategy = eq.strategy
-    beliefs, offers = _price_on_path(strategy.signal_mass(red_profile, HIGH), strategy.signal_mass(red_profile, LOW), params)
-    _price_off_path(params, _candidate_actions(red_profile, params), {LOW: eq.payoff_L, HIGH: eq.payoff_H}, beliefs, offers, tol)
-    return SubgameEquilibrium(
-        profile=red_profile,
-        strategy=strategy,
-        wages=WageSchedule(offers=offers),
-        beliefs=BeliefSystem(mu_high=beliefs),
-        payoff_L=eq.payoff_L,
-        payoff_H=eq.payoff_H,
-        construction_tag=eq.construction_tag,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +463,45 @@ def _price_candidate(
     return _Priced(beliefs, offers, pays, {t: vals[0] for t, vals in pays.items()}, pooling_tag(mass_high, mass_low))
 
 
-def _refuses(params: MarketParams, actions: list[_Action], priced: _Priced, tol: float) -> bool:
-    """Whether verify_pbe would find a student best-response violation among
-    the support actions, read off the action table with the same floats.
+def _floor_table(params: MarketParams, actions: list[_Action]) -> dict[TypeLabel, list[tuple[float, Signal]]]:
+    """Per type, the five best (value, signal) over the signals of `actions`,
+    best first; a value is the floor wage wage_offer(0) net of fee and cost.
+    A pair sends at most four signals, so its best unsent one is here."""
+    income = 0.0 if (floor := wage_offer(0.0, params)) is None else floor
+    return {t: sorted((((income - a.fee) - a.cost[t], a.signal) for a in actions[1:]), reverse=True)[:5] for t in (LOW, HIGH)}
 
-    A signal not priced yet is read at the floor wage wage_offer(0).  D1
-    beliefs are 0 or 1 and wages rise with the belief, so the floor is never
-    above the signal's D1 wage: a refusal before _price_off_path stands after
-    it.
-    """
+
+def _floor_refuses(params: MarketParams, table: dict, sup_h, weights_h, sup_l, weights_l, tol: float) -> bool:
+    """_refuses for a weighted pair with its unsent signals at the floor wage,
+    from its sent signals' Bayes wages and `table` (_floor_table), same floats.
+    A D1 wage is never below the floor, so the refusal stands after D1 pricing."""
+    mass_high, mass_low = _signal_mass(sup_h, weights_h), _signal_mass(sup_l, weights_l)
+    nets: dict[Signal, tuple[float, dict]] = {}  # sent signal -> (wage net of fee, costs)
+    for a in sup_h + sup_l:
+        if (s := a.signal) in mass_high or s in mass_low:
+            w = wage_offer(bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params), params)
+            nets[s] = ((0.0 if w is None else w) - a.fee, a.cost)
+    for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
+        best = 0.0
+        for v, s in table[t]:
+            if s not in nets:  # the best unsent signal
+                best = max(best, v)
+                break
+        for net, cost in nets.values():
+            best = max(best, net - cost[t])
+        for a in sup:
+            if (0.0 if a.signal is None else nets[a.signal][0] - a.cost[t]) < best - tol:
+                return True
+    return False
+
+
+def _refuses(actions: list[_Action], priced: _Priced, tol: float) -> bool:
+    """Whether verify_pbe would find a student best-response violation among
+    the support actions, read off the action table with the same floats;
+    every signal is priced (_price_off_path has run)."""
     signals = actions[1:]
-    floor = wage_offer(0.0, params)
-    nets = [(0.0 if (w := priced.offers.get(a.signal, floor)) is None else w) - a.fee for a in signals]
-    return any(
-        _best_response_gaps(nets, [a.cost[t] for a in signals], priced.pays[t], tol) for t in (LOW, HIGH)
-    )
+    nets = [(0.0 if (w := priced.offers[a.signal]) is None else w) - a.fee for a in signals]
+    return any(_best_response_gaps(nets, [a.cost[t] for a in signals], priced.pays[t], tol) for t in (LOW, HIGH))
 
 
 def _bundle_candidate(
@@ -527,12 +533,12 @@ def brute_force_equilibria(
     Candidate actions are the outside option plus every (school, band-minimum
     effort) pair; supports hold one or two actions per type (the outside
     option counts as one), and only the support pairs whose mixing weights
-    can exist are joined.  Each weighted pair is priced with
-    Bayes wages on path and refused at once when a support action fails
-    verify_pbe's student best-response rule with every unsent signal at the
-    floor wage; the rest get D1 wages off path and face the same rule.  Only
-    the survivors are built as bundles, and a bundle is kept only if it
-    passes both verify_pbe and verify_extended_d1.  Output order is
+    can exist are joined.  A pair is refused at once when a support action
+    fails verify_pbe's student best-response rule with its sent signals at
+    their Bayes wages and the others at the floor wage (_floor_refuses); the
+    rest are priced, get D1 wages off path and face the same rule.  Only the
+    survivors are built as bundles, and a bundle is kept only if it passes
+    both verify_pbe and verify_extended_d1.  Output order is
     lexicographic in the candidate supports.  Each support pair yields at
     most one member, and none is dropped as a duplicate: two pairs differ in
     an atom, the outside option or a (school, band).  The function sets no
@@ -541,13 +547,14 @@ def brute_force_equilibria(
     if any(p.fee > params.theta_H for p in profile):
         return []
     actions = _candidate_actions(profile, params)
+    table = _floor_table(params, actions)
     results: list[SubgameEquilibrium] = []
     for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, tol):
-        priced = _price_candidate(params, sup_h, weights_h, sup_l, weights_l)
-        if _refuses(params, actions, priced, tol):  # unsent signals at the floor wage
+        if _floor_refuses(params, table, sup_h, weights_h, sup_l, weights_l, tol):
             continue
+        priced = _price_candidate(params, sup_h, weights_h, sup_l, weights_l)
         _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
-        if _refuses(params, actions, priced, tol):
+        if _refuses(actions, priced, tol):
             continue
         eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
         if verify_pbe(eq, params, tol).passed and verify_extended_d1(eq, params, tol).passed:

@@ -21,9 +21,9 @@ from sigmarket import (
     riley_effort,
     riley_rpbe,
 )
-from sigmarket.cli import COMMANDS, _dump, _solve_outcomes, build_parser, main
+from sigmarket.cli import COMMANDS, _dump, _parse_range, _solve_outcomes, build_parser, main
 from sigmarket.outer import CSV_COLUMNS, outcome_csv_row
-from sigmarket.market import MAX_SCHOOLS
+from sigmarket.market import MAX_GRID_POINTS, MAX_SCHOOLS, MAX_SWEEP_VALUES
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -387,6 +387,16 @@ class TestWelfareCommand:
             assert main(argv + ["--sweep-range", text]) == 2, text
             assert not out_path.exists() and not (tmp_path / "welfare_plot.csv").exists()
 
+    def test_sweep_count_beyond_cap_exit_2(self, tmp_path, screening, capsys):
+        """A count above MAX_SWEEP_VALUES is refused by _parse_range before any
+        value is listed or solved; the cap itself parses."""
+        out_path = tmp_path / "welfare.json"
+        argv = ["welfare", "--params", write_params(tmp_path, screening), "--out", str(out_path)]
+        assert main(argv + ["--sweep-range", f"0.05:0.95:{MAX_SWEEP_VALUES + 1}"]) == 2
+        assert not out_path.exists() and not (tmp_path / "welfare_plot.csv").exists()
+        assert f"a count from 2 to {MAX_SWEEP_VALUES}" in capsys.readouterr().err
+        assert len(_parse_range(f"0.05:0.95:{MAX_SWEEP_VALUES}")) == MAX_SWEEP_VALUES
+
     def test_irregular_sweep_values_are_skipped(self, tmp_path, sorting):
         # kappa_H = 1: the values 0.5 and 1 break decreasing differences
         params_path = write_params(tmp_path, sorting.with_(n_schools=2))
@@ -560,6 +570,24 @@ def test_n_schools_cap_parses():
     assert MarketParams.from_dict(data).n_schools == MAX_SCHOOLS
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle-compare", "audit"])
+def test_grid_points_cap_parses(command):
+    argv = [command, "--params", "params.json", "--grid-points", str(MAX_GRID_POINTS)]
+    assert build_parser().parse_args(argv + (["--profile", "p.json"] if command != "audit" else [])).grid_points == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle-compare", "audit"])
+@pytest.mark.parametrize("value", [str(MAX_GRID_POINTS + 1), "1", "2.5"])
+def test_grid_points_beyond_cap_exit_2(capsys, command, value):
+    """--grid-points outside 2..MAX_GRID_POINTS is refused by the argument
+    parser, naming the flag, before a file is read or a grid is built."""
+    argv = [command, "--params", "params.json", "--grid-points", value]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + (["--profile", "p.json"] if command != "audit" else []))
+    assert exc.value.code == 2
+    assert "argument --grid-points" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "audit"])
 @pytest.mark.parametrize("value", [MAX_SCHOOLS + 1, 10**400], ids=["cap+1", "400 digits"])
 def test_n_schools_beyond_cap_exit_2(tmp_path, capsys, command, value):
@@ -588,15 +616,20 @@ def test_bench_command_lines_run(tmp_path, screening):
     assert main(["verify", "--params", params, "--profile", bundle, "--grid-points", "15", "--out", out]) == 0
 
 
+def bench_module(name: str):
+    """bench/<name>.py, loaded by path (the bench is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_names_resolve():
     """Every library name the bench harness reaches for exists: each traced
     (module, attribute) in bench/tracing.py's SPANS, and the names that
     bench/workloads.py calls.  A rename shows here, not only in the bench's
     own tests."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module("tracing")
     targets = [target for pairs in tracing.SPANS.values() for target in pairs]
     called = ("DeviationGrid.for_profile", "deviation_audit", "EquilibriumOutcome.from_dict", "MarketParams.from_dict", "outer.CSV_COLUMNS")
     targets += [("sigmarket", name) for name in called]
@@ -612,12 +645,32 @@ def test_bench_planted_audit_call_shape():
     it: a drawn outcome goes through JSON and EquilibriumOutcome.from_dict,
     then a 21-point DeviationGrid and deviation_audit.  A record change that
     breaks the bench's frozen outcome files shows here first."""
-    bench = Path(__file__).resolve().parents[1] / "bench"
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_module("workloads")
     params_data, outcome_data = workloads._planted(random.Random(5), 2, "linear")
     params = MarketParams.from_dict(json.loads(json.dumps(params_data)))
     outcome = EquilibriumOutcome.from_dict(json.loads(json.dumps(outcome_data)))
     grid = DeviationGrid.for_profile(outcome.profile, params, n_points=21)
     assert deviation_audit(outcome, params, grid, pessimistic=True).max_gain >= 0.1
+
+
+@pytest.mark.parametrize("draw, kind", [("tie", "power"), ("generic", "tabulated")])
+def test_bench_oracle_command_lines(tmp_path, draw, kind):
+    """The bench's oracle operation on an n = 3 draw, as bench/workloads.py
+    makes and runs it: oracle-compare with the bench's --grid-points exits 0
+    or 1 and agrees with its `match` field, then verify on the constructed
+    bundle exits 0.  A flag cap or an oracle change that breaks the frozen
+    bench shows here first."""
+    workloads = bench_module("workloads")
+    make = workloads._tie_profile if draw == "tie" else workloads._generic_profile
+    params, policies = make(random.Random(5), 3, kind, (2, 1, 2))
+    paths = {name: tmp_path / f"{name}.json" for name in ("params", "profile", "out", "bundle", "verify")}
+    paths["params"].write_text(json.dumps(params), encoding="utf-8")
+    paths["profile"].write_text(json.dumps(policies), encoding="utf-8")
+    grid = ["--grid-points", str(workloads.ORACLE_GRID_POINTS)]
+    args = ["--params", str(paths["params"]), *grid]
+    compare = main(["oracle-compare", *args, "--profile", str(paths["profile"]), "--out", str(paths["out"])])
+    assert compare in (0, 1)
+    payload = json.loads(paths["out"].read_text())
+    assert payload["match"] == (compare == 0)
+    paths["bundle"].write_text(json.dumps(payload["constructed"]), encoding="utf-8")
+    assert main(["verify", *args, "--profile", str(paths["bundle"]), "--out", str(paths["verify"])]) == 0

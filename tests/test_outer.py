@@ -294,6 +294,15 @@ class TestOutcomeFromDict:
         with pytest.raises(InputError, match=field):
             EquilibriumOutcome.from_dict(data)
 
+    @pytest.mark.parametrize("profits", [[5.0], [0.0, 0.0, 0.0]], ids=["one", "three"])
+    def test_one_profit_per_school(self, screening, profits):
+        """A 2-school record with one profit or three is refused, naming the
+        field, so welfare and the CSV row never sum a wrong count."""
+        data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
+        data["profits"] = profits
+        with pytest.raises(InputError, match=f"'profits' lists {len(profits)} profits for 2 schools"):
+            EquilibriumOutcome.from_dict(data)
+
     def test_derived_fields_are_read_off_the_strategy(self, screening):
         # enrollment and employment in a file are accepted and ignored
         out = riley_rpbe(screening.with_(n_schools=2))

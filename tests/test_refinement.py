@@ -31,6 +31,7 @@ from sigmarket import (
     verify_extended_d1,
     verify_pbe,
 )
+from sigmarket.market import bayes_high, wage_offer
 from sigmarket.refinement import Violation
 
 LIN = CostFamily.linear(2.0, 1.0)
@@ -525,10 +526,21 @@ def oracle_candidates(profile, params, tol=1e-9):
         yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
 
 
+def floor_refuses(params, actions, priced, tol):
+    """The reference floor pass: a candidate priced on path by
+    _price_candidate, every signal it does not send read at the floor wage
+    wage_offer(0), then _best_response_gaps for each type's support pays."""
+    from sigmarket.refinement import _best_response_gaps
+
+    floor = wage_offer(0.0, params)
+    nets = [(0.0 if (w := priced.offers.get(a.signal, floor)) is None else w) - a.fee for a in actions[1:]]
+    return any(_best_response_gaps(nets, [a.cost[t] for a in actions[1:]], priced.pays[t], tol) for t in ("L", "H"))
+
+
 def oracle_verdicts(profile, params, tol=1e-9):
-    """Every candidate the oracle prices, as (bundle, whether the oracle's
-    best-response reject refuses it, whether it refuses it already at the
-    floor wage, before D1 pricing)."""
+    """Every weighted pair the oracle enumerates, priced as a candidate, as
+    (bundle, whether the oracle's best-response reject refuses it, whether
+    the reference floor pass refuses it already, before D1 pricing)."""
     from sigmarket.refinement import (
         _bundle_candidate,
         _candidate_actions,
@@ -541,10 +553,10 @@ def oracle_verdicts(profile, params, tol=1e-9):
     actions = _candidate_actions(profile, params)
     for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
         priced = _price_candidate(params, sup_h, w_h, sup_l, w_l)
-        at_floor = _refuses(params, actions, priced, tol)
+        at_floor = floor_refuses(params, actions, priced, tol)
         _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
         bundle = _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
-        yield bundle, _refuses(params, actions, priced, tol), at_floor
+        yield bundle, _refuses(actions, priced, tol), at_floor
 
 
 class TestExactBestResponse:
@@ -629,6 +641,51 @@ class TestExactBestResponse:
                         passed += not refuses
         assert screened > 1000 and passed > 100
 
+    def test_table_screen_refuses_exactly_what_the_floor_pass_refuses(self):
+        """_floor_refuses, reading the pair's sent signals and _floor_table,
+        refuses a pair if and only if the reference floor pass does.  The
+        cases hold tables shorter than their depth (one-signal profiles),
+        no floor wage (theta_L < 0), pairs that send every signal, and tied
+        table values.  In the market `below` a pooled signal's Bayes wage
+        rounds one ulp below the floor wage, so a sent signal must be read
+        at its Bayes wage even where its floor value heads the table."""
+        from sigmarket.refinement import (
+            _candidate_actions,
+            _floor_refuses,
+            _floor_table,
+            _price_candidate,
+            _weighted_pairs,
+        )
+
+        tie_three = (
+            PolicyProfile.of(*[self.policy(0.25, 0.5)] * 3),
+            MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=3),
+        )
+        cases = [
+            (prof, MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost))
+            for cost in self.COSTS
+            for theta_l, lam in self.MARKETS
+            for prof in self.profiles()
+        ]
+        below = MarketParams(theta_L=0.1, theta_H=0.100000000000001, lam=6.907478462473493e-17, cost=LIN)
+        assert wage_offer(bayes_high(0.5, 0.5, below), below) < wage_offer(0.0, below)
+        cases += [(PolicyProfile.of(*[self.policy(0.0)] * n), below) for n in (1, 3)]
+        seen = dict.fromkeys(("refused", "passed", "short", "no_floor", "sends_all", "tied"), 0)
+        for (prof, params), tol in itertools.product(cases + [tie_three], (1e-9, 0.0)):
+            actions = _candidate_actions(prof, params)
+            table = _floor_table(params, actions)
+            values = [v for v, _ in table["L"] + table["H"]]
+            for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
+                reference = floor_refuses(params, actions, _price_candidate(params, sup_h, w_h, sup_l, w_l), tol)
+                assert _floor_refuses(params, table, sup_h, w_h, sup_l, w_l, tol) == reference
+                seen["refused" if reference else "passed"] += 1
+                seen["short"] += len(actions) - 1 < 5
+                seen["no_floor"] += params.theta_L < 0
+                seen["sends_all"] += {a.signal for a in sup_h + sup_l} >= {a.signal for a in actions[1:]}
+                seen["tied"] += len(set(values)) < len(values)
+        assert seen["refused"] > 1000 and seen["passed"] > 100
+        assert all(seen.values()), seen
+
     def test_weighted_pairs_emit_each_support_pair_once(self):
         """_weighted_pairs emits an (H support, L support) pair at most once,
         so two oracle members never share their atoms and need no dedup."""
@@ -649,8 +706,10 @@ class TestExactBestResponse:
 
     @pytest.mark.parametrize("case", ["tie_three", "linear-screening-5", "power-sorting-6"])
     def test_oracle_verifies_only_survivors(self, case, monkeypatch):
-        """brute_force_equilibria calls verify_pbe once per candidate that
-        passes the reject, and so fewer times than it prices candidates."""
+        """brute_force_equilibria prices (_price_candidate) exactly the pairs
+        the reference floor pass lets through, fewer than _weighted_pairs
+        emits, and calls verify_pbe once per candidate that passes the
+        reject, fewer times than _weighted_pairs emits pairs."""
         from sigmarket import refinement
 
         if case == "tie_three":
@@ -662,12 +721,14 @@ class TestExactBestResponse:
             cost = next(c for c in self.COSTS if c.kind == kind)
             params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
             prof = self.profiles()[int(j)]
-        verdicts = [refuses for _, refuses, _ in oracle_verdicts(prof, params)]
-        calls = []
-        verify = refinement.verify_pbe
+        verdicts = list(oracle_verdicts(prof, params))
+        priced, calls = [], []
+        price, verify = refinement._price_candidate, refinement.verify_pbe
+        monkeypatch.setattr(refinement, "_price_candidate", lambda *a, **k: priced.append(1) or price(*a, **k))
         monkeypatch.setattr(refinement, "verify_pbe", lambda *a, **k: calls.append(1) or verify(*a, **k))
         assert brute_force_equilibria(prof, params)
-        assert len(calls) == verdicts.count(False) < len(verdicts)
+        assert len(priced) == [at_floor for _, _, at_floor in verdicts].count(False) < len(verdicts)
+        assert len(calls) == [refuses for _, refuses, _ in verdicts].count(False) < len(verdicts)
 
     def test_zero_effort_band_counts(self, sorting):
         """With everybody outside, the best deviation is enrolling at zero
