@@ -232,10 +232,15 @@ def _sweep_points(spec: dict) -> list[MarketParams]:
     base, vary = spec["base"], spec.get("vary", {})
     require_object(base, "sweep file field 'base'")
     require_object(vary, "sweep file field 'vary'")
-    points = [base]
+    lists = []
     for key, values in vary.items():
         _sweep_slot(base, key)  # reject the name even when a value list is empty
-        points = [_with_field(p, key, v) for p in points for v in _array(values, f"sweep file 'vary' entry {key!r}")]
+        lists.append((key, _array(values, f"sweep file 'vary' entry {key!r}")))
+    if (count := math.prod(len(values) for _, values in lists)) > MAX_SWEEP_VALUES:  # before any point is built
+        raise InputError(f"sweep file 'vary' lists make {count} points; a sweep takes at most {MAX_SWEEP_VALUES}")
+    points = [base]
+    for key, values in lists:
+        points = [_with_field(p, key, v) for p in points for v in values]
     return [MarketParams.from_dict(p) for p in points]
 
 

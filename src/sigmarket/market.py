@@ -42,7 +42,14 @@ MAX_SCHOOLS = 1024
 # The most points --grid-points may ask for.  The audit replays about 11
 # deviations per point: an n = 2 screening audit takes 1.5 s at the cap.
 MAX_GRID_POINTS = 4096
-MAX_SWEEP_VALUES = 10_000  # the largest welfare --sweep-range count: about 1 s of solving
+# The most points a welfare --sweep-range count or the product of a sweep
+# file's `vary` list lengths may ask for: about 1 s of welfare solving, or 2 s
+# of an n = 2 screening sweep.
+MAX_SWEEP_VALUES = 10_000
+# The most thresholds a parsed monitoring policy may list.  verify_pbe,
+# verify_extended_d1 and check_minimality grow quadratically in it (min_effort
+# is linear): on one school, 0.05 s at 1024 thresholds and 0.2 s at 2000.
+MAX_THRESHOLDS = 1024
 
 
 @dataclass(frozen=True)

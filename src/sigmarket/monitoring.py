@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, integer, read_field
-from .market import CostFamily, TypeLabel
+from .market import MAX_THRESHOLDS, CostFamily, TypeLabel
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,14 @@ class StepMonitoringPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepMonitoringPolicy":
+        def thresholds(v) -> tuple[float, ...]:
+            if len(v) > MAX_THRESHOLDS:
+                raise ValueError(f"expected at most {MAX_THRESHOLDS} thresholds, got {len(v)}")
+            return tuple(float(t) for t in v)
+
         where = "monitoring policy"
         return cls(
-            thresholds=read_field(data, "thresholds", lambda v: tuple(float(t) for t in v), where),
+            thresholds=read_field(data, "thresholds", thresholds, where),
             messages=read_field(data, "messages", lambda v: tuple(integer(m) for m in v), where),
         )
 

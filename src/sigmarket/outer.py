@@ -50,6 +50,7 @@ from .subgame import (
     WageSchedule,
     construct_epbe,
     pooling_tag,
+    read_strategy,
 )
 
 OutcomeLabel = Literal[
@@ -140,9 +141,10 @@ class EquilibriumOutcome:
         def payoffs(v) -> tuple[float, float]:
             return read_field(v, LOW, finite, f"{where} payoffs"), read_field(v, HIGH, finite, f"{where} payoffs")
 
+        profile = read_field(data, "profile", PolicyProfile.from_list, where)
         return cls(
-            profile=read_field(data, "profile", PolicyProfile.from_list, where),
-            on_path=read_field(data, "on_path", PopulationStrategy.from_dict, where),
+            profile=profile,
+            on_path=read_strategy(data, "on_path", profile, where),
             wages=read_field(data, "wages", WageSchedule.from_dict, where),
             profits=read_field(data, "profits", lambda v: tuple(finite(x) for x in v), where),
             payoffs=read_field(data, "payoffs", payoffs, where),

@@ -19,14 +19,14 @@ never consults the construction, enumerating instead candidate supports over
 band-minimum efforts (within a message band, any higher effort is strictly
 dominated) and solving mixing weights in closed form from the wage identity.
 Each weight condition reads one support, so it is tabulated per support and
-only the support pairs it admits are joined.  verify_pbe's student
-best-response rule refuses a pair first from a per-type table of the best
-floor-wage values (a D1 wage is never lower) and its sent signals' Bayes
-wages; only survivors are priced, face the rule again with D1 wages, and are
-built as bundles, kept exactly when they pass both verifiers.  Each support
-pair yields at most one member, so none is dropped as a duplicate.  The
-oracle and check_minimality price a strategy alike: Bayes beliefs on path
-(_price_on_path), punishing D1 beliefs off path (_price_off_path).
+only the support pairs it admits are joined.  Each pair is priced once, its
+sent signals at their Bayes wages and the rest at the floor wage (a D1 wage
+is never lower), where verify_pbe's best-response rule first refuses it.  A
+survivor gets D1 beliefs off path, only the signals raised to belief 1 face
+the rule again, and it is kept exactly when it passes both verifiers.  Each
+support pair yields at most one member, so none is dropped as a duplicate.
+The oracle and check_minimality price a strategy alike: Bayes beliefs on
+path, punishing D1 beliefs off path (_price_off_path).
 
 Best responses and candidate actions both come from band-minimum efforts (0
 and the policy thresholds), so no check here discretises effort.  The
@@ -159,7 +159,8 @@ def _payoff(eq: SubgameEquilibrium, params: MarketParams, type_label: TypeLabel,
 def _best_response_gaps(
     nets: list[float], costs: list[float], pays: list[float], tol: float
 ) -> list[tuple[int, float]]:
-    """The student best-response rule, shared by verify_pbe and the oracle.
+    """The student best-response rule of verify_pbe; the oracle applies it to
+    the signals its D1 pricing raised, after _screen's floor-wage pass.
 
     nets[k] is signal k's income net of its school's fee and costs[k] the
     type's cost at the signal's band-minimum effort, so the type's best payoff
@@ -260,15 +261,21 @@ def _price_on_path(
 
 def _price_off_path(
     params: MarketParams, actions: list[_Action], payoffs: dict[TypeLabel, float], beliefs: dict, offers: dict, tol: float
-) -> None:
+) -> list[_Action]:
     """Add a punishing belief, and its wage, at every signal of `actions` (a
     profile's _candidate_actions table) that `beliefs` does not price: 1 where
-    D1 excludes the low type given the types' equilibrium `payoffs`, else 0."""
+    D1 excludes the low type given the types' equilibrium `payoffs`, else 0.
+    Returns the actions whose signal it priced at belief 1."""
+    raised = []
     for a in actions[1:]:  # every signal, at its band-minimum effort
         if a.signal not in beliefs:
             low, high = (_d1_sets(payoffs[t], a.fee, a.cost[t], params, tol) for t in (LOW, HIGH))
-            beliefs[a.signal] = 1.0 if strictly_included(low.weak, high.strict, tol) else 0.0
+            excluded = strictly_included(low.weak, high.strict, tol)
+            beliefs[a.signal] = 1.0 if excluded else 0.0
             offers[a.signal] = wage_offer(beliefs[a.signal], params)
+            if excluded:
+                raised.append(a)
+    return raised
 
 
 def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -428,41 +435,6 @@ def _signal_mass(support: tuple[_Action, ...], weights: tuple[float, ...]) -> di
     return out
 
 
-class _Priced(NamedTuple):
-    """A candidate's belief and wage at each priced signal (its sent signals,
-    then every other one once _price_off_path has run), what each of its
-    support actions pays each type, each type's payoff (its first support
-    action's pay), and its construction tag (pooling_tag)."""
-
-    beliefs: dict[Signal, float]
-    offers: dict[Signal, float | None]
-    pays: dict[TypeLabel, list[float]]
-    payoffs: dict[TypeLabel, float]
-    tag: str
-
-
-def _price_candidate(
-    params: MarketParams,
-    sup_h: tuple[_Action, ...],
-    weights_h: tuple[float, ...],
-    sup_l: tuple[_Action, ...],
-    weights_l: tuple[float, ...],
-) -> _Priced:
-    """One weighted support pair, priced on path by _price_on_path."""
-    mass_high = _signal_mass(sup_h, weights_h)
-    mass_low = _signal_mass(sup_l, weights_l)
-    beliefs, offers = _price_on_path(mass_high, mass_low, params)
-
-    def pay(t: TypeLabel, a: _Action) -> float:
-        if a.school is OUTSIDE:
-            return 0.0
-        w = offers[a.signal]
-        return (0.0 if w is None else w) - a.fee - a.cost[t]
-
-    pays = {t: [pay(t, a) for a in sup] for t, sup in ((LOW, sup_l), (HIGH, sup_h))}
-    return _Priced(beliefs, offers, pays, {t: vals[0] for t, vals in pays.items()}, pooling_tag(mass_high, mass_low))
-
-
 def _floor_table(params: MarketParams, actions: list[_Action]) -> dict[TypeLabel, list[tuple[float, Signal]]]:
     """Per type, the five best (value, signal) over the signals of `actions`,
     best first; a value is the floor wage wage_offer(0) net of fee and cost.
@@ -471,16 +443,20 @@ def _floor_table(params: MarketParams, actions: list[_Action]) -> dict[TypeLabel
     return {t: sorted((((income - a.fee) - a.cost[t], a.signal) for a in actions[1:]), reverse=True)[:5] for t in (LOW, HIGH)}
 
 
-def _floor_refuses(params: MarketParams, table: dict, sup_h, weights_h, sup_l, weights_l, tol: float) -> bool:
-    """_refuses for a weighted pair with its unsent signals at the floor wage,
-    from its sent signals' Bayes wages and `table` (_floor_table), same floats.
-    A D1 wage is never below the floor, so the refusal stands after D1 pricing."""
+def _screen(params: MarketParams, table: dict, sup_h, weights_h, sup_l, weights_l, tol: float):
+    """A weighted pair priced on path as _price_on_path prices it, or None
+    where verify_pbe's best-response rule refuses it with every unsent signal
+    at the floor wage (the best one read off `table`, _floor_table); a D1 wage
+    is never lower, so the refusal stands.  Returns (mass_high, mass_low,
+    beliefs, offers, pays), pays[t] listing what type t's support pays."""
     mass_high, mass_low = _signal_mass(sup_h, weights_h), _signal_mass(sup_l, weights_l)
-    nets: dict[Signal, tuple[float, dict]] = {}  # sent signal -> (wage net of fee, costs)
+    beliefs, offers, nets = {}, {}, {}  # nets: sent signal -> (wage net of fee, costs)
     for a in sup_h + sup_l:
         if (s := a.signal) in mass_high or s in mass_low:
-            w = wage_offer(bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params), params)
+            beliefs[s] = bayes_high(mass_high.get(s, 0.0), mass_low.get(s, 0.0), params)
+            offers[s] = w = wage_offer(beliefs[s], params)
             nets[s] = ((0.0 if w is None else w) - a.fee, a.cost)
+    pays = {}
     for t, sup in ((LOW, sup_l), (HIGH, sup_h)):
         best = 0.0
         for v, s in table[t]:
@@ -489,40 +465,10 @@ def _floor_refuses(params: MarketParams, table: dict, sup_h, weights_h, sup_l, w
                 break
         for net, cost in nets.values():
             best = max(best, net - cost[t])
-        for a in sup:
-            if (0.0 if a.signal is None else nets[a.signal][0] - a.cost[t]) < best - tol:
-                return True
-    return False
-
-
-def _refuses(actions: list[_Action], priced: _Priced, tol: float) -> bool:
-    """Whether verify_pbe would find a student best-response violation among
-    the support actions, read off the action table with the same floats;
-    every signal is priced (_price_off_path has run)."""
-    signals = actions[1:]
-    nets = [(0.0 if (w := priced.offers[a.signal]) is None else w) - a.fee for a in signals]
-    return any(_best_response_gaps(nets, [a.cost[t] for a in signals], priced.pays[t], tol) for t in (LOW, HIGH))
-
-
-def _bundle_candidate(
-    profile: PolicyProfile,
-    sup_h: tuple[_Action, ...],
-    weights_h: tuple[float, ...],
-    sup_l: tuple[_Action, ...],
-    weights_l: tuple[float, ...],
-    priced: _Priced,
-) -> SubgameEquilibrium:
-    high = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_h, weights_h))
-    low = tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup_l, weights_l))
-    return SubgameEquilibrium(
-        profile=profile,
-        strategy=PopulationStrategy(low=low, high=high),
-        wages=WageSchedule(offers=priced.offers),
-        beliefs=BeliefSystem(mu_high=priced.beliefs),
-        payoff_L=priced.payoffs[LOW],
-        payoff_H=priced.payoffs[HIGH],
-        construction_tag=priced.tag,
-    )
+        pays[t] = [0.0 if a.signal is None else nets[a.signal][0] - a.cost[t] for a in sup]
+        if any(pay < best - tol for pay in pays[t]):
+            return None
+    return mass_high, mass_low, beliefs, offers, pays
 
 
 def brute_force_equilibria(
@@ -535,10 +481,11 @@ def brute_force_equilibria(
     option counts as one), and only the support pairs whose mixing weights
     can exist are joined.  A pair is refused at once when a support action
     fails verify_pbe's student best-response rule with its sent signals at
-    their Bayes wages and the others at the floor wage (_floor_refuses); the
-    rest are priced, get D1 wages off path and face the same rule.  Only the
-    survivors are built as bundles, and a bundle is kept only if it passes
-    both verify_pbe and verify_extended_d1.  Output order is
+    their Bayes wages and the others at the floor wage (_screen).  A survivor
+    keeps those prices and gets D1 beliefs off path; the signals D1 raises to
+    belief 1 are the only ones whose wage moved, so the rule is re-tested on
+    them alone.  Only then is the pair built as a bundle, kept only if it
+    passes both verify_pbe and verify_extended_d1.  Output order is
     lexicographic in the candidate supports.  Each support pair yields at
     most one member, and none is dropped as a duplicate: two pairs differ in
     an atom, the outside option or a (school, band).  The function sets no
@@ -550,13 +497,22 @@ def brute_force_equilibria(
     table = _floor_table(params, actions)
     results: list[SubgameEquilibrium] = []
     for sup_h, weights_h, sup_l, weights_l in _weighted_pairs(params, actions, tol):
-        if _floor_refuses(params, table, sup_h, weights_h, sup_l, weights_l, tol):
+        if (screened := _screen(params, table, sup_h, weights_h, sup_l, weights_l, tol)) is None:
             continue
-        priced = _price_candidate(params, sup_h, weights_h, sup_l, weights_l)
-        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
-        if _refuses(actions, priced, tol):
+        mass_high, mass_low, beliefs, offers, pays = screened
+        payoffs = {t: vals[0] for t, vals in pays.items()}
+        raised = _price_off_path(params, actions, payoffs, beliefs, offers, tol)
+        nets = [offers[a.signal] - a.fee for a in raised]  # theta_H - fee: belief 1 always draws an offer
+        if any(_best_response_gaps(nets, [a.cost[t] for a in raised], pays[t], tol) for t in (LOW, HIGH)):
             continue
-        eq = _bundle_candidate(profile, sup_h, weights_h, sup_l, weights_l, priced)
+        low, high = (
+            tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup, weights))
+            for sup, weights in ((sup_l, weights_l), (sup_h, weights_h))
+        )
+        eq = SubgameEquilibrium(
+            profile, PopulationStrategy(low, high), WageSchedule(offers), BeliefSystem(beliefs),
+            payoffs[LOW], payoffs[HIGH], pooling_tag(mass_high, mass_low),
+        )
         if verify_pbe(eq, params, tol).passed and verify_extended_d1(eq, params, tol).passed:
             results.append(eq)
     return results

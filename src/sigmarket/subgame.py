@@ -173,6 +173,17 @@ class BeliefSystem:
         return cls(mu_high={Signal.from_key(k): read_field(data, k, finite, "belief system") for k in data})
 
 
+def read_strategy(data: dict, key: str, profile: PolicyProfile, where: str) -> PopulationStrategy:
+    """read_field of a strategy whose atoms stay out or go to a school of
+    `profile`; any other school (a negative one would wrap to the last) is
+    refused, naming the field."""
+    strategy = read_field(data, key, PopulationStrategy.from_dict, where)
+    for a in strategy.low + strategy.high:
+        if a.school is not OUTSIDE and not 0 <= a.school < profile.n:
+            raise InputError(f"{where} field {key!r} sends students to school {a.school}; the profile has {profile.n}")
+    return strategy
+
+
 ConstructionTag = Literal["semi_pooling", "separating"]
 
 
@@ -209,9 +220,10 @@ class SubgameEquilibrium:
     @classmethod
     def from_dict(cls, data: dict) -> "SubgameEquilibrium":
         where = "equilibrium"
+        profile = read_field(data, "profile", PolicyProfile.from_list, where)
         return cls(
-            profile=read_field(data, "profile", PolicyProfile.from_list, where),
-            strategy=read_field(data, "strategy", PopulationStrategy.from_dict, where),
+            profile=profile,
+            strategy=read_strategy(data, "strategy", profile, where),
             wages=read_field(data, "wages", WageSchedule.from_dict, where),
             beliefs=read_field(data, "beliefs", BeliefSystem.from_dict, where),
             payoff_L=read_field(data, "payoff_L", finite, where),

@@ -23,7 +23,7 @@ from sigmarket import (
 )
 from sigmarket.cli import COMMANDS, _dump, _parse_range, _solve_outcomes, build_parser, main
 from sigmarket.outer import CSV_COLUMNS, outcome_csv_row
-from sigmarket.market import MAX_GRID_POINTS, MAX_SCHOOLS, MAX_SWEEP_VALUES
+from sigmarket.market import MAX_GRID_POINTS, MAX_SCHOOLS, MAX_SWEEP_VALUES, MAX_THRESHOLDS
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -188,6 +188,25 @@ class TestVerify:
         assert ("stored payoff for type H off by recomputation" in details) == (code == 1)
 
 
+    @pytest.mark.parametrize("school", [-1, 2])
+    def test_atom_at_a_school_outside_the_profile_exit_2(self, tmp_path, screening, capsys, school):
+        """The n = 2 riley bundle with its first high atom moved to school -1
+        (which would index the last school) or 2 (past the end), and a wage
+        and belief for that school's top band, is malformed input, refused
+        naming the field."""
+        params = screening.with_(n_schools=2)
+        payload = riley_rpbe(params).to_subgame(params).to_dict()
+        payload["strategy"]["H"][0]["school"] = school
+        payload["wages"][f"{school}:1"] = payload["wages"]["0:1"]
+        payload["beliefs"][f"{school}:1"] = payload["beliefs"]["0:1"]
+        eq_path, out_path = tmp_path / "eq.json", tmp_path / "rep.json"
+        eq_path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["verify", "--params", write_params(tmp_path, params), "--profile", str(eq_path), "--out", str(out_path)]
+        assert main(argv) == 2
+        assert not out_path.exists()
+        assert f"'strategy' sends students to school {school}" in capsys.readouterr().err
+
+
 class TestOracleCompare:
     def test_riley_profile_matches(self, tmp_path, screening):
         params = screening.with_(n_schools=2)
@@ -311,6 +330,20 @@ class TestSweep:
         points = _sweep_points({"base": base, "vary": {"kappa_L": [2.5, 3.0], "lambda": [0.3, 0.6]}})
         assert [(p.cost.kappa_L, p.lam) for p in points] == [(2.5, 0.3), (2.5, 0.6), (3.0, 0.3), (3.0, 0.6)]
         assert base == screening.to_dict()
+
+    def test_vary_product_beyond_cap_exit_2(self, tmp_path, screening, capsys, monkeypatch):
+        """`vary` lists whose lengths multiply to MAX_SWEEP_VALUES + 1 are
+        refused before any point is built."""
+        from sigmarket import cli
+
+        built = []
+        monkeypatch.setattr(cli, "_with_field", lambda *a: built.append(a))
+        assert 73 * 137 == MAX_SWEEP_VALUES + 1
+        spec = self.write_vary(tmp_path, screening.to_dict(), {"lambda": [0.5] * 73, "theta_H": [2.0] * 137})
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", spec, "--out", str(out)]) == 2
+        assert not out.exists() and not built
+        assert f"make {MAX_SWEEP_VALUES + 1} points; a sweep takes at most {MAX_SWEEP_VALUES}" in capsys.readouterr().err
 
     def test_bad_spec_exit_2(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -600,6 +633,19 @@ def test_n_schools_beyond_cap_exit_2(tmp_path, capsys, command, value):
     assert main([command, "--params", str(params_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert "'n_schools'" in capsys.readouterr().err
+
+
+def test_thresholds_beyond_cap_exit_2(tmp_path, screening, capsys):
+    """A policy listing MAX_THRESHOLDS + 1 thresholds is refused while the
+    profile is parsed, naming the field."""
+    thresholds = [0.001 * (k + 1) for k in range(MAX_THRESHOLDS + 1)]
+    profile = [{"fee": 0.0, "monitoring": {"thresholds": thresholds, "messages": list(range(len(thresholds) + 1))}}]
+    prof_path, out = tmp_path / "profile.json", tmp_path / "out.json"
+    prof_path.write_text(json.dumps(profile), encoding="utf-8")
+    argv = ["oracle-compare", "--params", write_params(tmp_path, screening), "--profile", str(prof_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert f"'thresholds' is malformed: expected at most {MAX_THRESHOLDS} thresholds" in capsys.readouterr().err
 
 
 def test_bench_command_lines_run(tmp_path, screening):

@@ -12,6 +12,7 @@ from sigmarket import (
     min_cost,
     reduce_minimal,
 )
+from sigmarket.market import MAX_THRESHOLDS
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -22,6 +23,17 @@ def step_policies():
     return st.lists(
         st.floats(0.01, 10.0).map(lambda x: round(x, 3)), min_size=0, max_size=4, unique=True
     ).map(lambda ts: StepMonitoringPolicy(thresholds=tuple(sorted(ts)), messages=tuple(range(len(ts) + 1))))
+
+
+def test_thresholds_beyond_cap_rejected():
+    """from_dict refuses MAX_THRESHOLDS + 1 thresholds, naming the field,
+    before the policy is built; the cap itself parses."""
+    def data(k):
+        return {"thresholds": [0.001 * (j + 1) for j in range(k)], "messages": list(range(k + 1))}
+
+    assert len(StepMonitoringPolicy.from_dict(data(MAX_THRESHOLDS)).thresholds) == MAX_THRESHOLDS
+    with pytest.raises(InputError, match=f"field 'thresholds' is malformed: expected at most {MAX_THRESHOLDS} thresholds"):
+        StepMonitoringPolicy.from_dict(data(MAX_THRESHOLDS + 1))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -303,6 +303,15 @@ class TestOutcomeFromDict:
         with pytest.raises(InputError, match=f"'profits' lists {len(profits)} profits for 2 schools"):
             EquilibriumOutcome.from_dict(data)
 
+    @pytest.mark.parametrize("school", [-1, 2])
+    def test_atom_at_a_school_outside_the_profile(self, screening, school):
+        """An atom at school -1 would index the last school, and one at 2
+        would crash welfare; both are refused, naming the field."""
+        data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
+        data["on_path"]["H"][0]["school"] = school
+        with pytest.raises(InputError, match=f"'on_path' sends students to school {school}; the profile has 2"):
+            EquilibriumOutcome.from_dict(data)
+
     def test_derived_fields_are_read_off_the_strategy(self, screening):
         # enrollment and employment in a file are accepted and ignored
         out = riley_rpbe(screening.with_(n_schools=2))

@@ -509,54 +509,63 @@ def grid_scan_verify_pbe(profile, eq, params, grid, tol=1e-9):
     return VerificationReport.from_violations(violations)
 
 
-def oracle_candidates(profile, params, tol=1e-9):
-    """Every candidate the brute-force oracle assembles, before verification."""
-    from sigmarket.refinement import (
-        _bundle_candidate,
-        _candidate_actions,
-        _price_candidate,
-        _price_off_path,
-        _weighted_pairs,
-    )
+def price_on_path(params, sup_h, w_h, sup_l, w_l):
+    """A weighted support pair priced on path in full: (mass_high, mass_low,
+    Bayes beliefs and their wages at every sent signal (_price_on_path), each
+    type's pay at each of its support actions)."""
+    from sigmarket.refinement import _price_on_path, _signal_mass
 
-    actions = _candidate_actions(profile, params)
-    for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
-        priced = _price_candidate(params, sup_h, w_h, sup_l, w_l)
-        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
-        yield _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
+    mass_high, mass_low = _signal_mass(sup_h, w_h), _signal_mass(sup_l, w_l)
+    beliefs, offers = _price_on_path(mass_high, mass_low, params)
+
+    def pay(t, a):
+        return 0.0 if a.signal is None else ((0.0 if (w := offers[a.signal]) is None else w) - a.fee) - a.cost[t]
+
+    return mass_high, mass_low, beliefs, offers, {t: [pay(t, a) for a in sup] for t, sup in (("L", sup_l), ("H", sup_h))}
 
 
-def floor_refuses(params, actions, priced, tol):
-    """The reference floor pass: a candidate priced on path by
-    _price_candidate, every signal it does not send read at the floor wage
-    wage_offer(0), then _best_response_gaps for each type's support pays."""
+def floor_refuses(params, actions, offers, pays, tol):
+    """The reference floor pass: a pair priced on path (price_on_path), every
+    signal it does not send read at the floor wage wage_offer(0), then
+    _best_response_gaps for each type's support pays."""
     from sigmarket.refinement import _best_response_gaps
 
     floor = wage_offer(0.0, params)
-    nets = [(0.0 if (w := priced.offers.get(a.signal, floor)) is None else w) - a.fee for a in actions[1:]]
-    return any(_best_response_gaps(nets, [a.cost[t] for a in actions[1:]], priced.pays[t], tol) for t in ("L", "H"))
+    nets = [(0.0 if (w := offers.get(a.signal, floor)) is None else w) - a.fee for a in actions[1:]]
+    return any(_best_response_gaps(nets, [a.cost[t] for a in actions[1:]], pays[t], tol) for t in ("L", "H"))
 
 
-def oracle_verdicts(profile, params, tol=1e-9):
-    """Every weighted pair the oracle enumerates, priced as a candidate, as
-    (bundle, whether the oracle's best-response reject refuses it, whether
-    the reference floor pass refuses it already, before D1 pricing)."""
-    from sigmarket.refinement import (
-        _bundle_candidate,
-        _candidate_actions,
-        _price_candidate,
-        _price_off_path,
-        _refuses,
-        _weighted_pairs,
-    )
+def priced_pairs(profile, params, tol=1e-9):
+    """The oracle's candidates by definition: every weighted pair it
+    enumerates, priced with Bayes beliefs on path and punishing D1 beliefs
+    off path (_price_off_path), as (bundle, whether the reference floor pass
+    refuses it before D1 pricing)."""
+    from sigmarket.refinement import _candidate_actions, _price_off_path, _weighted_pairs
 
     actions = _candidate_actions(profile, params)
     for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
-        priced = _price_candidate(params, sup_h, w_h, sup_l, w_l)
-        at_floor = floor_refuses(params, actions, priced, tol)
-        _price_off_path(params, actions, priced.payoffs, priced.beliefs, priced.offers, tol)
-        bundle = _bundle_candidate(profile, sup_h, w_h, sup_l, w_l, priced)
-        yield bundle, _refuses(actions, priced, tol), at_floor
+        mass_high, mass_low, beliefs, offers, pays = price_on_path(params, sup_h, w_h, sup_l, w_l)
+        at_floor = floor_refuses(params, actions, offers, pays, tol)
+        _price_off_path(params, actions, {t: vals[0] for t, vals in pays.items()}, beliefs, offers, tol)
+        low, high = (tuple(StrategyAtom(a.school, a.effort, w) for a, w in zip(sup, ws)) for sup, ws in ((sup_l, w_l), (sup_h, w_h)))
+        strategy = PopulationStrategy(low=low, high=high)
+        tag = "semi_pooling" if set(mass_high) & set(mass_low) else "separating"
+        bundle = SubgameEquilibrium(profile, strategy, WageSchedule(offers), BeliefSystem(beliefs), pays["L"][0], pays["H"][0], tag)
+        yield bundle, at_floor
+
+
+def best_response_fails(eq, params, tol=1e-9):
+    return any(v.kind == "student_best_response" for v in verify_pbe(eq, params, tol).violations)
+
+
+def defined_oracle(profile, params, tol):
+    """brute_force_equilibria by its definition: the fully priced candidates
+    (priced_pairs) that pass both verifiers, in enumeration order."""
+    return [
+        eq.to_dict()
+        for eq, _ in priced_pairs(profile, params, tol)
+        if verify_pbe(eq, params, tol).passed and verify_extended_d1(eq, params, tol).passed
+    ]
 
 
 class TestExactBestResponse:
@@ -601,7 +610,7 @@ class TestExactBestResponse:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof in self.profiles():
                     grids = [DeviationGrid.for_profile(prof, params, n_points=k) for k in (4, 15, 21)]
-                    for eq in oracle_candidates(prof, params):
+                    for eq, _ in priced_pairs(prof, params):
                         exact = verify_pbe(eq, params).to_dict()
                         for grid in grids:
                             assert exact == grid_scan_verify_pbe(prof, eq, params, grid).to_dict()
@@ -609,21 +618,29 @@ class TestExactBestResponse:
                             failing += any(v["kind"] == "student_best_response" for v in exact["violations"])
         assert failing > 1000 and checked - failing > 100
 
-    def test_oracle_refuses_exactly_the_best_response_failures(self):
-        """The oracle's reject fires on a priced candidate if and only if
-        verify_pbe reports a student_best_response violation for it.  At
-        tol = 0 a kept candidate's support pays exactly its best payoff, so
-        the comparison's strictness shows too."""
+    def test_oracle_refuses_exactly_the_best_response_failures(self, monkeypatch):
+        """The oracle's screen and D1 re-test refuse a pair if and only if
+        verify_pbe reports a student_best_response violation for the fully
+        priced candidate: brute_force_equilibria hands verify_pbe exactly the
+        other candidates, in order.  At tol = 0 a kept candidate's support
+        pays exactly its best payoff, so the comparison's strictness shows
+        too."""
+        from sigmarket import refinement
+
+        verified = []
+        verify = refinement.verify_pbe
+        monkeypatch.setattr(refinement, "verify_pbe", lambda eq, *a: verified.append(eq.to_dict()) or verify(eq, *a))
         refused = kept = 0
         for cost in self.COSTS:
             for theta_l, lam in self.MARKETS:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
-                    for eq, refuses, _ in oracle_verdicts(prof, params, tol):
-                        report = verify_pbe(eq, params, tol)
-                        assert refuses == any(v.kind == "student_best_response" for v in report.violations)
-                        refused += refuses
-                        kept += not refuses
+                    fails = [(eq, best_response_fails(eq, params, tol)) for eq, _ in priced_pairs(prof, params, tol)]
+                    verified.clear()
+                    refinement.brute_force_equilibria(prof, params, tol)
+                    assert verified == [eq.to_dict() for eq, refuses in fails if not refuses]
+                    refused += sum(refuses for _, refuses in fails)
+                    kept += len(verified)
         assert refused > 1000 and kept > 100
 
     def test_floor_screen_refuses_only_what_the_reject_refuses(self):
@@ -635,32 +652,17 @@ class TestExactBestResponse:
             for theta_l, lam in self.MARKETS:
                 params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
                 for prof, tol in itertools.product(self.profiles(), (1e-9, 0.0)):
-                    for _, refuses, floor_refuses in oracle_verdicts(prof, params, tol):
-                        assert refuses or not floor_refuses
-                        screened += floor_refuses
+                    for eq, at_floor in priced_pairs(prof, params, tol):
+                        refuses = best_response_fails(eq, params, tol)
+                        assert refuses or not at_floor
+                        screened += at_floor
                         passed += not refuses
         assert screened > 1000 and passed > 100
 
-    def test_table_screen_refuses_exactly_what_the_floor_pass_refuses(self):
-        """_floor_refuses, reading the pair's sent signals and _floor_table,
-        refuses a pair if and only if the reference floor pass does.  The
-        cases hold tables shorter than their depth (one-signal profiles),
-        no floor wage (theta_L < 0), pairs that send every signal, and tied
-        table values.  In the market `below` a pooled signal's Bayes wage
-        rounds one ulp below the floor wage, so a sent signal must be read
-        at its Bayes wage even where its floor value heads the table."""
-        from sigmarket.refinement import (
-            _candidate_actions,
-            _floor_refuses,
-            _floor_table,
-            _price_candidate,
-            _weighted_pairs,
-        )
-
-        tie_three = (
-            PolicyProfile.of(*[self.policy(0.25, 0.5)] * 3),
-            MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=3),
-        )
+    def cases(self):
+        """(profile, params) over the corpus, tie_three, and the market
+        `below`, where a pooled signal's Bayes wage rounds one ulp below the
+        floor wage."""
         cases = [
             (prof, MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost))
             for cost in self.COSTS
@@ -670,14 +672,32 @@ class TestExactBestResponse:
         below = MarketParams(theta_L=0.1, theta_H=0.100000000000001, lam=6.907478462473493e-17, cost=LIN)
         assert wage_offer(bayes_high(0.5, 0.5, below), below) < wage_offer(0.0, below)
         cases += [(PolicyProfile.of(*[self.policy(0.0)] * n), below) for n in (1, 3)]
+        tie_three = (
+            PolicyProfile.of(*[self.policy(0.25, 0.5)] * 3),
+            MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN, n_schools=3),
+        )
+        return cases + [tie_three]
+
+    def test_table_screen_refuses_exactly_what_the_floor_pass_refuses(self):
+        """_screen, reading the pair's sent signals and _floor_table, refuses
+        a pair if and only if the reference floor pass does, and prices a
+        pair it passes exactly as price_on_path does.  The cases hold tables
+        shorter than their depth (one-signal profiles), no floor wage
+        (theta_L < 0), pairs that send every signal, and tied table values.
+        In the market `below` a sent signal must be read at its Bayes wage
+        even where its floor value heads the table."""
+        from sigmarket.refinement import _candidate_actions, _floor_table, _screen, _weighted_pairs
+
         seen = dict.fromkeys(("refused", "passed", "short", "no_floor", "sends_all", "tied"), 0)
-        for (prof, params), tol in itertools.product(cases + [tie_three], (1e-9, 0.0)):
+        for (prof, params), tol in itertools.product(self.cases(), (1e-9, 0.0)):
             actions = _candidate_actions(prof, params)
             table = _floor_table(params, actions)
             values = [v for v, _ in table["L"] + table["H"]]
             for sup_h, w_h, sup_l, w_l in _weighted_pairs(params, actions, tol):
-                reference = floor_refuses(params, actions, _price_candidate(params, sup_h, w_h, sup_l, w_l), tol)
-                assert _floor_refuses(params, table, sup_h, w_h, sup_l, w_l, tol) == reference
+                priced = price_on_path(params, sup_h, w_h, sup_l, w_l)
+                reference = floor_refuses(params, actions, priced[3], priced[4], tol)
+                screened = _screen(params, table, sup_h, w_h, sup_l, w_l, tol)
+                assert screened == (None if reference else priced)
                 seen["refused" if reference else "passed"] += 1
                 seen["short"] += len(actions) - 1 < 5
                 seen["no_floor"] += params.theta_L < 0
@@ -685,6 +705,56 @@ class TestExactBestResponse:
                 seen["tied"] += len(set(values)) < len(values)
         assert seen["refused"] > 1000 and seen["passed"] > 100
         assert all(seen.values()), seen
+
+    def test_oracle_is_its_definition(self):
+        """brute_force_equilibria equals, member by member and in order, the
+        fully priced candidates that pass both verifiers (defined_oracle)."""
+        members = 0
+        for (prof, params), tol in itertools.product(self.cases(), (1e-9, 0.0)):
+            oracle = [eq.to_dict() for eq in brute_force_equilibria(prof, params, tol)]
+            assert oracle == defined_oracle(prof, params, tol)
+            members += len(oracle)
+        assert members > 100
+
+    def test_oracle_is_its_definition_at_a_knife_edge(self):
+        """Two identical schools at tol = 0.  Six members price the unsent
+        twin of their top band at belief 1, yet U_H + f + c_H there rounds
+        one ulp below theta_H, so the high type does not gain by it: a
+        belief-1 signal alone does not refuse a pair."""
+        params = MarketParams(
+            theta_L=0.8902561089040905, theta_H=2.9154245987733325, lam=0.5,
+            cost=CostFamily.linear(2.4552986153723237, 1.0149510169889495), n_schools=2,
+        )  # fmt: skip
+        policy = Policy(fee=0.09322504444002822, monitoring=StepMonitoringPolicy.cutoff(1.9292050963806013))
+        prof = PolicyProfile.of(policy, policy)
+        for tol, count, raised in ((0.0, 12, 6), (1e-9, 16, 0)):
+            oracle = brute_force_equilibria(prof, params, tol)
+            assert [eq.to_dict() for eq in oracle] == defined_oracle(prof, params, tol)
+            unsent = [[s for s in prof.signals() if s not in eq.strategy.sent_signals(prof)] for eq in oracle]
+            assert len(oracle) == count
+            assert sum(any(eq.beliefs.mu(s) == 1.0 for s in sig) for eq, sig in zip(oracle, unsent)) == raised
+
+    def test_oracle_is_its_definition_on_the_bench_pool(self, tmp_path):
+        """The first profiles of the seed-5 bench oracle pool, at the tol
+        oracle-compare uses there, bench/workloads.py loaded by path."""
+        import importlib.util
+        import json
+        import random
+        from pathlib import Path
+
+        spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        inputs = workloads.Inputs(tmp_path)
+        workloads._build_oracle(random.Random("oracle:5"), inputs)
+        members = 0
+        for op in inputs.ops[:100]:
+            params = MarketParams.from_dict(json.loads(Path(op["params"]).read_text()))
+            prof = PolicyProfile.from_list(json.loads(Path(op["profile"]).read_text()))
+            oracle = [eq.to_dict() for eq in brute_force_equilibria(prof, params)]
+            assert oracle == defined_oracle(prof, params, 1e-9)
+            members += len(oracle)
+        assert members > 100
 
     def test_weighted_pairs_emit_each_support_pair_once(self):
         """_weighted_pairs emits an (H support, L support) pair at most once,
@@ -706,10 +776,11 @@ class TestExactBestResponse:
 
     @pytest.mark.parametrize("case", ["tie_three", "linear-screening-5", "power-sorting-6"])
     def test_oracle_verifies_only_survivors(self, case, monkeypatch):
-        """brute_force_equilibria prices (_price_candidate) exactly the pairs
-        the reference floor pass lets through, fewer than _weighted_pairs
-        emits, and calls verify_pbe once per candidate that passes the
-        reject, fewer times than _weighted_pairs emits pairs."""
+        """brute_force_equilibria prices off path (_price_off_path) exactly
+        the pairs the reference floor pass lets through, fewer than
+        _weighted_pairs emits, and calls verify_pbe once per fully priced
+        candidate without a best-response violation, fewer times than
+        _weighted_pairs emits pairs."""
         from sigmarket import refinement
 
         if case == "tie_three":
@@ -721,14 +792,14 @@ class TestExactBestResponse:
             cost = next(c for c in self.COSTS if c.kind == kind)
             params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=cost)
             prof = self.profiles()[int(j)]
-        verdicts = list(oracle_verdicts(prof, params))
+        verdicts = [(best_response_fails(eq, params), at_floor) for eq, at_floor in priced_pairs(prof, params)]
         priced, calls = [], []
-        price, verify = refinement._price_candidate, refinement.verify_pbe
-        monkeypatch.setattr(refinement, "_price_candidate", lambda *a, **k: priced.append(1) or price(*a, **k))
+        price, verify = refinement._price_off_path, refinement.verify_pbe
+        monkeypatch.setattr(refinement, "_price_off_path", lambda *a, **k: priced.append(1) or price(*a, **k))
         monkeypatch.setattr(refinement, "verify_pbe", lambda *a, **k: calls.append(1) or verify(*a, **k))
         assert brute_force_equilibria(prof, params)
-        assert len(priced) == [at_floor for _, _, at_floor in verdicts].count(False) < len(verdicts)
-        assert len(calls) == [refuses for _, refuses, _ in verdicts].count(False) < len(verdicts)
+        assert len(priced) == [at_floor for _, at_floor in verdicts].count(False) < len(verdicts)
+        assert len(calls) == [refuses for refuses, _ in verdicts].count(False) < len(verdicts)
 
     def test_zero_effort_band_counts(self, sorting):
         """With everybody outside, the best deviation is enrolling at zero

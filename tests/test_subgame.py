@@ -454,6 +454,16 @@ class TestSerialization:
         assert back.to_dict() == eq.to_dict()
         assert back.payoff_H == eq.payoff_H
 
+    @pytest.mark.parametrize("school", [-1, 2])
+    def test_atom_at_a_school_outside_the_profile(self, screening, school):
+        """signal_of would read school -1 as the last school and fail at 2;
+        from_dict refuses both, naming the field."""
+        params = screening.with_(n_schools=2)
+        data = riley_rpbe(params).to_subgame(params).to_dict()
+        data["strategy"]["H"][0]["school"] = school
+        with pytest.raises(InputError, match=f"'strategy' sends students to school {school}; the profile has 2"):
+            SubgameEquilibrium.from_dict(data)
+
 
 class TestStrategyAtom:
     @given(st.one_of(st.none(), st.integers(0, 64)), st.floats(0.0, 10.0), st.floats(0.0, 1.0))
