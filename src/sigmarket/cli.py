@@ -32,7 +32,6 @@ from .outer import (
     credit_monopoly_rpbe,
     deviation_audit,
     mild_fee_set,
-    monopoly_rpbe,
     outcome_csv_row,
     riley_rpbe,
     semipooling_family,
@@ -95,27 +94,16 @@ def _write_csv(rows: list[list[str]], header, out: str | None, suffix: str = "")
         sys.stdout.write(buf.getvalue())
 
 
-def _monopoly(params: MarketParams) -> EquilibriumOutcome | CreditFamily:
-    """Monopoly solution at a one-school point, fee cap or not.
-
-    credit_monopoly_rpbe itself falls back to the unconstrained outcome when
-    the cap is slack.
-    """
-    if params.credit_cap is None:
-        return monopoly_rpbe(params)
-    return credit_monopoly_rpbe(params)
-
-
 def _monopoly_outcome(params: MarketParams) -> EquilibriumOutcome:
     """The single monopoly outcome: a credit family gives its zero-effort member."""
-    result = _monopoly(params)
+    result = credit_monopoly_rpbe(params)
     return result.zero_effort_member() if isinstance(result, CreditFamily) else result
 
 
 def _solve_outcomes(params: MarketParams, tol: float):
     """Outcome bundle for one parameter point, per market structure."""
     if params.n_schools == 1:
-        result = _monopoly(params)
+        result = credit_monopoly_rpbe(params)
         return result.sample(4) if isinstance(result, CreditFamily) else [result]
     outcomes = [riley_rpbe(params)]
     for q_h in (0.25, 0.5, 0.75):
@@ -226,7 +214,10 @@ def _array(value, where: str) -> list:
 
 def _sweep_points(spec: dict) -> list[MarketParams]:
     if "points" in spec:
-        return [MarketParams.from_dict(p) for p in _array(spec["points"], "sweep file field 'points'")]
+        points = _array(spec["points"], "sweep file field 'points'")
+        if len(points) > MAX_SWEEP_VALUES:  # before any point is parsed
+            raise InputError(f"sweep file field 'points' lists {len(points)} points; a sweep takes at most {MAX_SWEEP_VALUES}")
+        return [MarketParams.from_dict(p) for p in points]
     if "base" not in spec:
         raise InputError("sweep file needs either 'points' or 'base' (+ optional 'vary')")
     base, vary = spec["base"], spec.get("vary", {})

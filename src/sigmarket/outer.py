@@ -22,6 +22,7 @@ and wages are transfers and cancel out of the total.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal, NamedTuple
@@ -32,6 +33,7 @@ from .market import (
     LOW,
     DEFAULT_TOL,
     MarketParams,
+    TypeLabel,
     expected_type,
     low_per_high,
     max_welfare,
@@ -51,6 +53,7 @@ from .subgame import (
     construct_epbe,
     pooling_tag,
     read_strategy,
+    refuse_stray_signals,
 )
 
 OutcomeLabel = Literal[
@@ -142,10 +145,13 @@ class EquilibriumOutcome:
             return read_field(v, LOW, finite, f"{where} payoffs"), read_field(v, HIGH, finite, f"{where} payoffs")
 
         profile = read_field(data, "profile", PolicyProfile.from_list, where)
+        on_path = read_strategy(data, "on_path", profile, where)
+        wages = read_field(data, "wages", WageSchedule.from_dict, where)
+        refuse_stray_signals(wages.offers, profile, "wages", where)
         return cls(
             profile=profile,
-            on_path=read_strategy(data, "on_path", profile, where),
-            wages=read_field(data, "wages", WageSchedule.from_dict, where),
+            on_path=on_path,
+            wages=wages,
             profits=read_field(data, "profits", lambda v: tuple(finite(x) for x in v), where),
             payoffs=read_field(data, "payoffs", payoffs, where),
             label=read_field(data, "label", str, where),
@@ -171,7 +177,6 @@ def _symmetric_outcome(
     band_wages: tuple[float | None, ...],
     low: list[tuple[float | None, float]],
     high: list[tuple[float | None, float]],
-    payoffs: tuple[float, float],
     label: str,
     boundary: bool = False,
 ) -> EquilibriumOutcome:
@@ -180,7 +185,10 @@ def _symmetric_outcome(
 
     `low` and `high` list each type's (effort, prob) entries per school: an
     entry is split evenly over the schools, in school order; effort None
-    stays out with its whole prob, after the school atoms.
+    stays out with its whole prob, after the school atoms.  A type is
+    indifferent across its entries, so its payoff is what its last entry
+    earns: its band's wage (0 without an offer) minus the fee and the effort
+    cost, or 0 outside.
     """
     n = params.n_schools
     mon = StepMonitoringPolicy.informative_on_grid((0.0, *thresholds))
@@ -191,6 +199,13 @@ def _symmetric_outcome(
         enrolled = [StrategyAtom(i, e, p * share) for i in range(n) for e, p in entries if e is not None]
         return tuple(enrolled + [StrategyAtom(OUTSIDE, 0.0, p) for e, p in entries if e is None])
 
+    def payoff(type_label: TypeLabel, entries: list[tuple[float | None, float]]) -> float:
+        effort = entries[-1][0]
+        if effort is None:
+            return 0.0
+        wage = band_wages[bisect.bisect_right(thresholds, effort)]  # messages are 0..k
+        return (0.0 if wage is None else wage) - fee - params.cost.cost(type_label, effort)
+
     offers = {Signal(i, m): w for i in range(n) for m, w in enumerate(band_wages)}
     strategy = PopulationStrategy(low=atoms(low), high=atoms(high))
     return EquilibriumOutcome(
@@ -198,7 +213,7 @@ def _symmetric_outcome(
         on_path=strategy,
         wages=WageSchedule(offers=offers),
         profits=tuple(_school_profits(profile, params, strategy)),
-        payoffs=payoffs,
+        payoffs=(payoff(LOW, low), payoff(HIGH, high)),
         label=label,
         boundary=boundary,
     )
@@ -224,7 +239,7 @@ def monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome:
         fee, low, label = params.theta_H, [(None, 1.0)], "monopoly_screening"
     if params.credit_cap is not None and params.credit_cap < fee:
         raise InputError(f"credit_cap {params.credit_cap} is below the monopoly fee {fee}; use credit_monopoly_rpbe")
-    return _symmetric_outcome(params, fee, (), (fee,), low, [(0.0, 1.0)], (0.0, 0.0), label)
+    return _symmetric_outcome(params, fee, (), (fee,), low, [(0.0, 1.0)], label)
 
 
 @dataclass(frozen=True)
@@ -260,23 +275,11 @@ class CreditFamily:
 
     def pooling_member(self, e_l: float, tol: float = DEFAULT_TOL) -> EquilibriumOutcome:
         """All students exert e_l for the mean wage; e_l in [0, e_limit]."""
-        params = self.params
         if e_l < -tol or e_l > self.e_limit + tol:
             raise InputError(f"pooling cutoff {e_l} outside family range [0, {self.e_limit}]")
         e_l = max(e_l, 0.0)
-        mean = expected_type(params)
-        if e_l > 0:
-            thresholds, band_wages, pooled = (e_l,), (wage_offer(0.0, params), mean), [(e_l, 1.0)]
-        else:
-            thresholds, band_wages, pooled = (), (mean,), [(0.0, 1.0)]
-        payoffs = (
-            mean - self.fee - params.cost.cost(LOW, e_l),
-            mean - self.fee - params.cost.cost(HIGH, e_l),
-        )
         boundary = abs(e_l - self.e_limit) <= tol
-        return _symmetric_outcome(
-            params, self.fee, thresholds, band_wages, pooled, pooled, payoffs, "credit_family", boundary
-        )
+        return _pooled_outcome(self.params, self.fee, e_l, None, 1.0, expected_type(self.params), "credit_family", boundary)
 
     def partial_member(self, e_l: float, q_h: float, tol: float = DEFAULT_TOL) -> EquilibriumOutcome | None:
         """High types mix between the pooled effort e_l and a top threshold.
@@ -300,9 +303,7 @@ class CreditFamily:
         e_h = cf.inverse(HIGH, params.theta_H - w_l + cf.cost(HIGH, e_l))
         if e_h <= e_l + tol:
             return None
-        return _semipooling_outcome(
-            params, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol
-        )
+        return _pooled_outcome(params, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol)
 
     def sample(self, num: int = 5) -> list[EquilibriumOutcome]:
         """Deterministic spread of members across both branches."""
@@ -317,28 +318,23 @@ class CreditFamily:
 
 
 def credit_monopoly_rpbe(params: MarketParams) -> EquilibriumOutcome | CreditFamily:
-    """Monopoly under a fee cap K.
+    """Monopoly under a fee cap K, any one-school market.
 
-    Slack cap (K >= theta_H, or sorting with K >= mean) falls back to the
-    unconstrained outcome.  Screening with K in [mean, theta_H) gives the
+    No cap, or a slack one (K >= theta_H, or sorting with K >= mean), gives
+    the unconstrained outcome.  Screening with K in [mean, theta_H) gives the
     unique capped-pooling outcome: fee K, every high type plus the fraction
     of low types that drags the pooled wage down to exactly K.  A tight cap
     (K < mean) yields the :class:`CreditFamily` continuum.
     """
     if params.n_schools != 1:
         raise InputError(f"credit monopoly solver needs n_schools == 1, got {params.n_schools}")
-    if params.credit_cap is None:
-        raise InputError("params.credit_cap must be set")
-    cap = params.credit_cap
-    if cap >= params.theta_H:
+    cap, mean = params.credit_cap, expected_type(params)
+    if cap is None or cap >= params.theta_H or (params.is_sorting and cap >= mean):
         return monopoly_rpbe(params.with_(credit_cap=None))
-    mean = expected_type(params)
     if cap >= mean:
-        if params.is_sorting:
-            return monopoly_rpbe(params.with_(credit_cap=None))
-        alpha = low_per_high(cap, params)
+        alpha = min(low_per_high(cap, params), 1.0)  # at cap == mean it may round above 1
         low = [(0.0, alpha), (None, 1.0 - alpha)]
-        return _symmetric_outcome(params, cap, (), (cap,), low, [(0.0, 1.0)], (0.0, 0.0), "monopoly_credit")
+        return _symmetric_outcome(params, cap, (), (cap,), low, [(0.0, 1.0)], "monopoly_credit")
     cf = params.cost
     e_prime = cf.inverse(LOW, mean - cap)
     cap_eff = max(cap, params.theta_L, 0.0)
@@ -391,13 +387,9 @@ def riley_rpbe(params: MarketParams) -> EquilibriumOutcome:
     if params.n_schools < 2:
         raise InputError(f"competition solver needs n >= 2 schools, got {params.n_schools}")
     e_r = riley_effort(params)
-    if params.is_sorting:
-        low, payoff_l = [(0.0, 1.0)], params.theta_L
-    else:
-        low, payoff_l = [(None, 1.0)], 0.0
-    payoffs = (payoff_l, params.theta_H - params.cost.cost(HIGH, e_r))
+    low = [(0.0, 1.0)] if params.is_sorting else [(None, 1.0)]
     band_wages = (wage_offer(0.0, params), params.theta_H)
-    return _symmetric_outcome(params, 0.0, (e_r,), band_wages, low, [(e_r, 1.0)], payoffs, "riley")
+    return _symmetric_outcome(params, 0.0, (e_r,), band_wages, low, [(e_r, 1.0)], "riley")
 
 
 def _mixed_wage(q_h: float, params: MarketParams) -> float:
@@ -433,24 +425,27 @@ class FamilyResult:
         return self.members[k]
 
 
-def _semipooling_outcome(
+def _pooled_outcome(
     params: MarketParams,
     fee: float,
     e_l: float,
-    e_h: float,
+    e_h: float | None,
     q_h: float,
     w_l: float,
     label: str,
     boundary: bool = False,
 ) -> EquilibriumOutcome:
-    if e_l > 0:
-        thresholds, band_wages = (e_l, e_h), (wage_offer(0.0, params), w_l, params.theta_H)
-    else:
+    """Low types and a share q_h of high types pool at effort e_l for wage
+    w_l; the other high types take the top threshold e_h for theta_H (e_h
+    None with q_h = 1: full pooling).  Below a positive e_l sits a floor band
+    paid the zero-belief wage."""
+    thresholds, band_wages, high = (), (w_l,), [(e_l, q_h)]
+    if e_h is not None:
         thresholds, band_wages = (e_h,), (w_l, params.theta_H)
-    cf = params.cost
-    payoffs = (w_l - fee - cf.cost(LOW, e_l), params.theta_H - fee - cf.cost(HIGH, e_h))
-    high = [(e_l, q_h), (e_h, 1.0 - q_h)]
-    return _symmetric_outcome(params, fee, thresholds, band_wages, [(e_l, 1.0)], high, payoffs, label, boundary)
+        high.append((e_h, 1.0 - q_h))
+    if e_l > 0:
+        thresholds, band_wages = (e_l, *thresholds), (wage_offer(0.0, params), *band_wages)
+    return _symmetric_outcome(params, fee, thresholds, band_wages, [(e_l, 1.0)], high, label, boundary)
 
 
 def semipooling_family(
@@ -553,9 +548,7 @@ def semipooling_family(
     if not all(checks):
         return FamilyResult(members=())
     boundary = abs(low_payoff - max(0.0, params.theta_L - fee_val)) <= tol
-    member = _semipooling_outcome(
-        params, fee_val, e_l_val, e_h_val, q_val, w_l, label, boundary
-    )
+    member = _pooled_outcome(params, fee_val, e_l_val, e_h_val, q_val, w_l, label, boundary)
     return FamilyResult(members=(member,))
 
 

@@ -184,6 +184,15 @@ def read_strategy(data: dict, key: str, profile: PolicyProfile, where: str) -> P
     return strategy
 
 
+def refuse_stray_signals(signals, profile: PolicyProfile, key: str, where: str) -> None:
+    """Refuse a wage or belief map with a key naming a signal `profile` does
+    not emit, naming the field."""
+    policies = profile.policies
+    for school, message in signals:
+        if not (0 <= school < len(policies) and message in policies[school].monitoring.messages):
+            raise InputError(f"{where} field {key!r} names signal {Signal(school, message).key()}, which its profile does not emit")
+
+
 ConstructionTag = Literal["semi_pooling", "separating"]
 
 
@@ -221,11 +230,16 @@ class SubgameEquilibrium:
     def from_dict(cls, data: dict) -> "SubgameEquilibrium":
         where = "equilibrium"
         profile = read_field(data, "profile", PolicyProfile.from_list, where)
+        strategy = read_strategy(data, "strategy", profile, where)
+        wages = read_field(data, "wages", WageSchedule.from_dict, where)
+        refuse_stray_signals(wages.offers, profile, "wages", where)
+        beliefs = read_field(data, "beliefs", BeliefSystem.from_dict, where)
+        refuse_stray_signals(beliefs.mu_high, profile, "beliefs", where)
         return cls(
             profile=profile,
-            strategy=read_strategy(data, "strategy", profile, where),
-            wages=read_field(data, "wages", WageSchedule.from_dict, where),
-            beliefs=read_field(data, "beliefs", BeliefSystem.from_dict, where),
+            strategy=strategy,
+            wages=wages,
+            beliefs=beliefs,
             payoff_L=read_field(data, "payoff_L", finite, where),
             payoff_H=read_field(data, "payoff_H", finite, where),
             construction_tag=read_field(data, "construction_tag", str, where),

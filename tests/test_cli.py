@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,12 @@ from sigmarket import (
     deviation_audit,
     riley_effort,
     riley_rpbe,
+    verify_extended_d1,
+    verify_pbe,
 )
 from sigmarket.cli import COMMANDS, _dump, _parse_range, _solve_outcomes, build_parser, main
 from sigmarket.outer import CSV_COLUMNS, outcome_csv_row
-from sigmarket.market import MAX_GRID_POINTS, MAX_SCHOOLS, MAX_SWEEP_VALUES, MAX_THRESHOLDS
+from sigmarket.market import MAX_GRID_POINTS, MAX_SCHOOLS, MAX_SWEEP_VALUES, MAX_THRESHOLDS, expected_type, low_per_high
 
 LIN = CostFamily.linear(2.0, 1.0)
 
@@ -128,6 +131,24 @@ class TestSolve:
             assert not out_path.exists()
             assert "decreasing differences" in capsys.readouterr().err, command
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_one_school_cap_at_mean_productivity(self, tmp_path, command):
+        """A one-school screening market capped exactly at its mean
+        productivity, where the low types' share per high type rounds above
+        1: every low type enrolls, at a wage equal to the cap."""
+        params = MarketParams(theta_L=-0.5, theta_H=2.0, lam=0.4, cost=LIN, credit_cap=0.5)
+        assert expected_type(params) == 0.5 and low_per_high(0.5, params) > 1.0
+        out = tmp_path / "out.json"
+        assert main([command, "--params", write_params(tmp_path, params), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if command == "audit":
+            assert payload["label"] == "monopoly_credit" and payload["certified"] is True
+            return
+        [outcome] = payload
+        assert outcome["label"] == "monopoly_credit"
+        assert outcome["enrollment"] == {"L": 1.0, "H": 1.0}
+        assert outcome["wages"] == {"0:0": 0.5}
+
     def test_non_finite_result_is_not_written(self, tmp_path):
         with pytest.raises(NumericError):
             _dump({"x": float("nan")}, str(tmp_path / "out.json"))
@@ -205,6 +226,24 @@ class TestVerify:
         assert main(argv) == 2
         assert not out_path.exists()
         assert f"'strategy' sends students to school {school}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "field, key", [("wages", "7:0"), ("wages", "0:9"), ("beliefs", "7:0")], ids=["wage_school", "wage_message", "belief"]
+    )
+    def test_key_naming_a_signal_outside_the_profile_exit_2(self, tmp_path, screening, capsys, field, key):
+        """The n = 2 riley bundle plus a wage or belief at a signal its profile
+        does not emit (school 7, or message 9 of school 0) is malformed
+        input, refused naming the field."""
+        params = screening.with_(n_schools=2)
+        payload = riley_rpbe(params).to_subgame(params).to_dict()
+        payload[field][key] = 0.0
+        eq_path, out_path = tmp_path / "eq.json", tmp_path / "rep.json"
+        eq_path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["verify", "--params", write_params(tmp_path, params), "--profile", str(eq_path), "--out", str(out_path)]
+        assert main(argv) == 2
+        assert not out_path.exists()
+        assert f"field {field!r} names signal {key}" in capsys.readouterr().err
 
 
 class TestOracleCompare:
@@ -344,6 +383,20 @@ class TestSweep:
         assert main(["sweep", "--params", spec, "--out", str(out)]) == 2
         assert not out.exists() and not built
         assert f"make {MAX_SWEEP_VALUES + 1} points; a sweep takes at most {MAX_SWEEP_VALUES}" in capsys.readouterr().err
+
+    def test_points_beyond_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A `points` list of MAX_SWEEP_VALUES + 1 entries is refused before
+        any point is parsed."""
+        from sigmarket import cli
+
+        parsed = []
+        monkeypatch.setattr(cli.MarketParams, "from_dict", lambda data: parsed.append(data))
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"points": [{}] * (MAX_SWEEP_VALUES + 1)}), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--params", str(path), "--out", str(out)]) == 2
+        assert not out.exists() and not parsed
+        assert f"lists {MAX_SWEEP_VALUES + 1} points; a sweep takes at most {MAX_SWEEP_VALUES}" in capsys.readouterr().err
 
     def test_bad_spec_exit_2(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -684,6 +737,73 @@ def test_bench_names_resolve():
         for part in attr.split("."):
             assert hasattr(owner, part), f"{module_name}.{attr}"
             owner = getattr(owner, part)
+
+
+def test_bench_sweep_makes_no_subgame_or_refinement_call(tmp_path):
+    """The bench's sweep contract, in tier-1: with bench/tracing.py's Tracer
+    installed (it patches every import alias), a `sweep` of a 12-point bench
+    file calls the closed-form solvers and never a `subgame.*` or
+    `refinement.*` span.  A solver that routes through the constructor or a
+    verifier shows here, not only in the bench's own tests."""
+    tracing, workloads = bench_module("tracing"), bench_module("workloads")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"points": workloads._sweep_points(random.Random(5), 0)}), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["sweep", "--params", str(path), "--out", str(tmp_path / "rows.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["outer.solve"] > 0
+    layers = [name for name in tracing.SPANS if name.startswith(("subgame.", "refinement."))]
+    assert len(layers) == 6 and {name: tracer.calls[name] for name in layers} == dict.fromkeys(layers, 0)
+
+
+def census_cell(outcome: EquilibriumOutcome, params: MarketParams) -> tuple:
+    """(kind, both verifiers pass, construct_epbe on the outcome's own profile
+    plays the same strategy and wages, and earns the same payoffs)."""
+    kind = outcome.label
+    if kind.startswith("monopoly_"):
+        kind = "monopoly"
+    elif kind == "credit_family":
+        kind = "credit_pooling" if len({a.effort for a in outcome.on_path.high}) == 1 else "credit_partial"
+    eq = outcome.to_subgame(params)
+    constructed = construct_epbe(outcome.profile, params)
+    assert verify_pbe(constructed, params).passed and verify_extended_d1(constructed, params).passed
+    return (
+        kind,
+        verify_pbe(eq, params).passed and verify_extended_d1(eq, params).passed,
+        constructed.strategy == outcome.on_path and constructed.wages == outcome.wages,
+        (constructed.payoff_L, constructed.payoff_H) == outcome.payoffs,
+    )
+
+
+def test_census_of_the_bench_sweep_pool():
+    """Every outcome `solve` emits on the bench's 480 sweep points (seeds
+    0-4, files 0-7 drawn in order from one generator per seed, as the bench
+    draws them) passes both verifiers.  construct_epbe on the outcome's own
+    profile reproduces the riley and monopoly outcomes bit for bit, and the
+    credit-family pooling members' play (94 of their payoffs differ in the
+    last bits); for the semi-pooling and partial members it plays another
+    verified continuation (ROADMAP items 17 and 18).  The sweep reads these
+    closed forms without calling the constructor, so the counts pin both."""
+    workloads = bench_module("workloads")
+    census = Counter()
+    for seed in range(5):
+        rng = random.Random(seed)
+        for file_index in range(8):
+            for data in workloads._sweep_points(rng, file_index):
+                params = MarketParams.from_dict(data)
+                census.update(census_cell(o, params) for o in _solve_outcomes(params, 1e-9))
+    assert census == {
+        ("riley", True, True, True): 360,
+        ("monopoly", True, True, True): 86,
+        ("credit_pooling", True, True, True): 76,
+        ("credit_pooling", True, True, False): 94,
+        ("credit_partial", True, False, False): 65,
+        ("semipooling_zero_fee", True, False, False): 310,
+        ("semipooling_with_fee", True, False, False): 32,
+    }
 
 
 def test_bench_planted_audit_call_shape():

@@ -160,10 +160,6 @@ class TestCreditMonopoly:
         u_top = fam.params.theta_H - cf.cost("H", efforts[1]) - fam.fee
         assert u_pool == pytest.approx(u_top, abs=1e-8)
 
-    def test_requires_cap(self, screening):
-        with pytest.raises(InputError):
-            credit_monopoly_rpbe(screening)
-
     def test_cap_below_theta_l_limits_the_pooling_cutoff(self, sorting):
         # low types could drop to the below-cutoff wage theta_L > K, so e_limit < e_prime
         params = sorting.with_(credit_cap=0.5)
@@ -310,6 +306,14 @@ class TestOutcomeFromDict:
         data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
         data["on_path"]["H"][0]["school"] = school
         with pytest.raises(InputError, match=f"'on_path' sends students to school {school}; the profile has 2"):
+            EquilibriumOutcome.from_dict(data)
+
+    def test_wage_at_a_signal_outside_the_profile(self, screening):
+        """A stray wage at 5:3, a signal the 2-school profile does not emit,
+        is refused, naming the field, instead of being kept."""
+        data = riley_rpbe(screening.with_(n_schools=2)).to_dict()
+        data["wages"]["5:3"] = 1.0
+        with pytest.raises(InputError, match="outcome field 'wages' names signal 5:3"):
             EquilibriumOutcome.from_dict(data)
 
     def test_derived_fields_are_read_off_the_strategy(self, screening):
