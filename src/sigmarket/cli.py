@@ -39,6 +39,7 @@ from .outer import (
 )
 from .refinement import (
     MAX_ORACLE_ACTIONS,
+    MAX_VERIFY_PAIRS,
     brute_force_equilibria,
     check_minimality,
     oracle_actions,
@@ -104,7 +105,7 @@ def _solve_outcomes(params: MarketParams, tol: float):
     """Outcome bundle for one parameter point, per market structure."""
     if params.n_schools == 1:
         result = credit_monopoly_rpbe(params)
-        return result.sample(4) if isinstance(result, CreditFamily) else [result]
+        return result.sample(4, tol) if isinstance(result, CreditFamily) else [result]
     outcomes = [riley_rpbe(params)]
     for q_h in (0.25, 0.5, 0.75):
         outcomes.extend(semipooling_family(params, "zero_fee", q_h=q_h, tol=tol))
@@ -128,6 +129,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _load_params(args.params)
     eq = SubgameEquilibrium.from_dict(_load_json(args.profile, "equilibrium bundle"))
+    n, n_signals = eq.profile.n, len(eq.profile.signals())
+    if n * n_signals > MAX_VERIFY_PAIRS:  # refused before any verifier runs
+        raise InputError(f"bundle has {n} schools x {n_signals} signals = {n * n_signals}; verify takes at most {MAX_VERIFY_PAIRS}")
     DeviationGrid.for_profile(eq.profile, params, n_points=args.grid_points)  # unused; the bench traces its inverse call (ROADMAP item 1)
     reports = {
         "pbe": verify_pbe(eq, params, args.tol),

@@ -34,10 +34,11 @@ HIGH: TypeLabel = "H"
 DEFAULT_TOL = 1e-9
 
 # The most schools a params file may ask for.  Solving stays cheap at any
-# size, but the deviation audit, the costliest command open to every n, grows
-# faster than linearly: on 2 shared vCPUs a screening audit with linear costs
-# takes 0.13 s at 64 schools, 0.53 s at 256 and 3.4 s at 1024.  A larger
-# count (a 400-digit one overflows outright) is refused as malformed input.
+# size, but the deviation audit grows faster than linearly: on 2 shared vCPUs
+# a screening audit with linear costs takes 0.13 s at 64 schools, 0.53 s at
+# 256 and 3.4 s at 1024.  A larger count (a 400-digit one overflows outright)
+# is refused as malformed input.  A bundle's schools are bounded instead by
+# refinement.MAX_VERIFY_PAIRS (uncapped, 1024 cutoff schools took 34 s).
 MAX_SCHOOLS = 1024
 # The most points --grid-points may ask for.  The audit replays about 11
 # deviations per point: an n = 2 screening audit takes 1.5 s at the cap.
@@ -47,8 +48,8 @@ MAX_GRID_POINTS = 4096
 # of an n = 2 screening sweep.
 MAX_SWEEP_VALUES = 10_000
 # The most thresholds a parsed monitoring policy may list.  verify_pbe,
-# verify_extended_d1 and check_minimality grow quadratically in it (min_effort
-# is linear): on one school, 0.05 s at 1024 thresholds and 0.2 s at 2000.
+# verify_extended_d1 and check_minimality grow linearly in it: on one school,
+# 0.007 s at 1024 thresholds and 0.015 s at 2000.
 MAX_THRESHOLDS = 1024
 
 

@@ -219,11 +219,13 @@ def min_cost(profile: PolicyProfile, cf: CostFamily, type_label: TypeLabel, s: S
 def reduce_minimal(policy: StepMonitoringPolicy, sent_messages) -> StepMonitoringPolicy:
     """Coarsest step policy agreeing with `policy` on sent efforts.
 
-    Every unsent band is absorbed by a sent neighbour: the immediate left
-    neighbour when that band is sent, otherwise the nearest sent band to the
-    right (falling back to the nearest sent band on the left when the unsent
-    run reaches the top).  The result's image is exactly `sent_messages` and
-    message_of is unchanged on every effort whose original message is sent.
+    With kept = the indices of the sent bands, the result's messages are
+    messages[j] for j in kept and its thresholds band_starts()[min(a + 2, b)]
+    for each consecutive pair (a, b) of kept: an unsent run between sent
+    bands a and b gives its first band to a and the rest to b, a run below
+    the first sent band goes to that band, and a run above the last one to
+    the last.  The result's image is exactly `sent_messages` and message_of
+    is unchanged on every effort whose original message is sent.
     """
     sent = set(sent_messages)
     if not sent:
@@ -232,25 +234,8 @@ def reduce_minimal(policy: StepMonitoringPolicy, sent_messages) -> StepMonitorin
     if unknown:
         raise InputError(f"sent messages {sorted(unknown)} not in policy image")
     starts = policy.band_starts()
-    msgs = policy.messages
-    n = len(msgs)
-    targets: list[int] = []
-    for j, m in enumerate(msgs):
-        if m in sent:
-            targets.append(m)
-            continue
-        if j > 0 and msgs[j - 1] in sent:
-            targets.append(msgs[j - 1])
-            continue
-        right = next((msgs[k] for k in range(j + 1, n) if msgs[k] in sent), None)
-        if right is not None:
-            targets.append(right)
-        else:
-            targets.append(next(msgs[k] for k in range(j - 1, -1, -1) if msgs[k] in sent))
-    new_thresholds: list[float] = []
-    new_messages: list[int] = [targets[0]]
-    for j in range(1, n):
-        if targets[j] != new_messages[-1]:
-            new_thresholds.append(starts[j])
-            new_messages.append(targets[j])
-    return StepMonitoringPolicy(thresholds=tuple(new_thresholds), messages=tuple(new_messages))
+    kept = [j for j, m in enumerate(policy.messages) if m in sent]
+    return StepMonitoringPolicy(
+        thresholds=tuple(starts[min(a + 2, b)] for a, b in zip(kept, kept[1:])),
+        messages=tuple(policy.messages[j] for j in kept),
+    )

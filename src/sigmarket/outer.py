@@ -305,13 +305,11 @@ class CreditFamily:
             return None
         return _pooled_outcome(params, self.fee, e_l, e_h, q_h, w_l, "credit_family", boundary=abs(slack) <= tol)
 
-    def sample(self, num: int = 5) -> list[EquilibriumOutcome]:
-        """Deterministic spread of members across both branches."""
-        members = [self.zero_effort_member()]
-        for k in range(1, num + 1):
-            members.append(self.pooling_member(self.e_limit * k / num))
+    def sample(self, num: int = 5, tol: float = DEFAULT_TOL) -> list[EquilibriumOutcome]:
+        """Deterministic spread of members across both branches, each built at `tol`."""
+        members = [self.pooling_member(self.e_limit * k / num, tol) for k in range(num + 1)]
         for k in range(1, num):
-            m = self.partial_member(0.0, k / num)
+            m = self.partial_member(0.0, k / num, tol)
             if m is not None:
                 members.append(m)
         return members

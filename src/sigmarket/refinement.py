@@ -45,6 +45,7 @@ from .market import (
     HIGH,
     LOW,
     DEFAULT_TOL,
+    MAX_THRESHOLDS,
     MarketParams,
     TypeLabel,
     bayes_high,
@@ -71,6 +72,12 @@ _EFFORT_TOL = 1e-9
 # A = 25 takes about 0.015 s on 2 shared vCPUs (one school of 24 bands, or
 # three of 8).  Library callers (deviation_audit's replays) are not capped.
 MAX_ORACLE_ACTIONS = 25
+# Largest profile.n * len(profile.signals()) of a bundle that verify accepts:
+# eight schools of MAX_THRESHOLDS thresholds each, 65600.  check_minimality
+# re-verifies the whole profile once per school with an unsent band, so
+# verify costs about 15 us per school x signal: about 1 s at the cap on 2
+# shared vCPUs.  Library callers are not capped.
+MAX_VERIFY_PAIRS = 8 * 8 * (MAX_THRESHOLDS + 1)
 
 
 class WageInterval(NamedTuple):
@@ -182,7 +189,7 @@ def verify_pbe(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAUL
     violations: list[Violation] = []
     signals = profile.signals()
     nets = [eq.wages.income(s) - profile[s.school].fee for s in signals]
-    starts = [profile.min_effort(s) for s in signals]
+    starts = [e for p in profile for e in p.monitoring.band_starts()]
 
     for type_label in (LOW, HIGH):
         atoms = eq.strategy.atoms(type_label)
@@ -233,10 +240,11 @@ def verify_extended_d1(eq: SubgameEquilibrium, params: MarketParams, tol: float 
     profile = eq.profile
     violations: list[Violation] = []
     sent = eq.strategy.sent_signals(profile)
-    for s in profile.signals():
+    starts = (e for p in profile for e in p.monitoring.band_starts())
+    for s, e in zip(profile.signals(), starts):
         if s in sent:
             continue
-        fee, e = profile[s.school].fee, profile.min_effort(s)
+        fee = profile[s.school].fee
         sets = {t: _d1_sets(eq.payoff(t), fee, params.cost.cost(t, e), params, tol) for t in (LOW, HIGH)}
         for excluded, other in ((LOW, HIGH), (HIGH, LOW)):
             if not strictly_included(sets[excluded].weak, sets[other].strict, tol):

@@ -17,10 +17,14 @@ from sigmarket import (
     Policy,
     PolicyProfile,
     StepMonitoringPolicy,
+    brute_force_equilibria,
     construct_epbe,
+    credit_monopoly_rpbe,
     deviation_audit,
+    outcome_equivalent,
     riley_effort,
     riley_rpbe,
+    semipooling_family,
     verify_extended_d1,
     verify_pbe,
 )
@@ -154,6 +158,23 @@ class TestSolve:
             _dump({"x": float("nan")}, str(tmp_path / "out.json"))
         assert not (tmp_path / "out.json").exists()
 
+    def test_tol_reaches_the_one_school_credit_family(self, tmp_path):
+        """A one-school market capped at .2 emits six credit-family members at
+        the default tolerance and seven at --tol 0.3: the extra one is the
+        q_h = .5 partial member, whose low types clear the fee-plus-effort
+        outlay only within 0.3."""
+        params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap=0.2)
+        path = write_params(tmp_path, params)
+        runs = []
+        for extra in ([], ["--tol", "0.3"]):
+            out = tmp_path / "out.json"
+            assert main(["solve", "--params", path, "--out", str(out), *extra]) == 0
+            runs.append(json.loads(out.read_text()))
+        default, loose = runs
+        assert len(default) == 6 and len(loose) == 7
+        member = credit_monopoly_rpbe(params).partial_member(0.0, 0.5, tol=0.3)
+        assert [o for o in loose if o not in default] == [json.loads(json.dumps(member.to_dict()))]
+
 
 class TestVerify:
     def test_constructed_bundle_passes(self, tmp_path, sorting):
@@ -244,6 +265,35 @@ class TestVerify:
         assert main(argv) == 2
         assert not out_path.exists()
         assert f"field {field!r} names signal {key}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("schools, thresholds, code", [(8, MAX_THRESHOLDS, 0), (257, 0, 2)], ids=["at_cap", "over_cap"])
+    def test_school_signal_cap(self, tmp_path, screening, capsys, monkeypatch, schools, thresholds, code):
+        """Eight schools of MAX_THRESHOLDS thresholds make MAX_VERIFY_PAIRS
+        school x signal pairs, which verify takes; 257 uninformative schools
+        (66049 pairs) are refused with exit 2, naming the size, before any
+        verifier runs."""
+        from sigmarket import cli
+        from sigmarket.refinement import MAX_VERIFY_PAIRS, VerificationReport
+
+        monitoring = StepMonitoringPolicy(tuple(0.001 * (k + 1) for k in range(thresholds)), tuple(range(thresholds + 1)))
+        prof = PolicyProfile.symmetric(Policy(fee=0.2, monitoring=monitoring), schools)
+        pairs = schools * schools * (thresholds + 1)
+        assert (pairs == MAX_VERIFY_PAIRS) == (code == 0) and (pairs > MAX_VERIFY_PAIRS) == (code == 2)
+        params = screening.with_(n_schools=2)
+        eq_path, out_path = tmp_path / "eq.json", tmp_path / "rep.json"
+        eq_path.write_text(json.dumps(construct_epbe(prof, params).to_dict()), encoding="utf-8")
+        calls = []
+        for name in ("verify_pbe", "verify_extended_d1", "check_minimality"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name) or VerificationReport(True, ()))
+        argv = ["verify", "--params", write_params(tmp_path, params), "--profile", str(eq_path), "--out", str(out_path)]
+        assert main(argv) == code
+        if code == 0:
+            assert calls == ["verify_pbe", "verify_extended_d1", "check_minimality"]
+            return
+        assert not calls and not out_path.exists()
+        message = f"bundle has {schools} schools x {schools * (thresholds + 1)} signals = {pairs}; verify takes at most {MAX_VERIFY_PAIRS}"
+        assert message in capsys.readouterr().err
 
 
 class TestOracleCompare:
@@ -778,6 +828,21 @@ def census_cell(outcome: EquilibriumOutcome, params: MarketParams) -> tuple:
     )
 
 
+def bench_sweep_pool() -> list[tuple[MarketParams, EquilibriumOutcome]]:
+    """(params, outcome) for every outcome `solve` emits on the bench's 480
+    sweep points: seeds 0-4, files 0-7 drawn in order from one generator per
+    seed, as the bench draws them."""
+    workloads = bench_module("workloads")
+    pool = []
+    for seed in range(5):
+        rng = random.Random(seed)
+        for file_index in range(8):
+            for data in workloads._sweep_points(rng, file_index):
+                params = MarketParams.from_dict(data)
+                pool += [(params, o) for o in _solve_outcomes(params, 1e-9)]
+    return pool
+
+
 def test_census_of_the_bench_sweep_pool():
     """Every outcome `solve` emits on the bench's 480 sweep points (seeds
     0-4, files 0-7 drawn in order from one generator per seed, as the bench
@@ -787,14 +852,7 @@ def test_census_of_the_bench_sweep_pool():
     last bits); for the semi-pooling and partial members it plays another
     verified continuation (ROADMAP items 17 and 18).  The sweep reads these
     closed forms without calling the constructor, so the counts pin both."""
-    workloads = bench_module("workloads")
-    census = Counter()
-    for seed in range(5):
-        rng = random.Random(seed)
-        for file_index in range(8):
-            for data in workloads._sweep_points(rng, file_index):
-                params = MarketParams.from_dict(data)
-                census.update(census_cell(o, params) for o in _solve_outcomes(params, 1e-9))
+    census = Counter(census_cell(o, params) for params, o in bench_sweep_pool())
     assert census == {
         ("riley", True, True, True): 360,
         ("monopoly", True, True, True): 86,
@@ -804,6 +862,57 @@ def test_census_of_the_bench_sweep_pool():
         ("semipooling_zero_fee", True, False, False): 310,
         ("semipooling_with_fee", True, False, False): 32,
     }
+
+
+def canonically_certified(outcome: EquilibriumOutcome, params: MarketParams) -> bool:
+    """The verdict of `audit` without --pessimistic: a 21-point grid."""
+    grid = DeviationGrid.for_profile(outcome.profile, params, n_points=21)
+    return deviation_audit(outcome, params, grid).max_gain <= 1e-9
+
+
+def test_census_oracle_caps_and_audits_of_the_bench_sweep_pool():
+    """The rest of the census on the same 1023 outcomes (ROADMAP item 17).
+    Green cells: no emitted fee exceeds its cap, and the oracle finds every
+    n <= 2 riley, monopoly and credit-family outcome as a member.  Red cells,
+    each naming the item that owns it: the oracle finds no n = 2 semi-pooling
+    outcome, and the canonical audit certifies no with-fee semi-pooling
+    outcome; two points off the pool pin items 2 and 12."""
+    pool = bench_sweep_pool()
+    assert len(pool) == 1023
+    assert all(params.credit_cap is None or all(p.fee <= params.credit_cap for p in o.profile) for params, o in pool)
+
+    oracle = Counter()
+    for params, o in pool:
+        if o.profile.n <= 2:
+            eq = o.to_subgame(params)
+            oracle[o.label, any(outcome_equivalent(eq, m) for m in brute_force_equilibria(o.profile, params))] += 1
+    found = {label: count for (label, hit), count in oracle.items() if hit}
+    missed = {label: count for (label, hit), count in oracle.items() if not hit}
+    assert found == {"credit_family": 235, "monopoly_credit": 21, "monopoly_screening": 10, "monopoly_sorting": 55, "riley": 120}
+    assert missed == {"semipooling_zero_fee": 91, "semipooling_with_fee": 19}, (
+        "ROADMAP item 4: the oracle's two-atom supports cannot hold a semi-pooling outcome"
+    )
+
+    firsts = {}
+    for params, o in pool:
+        firsts.setdefault((o.label, o.profile.n), (o, params))
+    verdicts = {cell: canonically_certified(*first) for cell, first in firsts.items()}
+    with_fee = {cell: verdict for cell, verdict in verdicts.items() if cell[0] == "semipooling_with_fee"}
+    assert with_fee == {("semipooling_with_fee", n): False for n in (2, 3, 4)}, (
+        "ROADMAP item 2: the canonical audit finds a profitable deviation against every with-fee member"
+    )
+    assert sorted(cell for cell, verdict in verdicts.items() if verdict) == [
+        ("credit_family", 1), ("monopoly_credit", 1), ("monopoly_screening", 1), ("monopoly_sorting", 1),
+        ("riley", 2), ("riley", 3), ("riley", 4),
+        ("semipooling_zero_fee", 2), ("semipooling_zero_fee", 3), ("semipooling_zero_fee", 4),
+    ]
+
+    item_2 = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 1.8), n_schools=2)
+    [member] = semipooling_family(item_2, "with_fee", q_h=0.8, fee=0.2)
+    assert not canonically_certified(member, item_2), "ROADMAP item 2: the with-fee member is not certified"
+    item_12 = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN, n_schools=2, credit_cap=0.1)
+    fees = {o.label: [p.fee for p in o.profile] for o in _solve_outcomes(item_12, 1e-9)}
+    assert fees["semipooling_with_fee"] == [0.25, 0.25], "ROADMAP item 12: the competition solvers ignore the cap"
 
 
 def test_bench_planted_audit_call_shape():

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +95,37 @@ class TestMinCost:
         assert min_cost(free, LIN, "H", Signal(0, 0)) == 0.0
 
 
+def reference_reduce_minimal(policy, sent_messages):
+    """reduce_minimal's rule as a band-by-band merge: every unsent band goes
+    to its immediate left neighbour when that band is sent, otherwise to the
+    nearest sent band to the right, falling back to the nearest sent band on
+    the left when the unsent run reaches the top; runs of equal targets merge."""
+    sent = set(sent_messages)
+    starts = policy.band_starts()
+    msgs = policy.messages
+    n = len(msgs)
+    targets = []
+    for j, m in enumerate(msgs):
+        if m in sent:
+            targets.append(m)
+            continue
+        if j > 0 and msgs[j - 1] in sent:
+            targets.append(msgs[j - 1])
+            continue
+        right = next((msgs[k] for k in range(j + 1, n) if msgs[k] in sent), None)
+        if right is not None:
+            targets.append(right)
+        else:
+            targets.append(next(msgs[k] for k in range(j - 1, -1, -1) if msgs[k] in sent))
+    new_thresholds = []
+    new_messages = [targets[0]]
+    for j in range(1, n):
+        if targets[j] != new_messages[-1]:
+            new_thresholds.append(starts[j])
+            new_messages.append(targets[j])
+    return StepMonitoringPolicy(thresholds=tuple(new_thresholds), messages=tuple(new_messages))
+
+
 class TestReduceMinimal:
     def test_merges_unsent_middle_band(self):
         pol = StepMonitoringPolicy(thresholds=(0.5, 1.0), messages=(0, 1, 2))
@@ -110,6 +144,26 @@ class TestReduceMinimal:
             reduce_minimal(StepMonitoringPolicy.uninformative(), set())
         with pytest.raises(InputError):
             reduce_minimal(StepMonitoringPolicy.uninformative(), {3})
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_closed_form_matches_the_merge_on_every_sent_set(self, k):
+        """Whole policies, floats included, agree with the reference on every
+        nonempty sent set of a k-threshold policy."""
+        policy = StepMonitoringPolicy(thresholds=tuple(0.3 * (j + 1) + 0.01 * j * j for j in range(k)), messages=tuple(range(k + 1)))
+        for size in range(1, k + 2):
+            for sent in itertools.combinations(policy.messages, size):
+                assert reduce_minimal(policy, sent) == reference_reduce_minimal(policy, sent)
+
+    def test_closed_form_matches_the_merge_on_random_policies(self):
+        rng = random.Random(27)
+        for k in range(9):
+            for _ in range(200):
+                policy = StepMonitoringPolicy(
+                    thresholds=tuple(sorted({rng.uniform(1e-3, 10.0) for _ in range(k)})),
+                    messages=tuple(rng.sample(range(-50, 50), k + 1)),
+                )
+                sent = rng.sample(policy.messages, rng.randint(1, k + 1))
+                assert reduce_minimal(policy, sent) == reference_reduce_minimal(policy, sent)
 
     @given(policy=step_policies(), data=st.data())
     @settings(max_examples=80)
