@@ -46,10 +46,17 @@ def integer(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """The read_field converter for real fields: float(value), booleans refused (ValueError)."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def finite(value) -> float:
-    """The read_field converter for float fields: float(value), refused
+    """The read_field converter for float fields: real(value), refused
     (ValueError) when NaN or infinite."""
-    if not math.isfinite(number := float(value)):
+    if not math.isfinite(number := real(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
 

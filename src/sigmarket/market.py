@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import InputError, RangeError, integer, read_field
+from .errors import InputError, RangeError, integer, read_field, real
 
 TypeLabel = Literal["L", "H"]
 
@@ -131,7 +131,8 @@ class CostFamily:
         return self.kappa_H if type_label == HIGH else self.kappa_L
 
     def cost(self, type_label: TypeLabel, effort: float) -> float:
-        """Effort cost c(type, e); exact for linear/power kinds."""
+        """Effort cost c(type, e); exact for linear/power kinds.  A power cost
+        too large for a float is math.inf, so no budget affords that effort."""
         if type_label not in (LOW, HIGH):
             raise InputError(f"type must be 'L' or 'H', got {type_label!r}")
         if effort < 0:
@@ -139,7 +140,10 @@ class CostFamily:
         if self.kind == "linear":
             return self._slope(type_label) * effort
         if self.kind == "power":
-            return self._slope(type_label) * effort**self.exponent
+            try:
+                return self._slope(type_label) * effort**self.exponent
+            except OverflowError:
+                return math.inf
         table, eff = self._table(type_label), self.efforts
         if effort > eff[-1]:
             raise RangeError(f"effort {effort} beyond tabulated range [0, {eff[-1]}]")
@@ -213,10 +217,10 @@ class CostFamily:
     @classmethod
     def from_dict(cls, data: dict) -> "CostFamily":
         def number(key: str) -> float:
-            return read_field(data, key, float, "cost family")
+            return read_field(data, key, real, "cost family")
 
         def knots(key: str) -> tuple[float, ...]:
-            return read_field(data, key, lambda v: tuple(float(x) for x in v), "cost family")
+            return read_field(data, key, lambda v: tuple(real(x) for x in v), "cost family")
 
         kind = read_field(data, "kind", lambda v: v, "cost family")
         if kind == "linear":
@@ -292,13 +296,13 @@ class MarketParams:
     def from_dict(cls, data: dict) -> "MarketParams":
         where = "market params"
         return cls(
-            theta_L=read_field(data, "theta_L", float, where),
-            theta_H=read_field(data, "theta_H", float, where),
-            lam=read_field(data, "lambda", float, where),
+            theta_L=read_field(data, "theta_L", real, where),
+            theta_H=read_field(data, "theta_H", real, where),
+            lam=read_field(data, "lambda", real, where),
             cost=read_field(data, "cost", CostFamily.from_dict, where),
             n_schools=read_field(data, "n_schools", _school_count, where, default=1),
             credit_cap=read_field(
-                data, "credit_cap", lambda v: None if v is None else float(v), where, default=None
+                data, "credit_cap", lambda v: None if v is None else real(v), where, default=None
             ),
         )
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputError, integer, read_field
+from .errors import InputError, integer, read_field, real
 from .market import MAX_THRESHOLDS, CostFamily, TypeLabel
 
 
@@ -85,7 +85,7 @@ class StepMonitoringPolicy:
         def thresholds(v) -> tuple[float, ...]:
             if len(v) > MAX_THRESHOLDS:
                 raise ValueError(f"expected at most {MAX_THRESHOLDS} thresholds, got {len(v)}")
-            return tuple(float(t) for t in v)
+            return tuple(real(t) for t in v)
 
         where = "monitoring policy"
         return cls(
@@ -113,7 +113,7 @@ class Policy:
     @classmethod
     def from_dict(cls, data: dict) -> "Policy":
         return cls(
-            fee=read_field(data, "fee", float, "policy"),
+            fee=read_field(data, "fee", real, "policy"),
             monitoring=read_field(data, "monitoring", StepMonitoringPolicy.from_dict, "policy"),
         )
 

@@ -37,7 +37,7 @@ MAX_ORACLE_ACTIONS is the largest count a request may put to it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import InputError
@@ -74,9 +74,9 @@ _EFFORT_TOL = 1e-9
 MAX_ORACLE_ACTIONS = 25
 # Largest profile.n * len(profile.signals()) of a bundle that verify accepts:
 # eight schools of MAX_THRESHOLDS thresholds each, 65600.  check_minimality
-# re-verifies the whole profile once per school with an unsent band, so
-# verify costs about 15 us per school x signal: about 1 s at the cap on 2
-# shared vCPUs.  Library callers are not capped.
+# runs verify_pbe on the whole profile once per school with an unsent band,
+# about 2.5 us per school x signal, so verify takes about 0.4 s at the cap on
+# 2 shared vCPUs.  Library callers are not capped.
 MAX_VERIFY_PAIRS = 8 * 8 * (MAX_THRESHOLDS + 1)
 
 
@@ -287,17 +287,21 @@ def _price_off_path(
 
 
 def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Flag schools whose unsent messages are strategically removable.
+    """Flag schools whose unsent messages are strategically removable; tol >= 0.
 
-    A school fails when replacing its policy by the coarsest sent-agreeing
-    one (reduce_minimal) still supports the same on-path outcome as a refined
-    equilibrium of the reduced subgame.  When the merge would hand some type
-    a profitable deviation (the usual reason an unsent band exists at all),
-    the retained partition is necessary and the school passes.
+    The play is priced once, Bayes on path and punishing D1 off path.  A school
+    fails when that bundle passes verify_pbe with the school coarsened to its
+    sent bands (reduce_minimal).  Exact: sent bands keep their messages, other
+    reduced signals their fee and band start (an unattended school keeps its
+    base band), so the prices are the reduced profile's own, and on them
+    verify_extended_d1 cannot fail: belief 1 is set exactly where D1 excludes L.
     """
     profile = eq.profile
     violations: list[Violation] = []
-    sent = eq.strategy.sent_signals(profile)
+    beliefs, offers = _price_on_path(eq.strategy.signal_mass(profile, HIGH), eq.strategy.signal_mass(profile, LOW), params)
+    sent = set(beliefs)
+    _price_off_path(params, _candidate_actions(profile, params), {LOW: eq.payoff_L, HIGH: eq.payoff_H}, beliefs, offers, tol)
+    priced = replace(eq, wages=WageSchedule(offers), beliefs=BeliefSystem(beliefs))
     for i, policy in enumerate(profile):
         sent_i = {s.message for s in sent if s.school == i}
         if not sent_i:
@@ -307,13 +311,7 @@ def check_minimality(eq: SubgameEquilibrium, params: MarketParams, tol: float = 
         if reduced == policy.monitoring:
             continue
         red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
-        # the same play, sent wages and payoffs; Bayes beliefs on path, punishing D1 beliefs off path
-        beliefs, offers = _price_on_path(eq.strategy.signal_mass(red_profile, HIGH), eq.strategy.signal_mass(red_profile, LOW), params)
-        _price_off_path(params, _candidate_actions(red_profile, params), {LOW: eq.payoff_L, HIGH: eq.payoff_H}, beliefs, offers, tol)
-        red_eq = SubgameEquilibrium(
-            red_profile, eq.strategy, WageSchedule(offers), BeliefSystem(beliefs), eq.payoff_L, eq.payoff_H, eq.construction_tag
-        )
-        if verify_pbe(red_eq, params, tol).passed and verify_extended_d1(red_eq, params, tol).passed:
+        if verify_pbe(replace(priced, profile=red_profile), params, tol).passed:
             violations.append(
                 Violation(
                     "minimality",

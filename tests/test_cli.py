@@ -94,7 +94,7 @@ class TestSolve:
         assert main([command, "--params", str(path), "--out", str(out_path)]) == 2
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("field, value", [("kappa_L", "x"), ("theta_L", "abc")])
+    @pytest.mark.parametrize("field, value", [("kappa_L", "x"), ("theta_L", "abc"), ("kappa_L", True), ("theta_H", True)])
     def test_non_numeric_field_exit_2(self, tmp_path, screening, capsys, field, value):
         data = screening.with_(n_schools=2).to_dict()
         (data["cost"] if field.startswith("kappa") else data)[field] = value
@@ -324,15 +324,16 @@ class TestOracleCompare:
     def test_non_numeric_fee_exit_2(self, tmp_path, screening, capsys):
         params = screening.with_(n_schools=2)
         prof = PolicyProfile.symmetric(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.5)), 2).to_list()
-        prof[1]["fee"] = [1]
-        prof_path = tmp_path / "profile.json"
-        prof_path.write_text(json.dumps(prof), encoding="utf-8")
-        out_path = tmp_path / "cmp.json"
-        args = ["oracle-compare", "--params", write_params(tmp_path, params), "--profile", str(prof_path)]
-        assert main(args + ["--out", str(out_path)]) == 2
-        assert not out_path.exists()
-        captured = capsys.readouterr()
-        assert captured.out == "" and "'fee'" in captured.err
+        for fee in ([1], True):  # a boolean is not read as 0 or 1
+            prof[1]["fee"] = fee
+            prof_path = tmp_path / "profile.json"
+            prof_path.write_text(json.dumps(prof), encoding="utf-8")
+            out_path = tmp_path / "cmp.json"
+            args = ["oracle-compare", "--params", write_params(tmp_path, params), "--profile", str(prof_path)]
+            assert main(args + ["--out", str(out_path)]) == 2
+            assert not out_path.exists()
+            captured = capsys.readouterr()
+            assert captured.out == "" and "'fee'" in captured.err
 
     def test_oversized_request_exit_2_before_solving(self, tmp_path, screening, capsys, monkeypatch):
         from sigmarket import cli
@@ -659,12 +660,15 @@ def test_non_integral_integer_field_exit_2(tmp_path, screening, capsys, command,
         ("verify", "prob", math.nan),
         ("verify", "payoff_L", math.inf),
         ("solve", "theta_H", 10**400),
+        ("verify", "0:1", True),
+        ("solve", "theta_H", True),
     ],
-    ids=["wage=NaN", "payoff_H=NaN", "prob=NaN", "payoff_L=Infinity", "theta_H=400 digits"],
+    ids=["wage=NaN", "payoff_H=NaN", "prob=NaN", "payoff_L=Infinity", "theta_H=400 digits", "wage=true", "theta_H=true"],
 )
 def test_non_finite_number_field_exit_2(tmp_path, capsys, command, field, value):
     """A number that is not finite as a float (NaN, infinities, an integer
-    too large to convert) is malformed input, named in the message."""
+    too large to convert) is malformed input, named in the message, and so
+    is a boolean, which is never read as 0 or 1."""
     params = MarketParams(theta_L=0.5, theta_H=2.0, lam=0.5, cost=LIN)
     profile = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(0.75)))
     bundle = construct_epbe(profile, params).to_dict()
@@ -685,6 +689,24 @@ def test_non_finite_number_field_exit_2(tmp_path, capsys, command, field, value)
     assert main([command, "--params", str(params_path), "--out", str(out), *extra]) == 2
     assert not out.exists()
     assert repr(field) in capsys.readouterr().err
+
+
+def test_power_cost_beyond_the_float_range(tmp_path):
+    """A power cost that overflows a float is infinite, so no budget affords
+    that effort: on a cutoff at 5.0 with exponent 1e5, audit (both modes),
+    oracle-compare and verify run to a verdict and exit 0."""
+    params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.power(2.0, 1.0, 1e5), n_schools=2)
+    policies = [{"fee": 0.0, "monitoring": {"thresholds": [5.0], "messages": [0, 1]}}]
+    bundle = construct_epbe(PolicyProfile.from_list(policies), params).to_dict()
+    paths = {name: tmp_path / f"{name}.json" for name in ("profile", "bundle", "out")}
+    paths["profile"].write_text(json.dumps(policies), encoding="utf-8")
+    paths["bundle"].write_text(json.dumps(bundle), encoding="utf-8")
+    args = ["--params", write_params(tmp_path, params), "--out", str(paths["out"])]
+    for pessimistic in ([], ["--pessimistic"]):
+        assert main(["audit", *args, *pessimistic]) == 0
+        assert json.loads(paths["out"].read_text())["max_gain"] == 0.0
+    assert main(["oracle-compare", *args, "--profile", str(paths["profile"])]) == 0
+    assert main(["verify", *args, "--profile", str(paths["bundle"])]) == 0
 
 
 @pytest.mark.parametrize("n, cap", [(1, None), (1, 1.0), (2, None), (3, None)])
@@ -789,24 +811,31 @@ def test_bench_names_resolve():
             owner = getattr(owner, part)
 
 
-def test_bench_sweep_makes_no_subgame_or_refinement_call(tmp_path):
-    """The bench's sweep contract, in tier-1: with bench/tracing.py's Tracer
-    installed (it patches every import alias), a `sweep` of a 12-point bench
-    file calls the closed-form solvers and never a `subgame.*` or
-    `refinement.*` span.  A solver that routes through the constructor or a
-    verifier shows here, not only in the bench's own tests."""
-    tracing, workloads = bench_module("tracing"), bench_module("workloads")
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"points": workloads._sweep_points(random.Random(5), 0)}), encoding="utf-8")
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert main(["sweep", "--params", str(path), "--out", str(tmp_path / "rows.csv")]) == 0
-    finally:
-        tracer.uninstall()
-    assert tracer.calls["outer.solve"] > 0
-    layers = [name for name in tracing.SPANS if name.startswith(("subgame.", "refinement."))]
-    assert len(layers) == 6 and {name: tracer.calls[name] for name in layers} == dict.fromkeys(layers, 0)
+BENCH_OPS = bench_module("test_bench").OPS  # the operation counts the bench's own tests run at seed 7
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_OPS))
+def test_bench_traced_run_passes_its_self_check(tmp_path, monkeypatch, workload):
+    """bench/run.py's traced measurement, in process and in tier-1: no wrong
+    answer and every span HOT predicts records a call, with the call
+    relations bench/test_bench.py asserts.  The sweep calls the closed-form
+    solvers and never a `subgame.*` or `refinement.*` span, so a solver that
+    routes through the constructor or a verifier shows here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    run = bench_module("run")
+    args = argparse.Namespace(workload=workload, seed=7, seconds=0.0, trace=1, ops=BENCH_OPS[workload])
+    record = run.measure(args, tmp_path)
+    assert record["wrong"] == []
+    calls = {k[: -len(".calls")]: m["value"] for k, m in record["metrics"].items() if k.endswith(".calls")}
+    if workload == "sweep":
+        layers = [name for name in importlib.import_module("tracing").SPANS if name.startswith(("subgame.", "refinement."))]
+        assert calls["outer.solve"] > 0
+        assert len(layers) == 6 and {name: calls[name] for name in layers} == dict.fromkeys(layers, 0)
+    elif workload == "oracle":
+        assert calls["refinement.verify_pbe"] > calls["subgame.construct_epbe"]
+    else:
+        assert calls["subgame.construct_epbe"] > calls["refinement.verify_pbe"]
+        assert calls["refinement.brute_force"] > 0
 
 
 def census_cell(outcome: EquilibriumOutcome, params: MarketParams) -> tuple:

@@ -66,6 +66,11 @@ class TestCost:
         assert LIN.cost("L", 0.5) == 1.0
         assert CostFamily.power(2.0, 1.0, 2.0).cost("H", 3.0) == 9.0
 
+    def test_power_cost_beyond_the_float_range_is_infinite(self):
+        # 1.25 ** 1e5 overflows a float; no budget affords that effort
+        assert CostFamily.power(2, 1, 1e5).cost("L", 1.25) == math.inf
+        assert CostFamily.power(2, 1, 1e5).cost("H", 0.5) == 0.0
+
     def test_tabulated_interpolates(self):
         tab = CostFamily.tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 5.0], [0.0, 1.0, 2.0])
         assert tab.cost("L", 0.5) == 1.0

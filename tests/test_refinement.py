@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -558,6 +559,24 @@ def best_response_fails(eq, params, tol=1e-9):
     return any(v.kind == "student_best_response" for v in verify_pbe(eq, params, tol).violations)
 
 
+def record_oracle_verdicts(monkeypatch) -> list[bool]:
+    """The passed flag of every verify_pbe and verify_extended_d1 report that
+    brute_force_equilibria receives from here on (the names in refinement
+    are patched; the tests' own verifier calls are not recorded)."""
+    from sigmarket import refinement
+
+    verdicts = []
+    for name in ("verify_pbe", "verify_extended_d1"):
+
+        def recorded(*args, verify=getattr(refinement, name), **kwargs):
+            report = verify(*args, **kwargs)
+            verdicts.append(report.passed)
+            return report
+
+        monkeypatch.setattr(refinement, name, recorded)
+    return verdicts
+
+
 def defined_oracle(profile, params, tol):
     """brute_force_equilibria by its definition: the fully priced candidates
     (priced_pairs) that pass both verifiers, in enumeration order."""
@@ -706,15 +725,18 @@ class TestExactBestResponse:
         assert seen["refused"] > 1000 and seen["passed"] > 100
         assert all(seen.values()), seen
 
-    def test_oracle_is_its_definition(self):
+    def test_oracle_is_its_definition(self, monkeypatch):
         """brute_force_equilibria equals, member by member and in order, the
-        fully priced candidates that pass both verifiers (defined_oracle)."""
+        fully priced candidates that pass both verifiers (defined_oracle).
+        Its closing verify_pbe and verify_extended_d1 calls never refuse."""
+        verdicts = record_oracle_verdicts(monkeypatch)
         members = 0
         for (prof, params), tol in itertools.product(self.cases(), (1e-9, 0.0)):
             oracle = [eq.to_dict() for eq in brute_force_equilibria(prof, params, tol)]
             assert oracle == defined_oracle(prof, params, tol)
             members += len(oracle)
         assert members > 100
+        assert all(verdicts) and len(verdicts) == 2 * members
 
     def test_oracle_is_its_definition_at_a_knife_edge(self):
         """Two identical schools at tol = 0.  Six members price the unsent
@@ -734,27 +756,18 @@ class TestExactBestResponse:
             assert len(oracle) == count
             assert sum(any(eq.beliefs.mu(s) == 1.0 for s in sig) for eq, sig in zip(oracle, unsent)) == raised
 
-    def test_oracle_is_its_definition_on_the_bench_pool(self, tmp_path):
+    def test_oracle_is_its_definition_on_the_bench_pool(self, tmp_path, monkeypatch):
         """The first profiles of the seed-5 bench oracle pool, at the tol
-        oracle-compare uses there, bench/workloads.py loaded by path."""
-        import importlib.util
-        import json
-        import random
-        from pathlib import Path
-
-        spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        inputs = workloads.Inputs(tmp_path)
-        workloads._build_oracle(random.Random("oracle:5"), inputs)
+        oracle-compare uses there and at 0.  The oracle's closing verifier
+        calls never refuse."""
+        verdicts = record_oracle_verdicts(monkeypatch)
         members = 0
-        for op in inputs.ops[:100]:
-            params = MarketParams.from_dict(json.loads(Path(op["params"]).read_text()))
-            prof = PolicyProfile.from_list(json.loads(Path(op["profile"]).read_text()))
-            oracle = [eq.to_dict() for eq in brute_force_equilibria(prof, params)]
-            assert oracle == defined_oracle(prof, params, 1e-9)
+        for (params, prof), tol in itertools.product(bench_oracle_pool(tmp_path)[:100], (1e-9, 0.0)):
+            oracle = [eq.to_dict() for eq in brute_force_equilibria(prof, params, tol)]
+            assert oracle == defined_oracle(prof, params, tol)
             members += len(oracle)
-        assert members > 100
+        assert members > 200
+        assert all(verdicts) and len(verdicts) == 2 * members
 
     def test_weighted_pairs_emit_each_support_pair_once(self):
         """_weighted_pairs emits an (H support, L support) pair at most once,
@@ -813,3 +826,159 @@ class TestExactBestResponse:
         gaps = {v.detail: v.gap for v in report.violations}
         # L: max(1 - 0.25, 2 - 0.25 - 2 * 0.75) = 0.75; H: max(0.75, 2 - 0.25 - 0.75) = 1
         assert gaps == {"type L": pytest.approx(0.75), "type H": pytest.approx(1.0)}
+
+
+def bench_oracle_pool(tmp_path, seed=5):
+    """(params, profile) of every operation of the seed's bench oracle pool,
+    bench/workloads.py loaded by path."""
+    import importlib.util
+    import json
+    import random
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location("bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.Inputs(tmp_path)
+    workloads._build_oracle(random.Random(f"oracle:{seed}"), inputs)
+    return [
+        (MarketParams.from_dict(json.loads(Path(op["params"]).read_text())), PolicyProfile.from_list(json.loads(Path(op["profile"]).read_text())))
+        for op in inputs.ops
+    ]
+
+
+def reference_check_minimality(eq, params, tol):
+    """check_minimality by its definition: for each school with an unsent
+    band, the profile with that school coarsened (reduce_minimal) is priced
+    afresh, Bayes on path and punishing D1 off path, and the school fails
+    when that bundle passes both verifiers."""
+    from sigmarket.monitoring import reduce_minimal
+    from sigmarket.refinement import VerificationReport, _candidate_actions, _price_off_path, _price_on_path
+
+    profile = eq.profile
+    violations = []
+    sent = eq.strategy.sent_signals(profile)
+    for i, policy in enumerate(profile):
+        sent_i = {s.message for s in sent if s.school == i} or {policy.monitoring.message_of(0.0)}
+        reduced = reduce_minimal(policy.monitoring, sent_i)
+        if reduced == policy.monitoring:
+            continue
+        red_profile = profile.replace(i, Policy(fee=policy.fee, monitoring=reduced))
+        beliefs, offers = _price_on_path(eq.strategy.signal_mass(red_profile, "H"), eq.strategy.signal_mass(red_profile, "L"), params)
+        _price_off_path(params, _candidate_actions(red_profile, params), {"L": eq.payoff_L, "H": eq.payoff_H}, beliefs, offers, tol)
+        red_eq = SubgameEquilibrium(red_profile, eq.strategy, WageSchedule(offers), BeliefSystem(beliefs), eq.payoff_L, eq.payoff_H, eq.construction_tag)
+        if verify_pbe(red_eq, params, tol).passed and verify_extended_d1(red_eq, params, tol).passed:
+            n_kept = len(reduced.messages)
+            gap = float(len(policy.monitoring.messages) - n_kept)
+            violations.append(Violation("minimality", Signal(i, reduced.messages[0]), gap, f"school {i} supports the same outcome with {n_kept} messages"))
+    return VerificationReport.from_violations(violations)
+
+
+def perturbed(eq, params, rng):
+    """eq with random wages and beliefs at every signal.  Its play is either
+    the constructed one plus two zero-probability atoms (copies of its own,
+    or random ones, outside included) or drawn at random; its payoffs are
+    kept, random, or what each type's first positive atom earns at the
+    play's Bayes wages."""
+    from sigmarket.refinement import _price_on_path
+
+    prof = eq.profile
+
+    def atom(prob):
+        if rng.random() < 0.25:
+            return StrategyAtom(None, 0.0, prob)
+        school = int(rng.integers(prof.n))
+        efforts = prof[school].monitoring.band_starts() + (float(rng.uniform(0.0, 2.0)),)
+        return StrategyAtom(school, float(rng.choice(efforts)), prob)
+
+    def play(atoms):
+        if rng.random() < 0.5:  # zero-probability copies keep best responses; a random atom may not
+            extra = (atom(0.0) if rng.random() < 0.25 else atoms[int(rng.integers(len(atoms)))]._replace(prob=0.0) for _ in range(2))
+            return atoms + tuple(extra)
+        probs = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
+        if len(probs) > 1 and rng.random() < 0.5:
+            probs[0], probs[-1] = 0.0, probs[0] + probs[-1]
+        return tuple(atom(float(p)) for p in probs)
+
+    strategy = PopulationStrategy(low=play(eq.strategy.low), high=play(eq.strategy.high))
+    _, offers = _price_on_path(strategy.signal_mass(prof, "H"), strategy.signal_mass(prof, "L"), params)
+
+    def earned(t):
+        a = next(a for a in strategy.atoms(t) if a.prob > 0.0)
+        if a.school is None:
+            return 0.0
+        wage = offers[prof.signal_of(a.school, a.effort)]
+        return (0.0 if wage is None else wage) - prof[a.school].fee - params.cost.cost(t, a.effort)
+
+    payoffs = [(eq.payoff_L, eq.payoff_H), (earned("L"), earned("H")), tuple(float(x) for x in rng.uniform(-0.5, 2.0, 2))]
+    payoff_l, payoff_h = payoffs[int(rng.integers(3))]
+    wages = {s: None if rng.random() < 0.1 else float(rng.uniform(params.theta_L, params.theta_H)) for s in prof.signals()}
+    beliefs = {s: float(rng.uniform(-0.1, 1.1)) for s in prof.signals()}
+    return SubgameEquilibrium(prof, strategy, WageSchedule(wages), BeliefSystem(beliefs), payoff_l, payoff_h, eq.construction_tag)
+
+
+def minimality_corpus(count=600, seed=28):
+    """(bundle, params, perturbed?): constructed bundles on random profiles
+    of 1-4 schools with 0-4 thresholds each, arbitrary message ids, fees in
+    {0, .1, .25, .5} and all three cost kinds; every other one perturbed."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(1, 16) * 0.125
+    for k in range(count):
+        n = int(rng.integers(1, 5))
+        theta_l, lam = (float(rng.choice(v)) for v in ((-1.0, 0.0, 0.5, 1.0), (0.25, 0.5, 0.75)))
+        params = MarketParams(theta_L=theta_l, theta_H=2.0, lam=lam, cost=TestExactBestResponse.COSTS[k % 3], n_schools=n)
+        policies = []
+        for _ in range(n):
+            m = int(rng.integers(0, 5))
+            drawn = rng.choice(grid, m, replace=False) if rng.random() < 0.5 else rng.uniform(0.05, 2.0, m)
+            messages = tuple(int(x) for x in rng.permutation(9)[: m + 1])
+            fee = float(rng.choice([0.0, 0.1, 0.25, 0.5]))
+            policies.append(Policy(fee=fee, monitoring=StepMonitoringPolicy(tuple(sorted(map(float, drawn))), messages)))
+        eq = construct_epbe(PolicyProfile.of(*policies), params)
+        yield (perturbed(eq, params, rng), params, True) if k % 2 else (eq, params, False)
+
+
+class TestMinimalityPricesOnce:
+    """check_minimality prices the play once and asks verify_pbe on each
+    coarsened profile; it equals the per-school definition
+    (reference_check_minimality) report for report."""
+
+    def test_matches_the_reference_on_the_bench_oracle_pool(self, tmp_path):
+        pool = bench_oracle_pool(tmp_path)
+        assert len(pool) == 720
+        flagged = 0
+        for params, prof in pool:
+            eq = construct_epbe(prof, params)
+            report = check_minimality(eq, params).to_dict()
+            assert report == reference_check_minimality(eq, params, 1e-9).to_dict()
+            flagged += not report["passed"]
+        assert 50 < flagged < 670
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.05])
+    def test_matches_the_reference_on_a_random_corpus(self, tol):
+        """Perturbed bundles are needed: a check that verified eq's own
+        wages and beliefs instead of re-pricing them agrees with the
+        reference on every constructed bundle."""
+        violations = Counter()
+        for eq, params, perturb in minimality_corpus():
+            report = check_minimality(eq, params, tol).to_dict()
+            assert report == reference_check_minimality(eq, params, tol).to_dict()
+            violations[perturb] += len(report["violations"])
+        assert violations[False] > 300 and violations[True] > 20, violations
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.05])
+    def test_d1_priced_bundles_pass_the_d1_check(self, tol):
+        """A bundle priced as check_minimality prices it, Bayes on path and
+        punishing D1 beliefs off path at its stored payoffs, never fails
+        verify_extended_d1: belief 1 sits exactly where D1 excludes the low
+        type, so the high type is never excluded there."""
+        from sigmarket.refinement import _candidate_actions, _price_off_path, _price_on_path
+
+        raised = 0
+        for eq, params, _ in minimality_corpus():
+            prof = eq.profile
+            beliefs, offers = _price_on_path(eq.strategy.signal_mass(prof, "H"), eq.strategy.signal_mass(prof, "L"), params)
+            raised += len(_price_off_path(params, _candidate_actions(prof, params), {"L": eq.payoff_L, "H": eq.payoff_H}, beliefs, offers, tol))
+            priced = dataclasses.replace(eq, wages=WageSchedule(offers), beliefs=BeliefSystem(beliefs))
+            assert verify_extended_d1(priced, params, tol).passed
+        assert raised > 100
