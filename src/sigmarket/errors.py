@@ -37,6 +37,13 @@ def require_object(data, where: str) -> None:
         raise InputError(f"{where} must be a JSON object, got {type(data).__name__}")
 
 
+def require_tolerance(tol) -> None:
+    """Reject a tolerance that is negative, NaN or infinite: every test of
+    the form x <= y + tol assumes a finite tol >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def integer(value) -> int:
     """The read_field converter for integer fields: an int, or a float with an
     integral value.  Booleans, fractional or non-finite numbers and anything

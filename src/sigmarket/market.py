@@ -34,14 +34,14 @@ HIGH: TypeLabel = "H"
 DEFAULT_TOL = 1e-9
 
 # The most schools a params file may ask for.  Solving stays cheap at any
-# size, but the deviation audit grows faster than linearly: on 2 shared vCPUs
-# a screening audit with linear costs takes 0.13 s at 64 schools, 0.53 s at
-# 256 and 3.4 s at 1024.  A larger count (a 400-digit one overflows outright)
+# size, but the deviation audit grows with it: on 2 shared vCPUs a screening
+# audit with linear costs takes 0.03 s at 64 schools, 0.14 s at 256 and
+# 0.6 s at 1024.  A larger count (a 400-digit one overflows outright)
 # is refused as malformed input.  A bundle's schools are bounded instead by
 # refinement.MAX_VERIFY_PAIRS (uncapped, 1024 cutoff schools took 34 s).
 MAX_SCHOOLS = 1024
 # The most points --grid-points may ask for.  The audit replays about 11
-# deviations per point: an n = 2 screening audit takes 1.5 s at the cap.
+# deviations per point: an n = 2 screening audit takes 1.0 s at the cap.
 MAX_GRID_POINTS = 4096
 # The most points a welfare --sweep-range count or the product of a sweep
 # file's `vary` list lengths may ask for: about 1 s of welfare solving, or 2 s

@@ -167,11 +167,10 @@ class PolicyProfile:
         return cls(policies=(policy,) * n)
 
     def replace(self, school: int, policy: Policy) -> "PolicyProfile":
-        if not 0 <= school < self.n:
+        policies = self.policies
+        if not 0 <= school < len(policies):
             raise InputError(f"school index {school} out of range")
-        ps = list(self.policies)
-        ps[school] = policy
-        return PolicyProfile(policies=tuple(ps))
+        return PolicyProfile(policies[:school] + (policy,) + policies[school + 1 :])
 
     def classes(self) -> dict[Policy, tuple[int, ...]]:
         """Classes of identical schools: each distinct policy, in the order of

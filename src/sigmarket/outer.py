@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, finite, read_field
+from .errors import InputError, InvariantViolation, finite, read_field, require_tolerance
 from .market import (
     HIGH,
     LOW,
@@ -167,7 +167,20 @@ def _school_profits(profile: PolicyProfile, params: MarketParams, strategy: Popu
         for school, _, prob in atoms:
             if school is not OUTSIDE:
                 masses[school] += prob
-    return [p.fee * (params.lam * h + (1.0 - params.lam) * l) for p, h, l in zip(profile, high, low)]
+    return [p.fee * (params.lam * h + (1.0 - params.lam) * l) for p, h, l in zip(profile.policies, high, low)]
+
+
+def _school_profit(fee: float, school: int, params: MarketParams, strategy: PopulationStrategy) -> float:
+    """_school_profits(...)[school] alone: the school's enrolled mass of each
+    type summed in atom order from 0, then priced by the same expression."""
+    high = low = 0
+    for s, _, prob in strategy.high:
+        if s == school:
+            high += prob
+    for s, _, prob in strategy.low:
+        if s == school:
+            low += prob
+    return fee * (params.lam * high + (1.0 - params.lam) * low)
 
 
 def _symmetric_outcome(
@@ -841,6 +854,7 @@ def deviation_audit(
     outcome's stored profits enter the gains, so each must match, within tol,
     the fee times the enrolled mass that its strategy gives.
     """
+    require_tolerance(tol)
     if not grids.covers(outcome.profile):
         raise InputError("deviation grid must contain every policy threshold of the outcome")
     base_profile = outcome.profile
@@ -849,30 +863,36 @@ def deviation_audit(
         if not abs(stored - actual) <= tol:
             raise InputError(f"outcome profit of school {school} is {stored}, but its strategy gives {actual}")
     classes = base_profile.classes()
-    devs = [
-        (Policy(fee=fee, monitoring=mon), template) for fee, mon, template in _audit_deviations(outcome, params, grids)
-    ]
-    entries: list[AuditEntry] = []
+    # (fee, thresholds, template, policy) per deviation, ascending; no two
+    # deviations share (fee, thresholds), so the policies are never compared
+    devs = sorted(
+        (fee, mon.thresholds, template, Policy(fee=fee, monitoring=mon))
+        for fee, mon, template in _audit_deviations(outcome, params, grids)
+    )
+    profits_of: dict[int, list[float]] = {}  # school -> its class's deviator profit per deviation
     for members in classes.values():
         rep = members[0]
-        profits = []  # the deviator's profit per deviation
-        for dev, _ in devs:
-            attempt = base_profile.replace(rep, dev)
-            eq = construct_epbe(attempt, params, tol)
-            profits.append(_school_profits(attempt, params, eq.strategy)[rep])
-        entries.extend(
-            AuditEntry(
-                school, dev.fee, dev.monitoring.thresholds, template, profit - outcome.profits[school], "canonical"
-            )
-            for school in members
-            for (dev, template), profit in zip(devs, profits)
-        )
-    _rank(entries)
+        profits = []
+        for fee, _, _, dev in devs:
+            eq = construct_epbe(base_profile.replace(rep, dev), params, tol)
+            profits.append(_school_profit(fee, rep, params, eq.strategy))
+        for school in members:
+            profits_of[school] = profits
+    new = tuple.__new__  # new(AuditEntry, fields) is AuditEntry(*fields) without the Python-level __new__
+    entries: list[AuditEntry] = []
+    for school in range(base_profile.n):
+        own = outcome.profits[school]
+        entries += [
+            new(AuditEntry, (school, fee, thresholds, template, profit - own, "canonical"))
+            for (fee, thresholds, template, _), profit in zip(devs, profits_of[school])
+        ]
+    # entries run in (school, fee, thresholds) order, so one stable sort by gain ranks them as _rank does
+    entries.sort(key=attrgetter("gain"), reverse=True)
 
     if not pessimistic:  # every audit tries at least the undercut template
         return AuditReport(max_gain=entries[0].gain, best=entries[0], entries=tuple(entries))
 
-    dev_of = {(dev.fee, dev.monitoring.thresholds): dev for dev, _ in devs}
+    dev_of = {(fee, thresholds): dev for fee, thresholds, _, dev in devs}
     worst_profit: dict[tuple, float | None] = {}  # (representative, fee, thresholds) -> oracle's worst
     best_gain = float("-inf")
     best_entry: AuditEntry | None = None
@@ -883,9 +903,9 @@ def deviation_audit(
             rep = classes[base_profile[entry.school]][0]
             key = (rep, entry.fee, entry.thresholds)
             if key not in worst_profit:
-                attempt = base_profile.replace(rep, dev_of[entry.fee, entry.thresholds])
-                candidates = brute_force_equilibria(attempt, params, tol)
-                deviator_profits = (_school_profits(attempt, params, eq.strategy)[rep] for eq in candidates)
+                dev = dev_of[entry.fee, entry.thresholds]
+                candidates = brute_force_equilibria(base_profile.replace(rep, dev), params, tol)
+                deviator_profits = (_school_profit(dev.fee, rep, params, eq.strategy) for eq in candidates)
                 worst_profit[key] = min(deviator_profits, default=None)
             worst = worst_profit[key]
             gain = entry.gain if worst is None else worst - outcome.profits[entry.school]

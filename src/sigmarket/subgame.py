@@ -33,14 +33,20 @@ The returned bundle always passes the PBE and extended-D1 verifiers.
 from __future__ import annotations
 
 import bisect as _bisect
+import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, finite, integer, read_field, require_object
+from .errors import InputError, InvariantViolation, finite, integer, read_field, require_object, require_tolerance
 from .market import HIGH, LOW, DEFAULT_TOL, MarketParams, TypeLabel, bayes_high, expected_type, low_per_high, wage_offer
-from .monitoring import PolicyProfile, Signal, min_cost
+from .monitoring import PolicyProfile, Signal
 
 OUTSIDE = None  # destination sentinel for the outside option
+
+# _new(StrategyAtom, (school, effort, prob)) builds the named tuple as
+# StrategyAtom(school, effort, prob) does, without its Python-level __new__;
+# the same holds for Signal.
+_new = tuple.__new__
 
 Destination = int | None
 
@@ -71,8 +77,10 @@ class PopulationStrategy:
             negative = outside_effort = False
             for school, effort, prob in atoms:
                 probs.append(prob)
-                negative = negative or not prob >= 0  # NaN counts as negative
-                outside_effort = outside_effort or (school is OUTSIDE and effort != 0.0)
+                if not prob >= 0:  # NaN counts as negative
+                    negative = True
+                if school is OUTSIDE and effort != 0.0:
+                    outside_effort = True
             total = sum(probs)
             if not abs(total - 1.0) <= 1e-9:  # a NaN sum fails too
                 raise InputError(f"{label}-type probabilities sum to {total}, not 1")
@@ -204,6 +212,17 @@ def pooling_tag(mass_high: dict[Signal, float], mass_low: dict[Signal, float]) -
 
 @dataclass(frozen=True)
 class SubgameEquilibrium:
+    """A subgame bundle: the profile, the play, wages and beliefs at every
+    signal, and each type's payoff.
+
+    construction_tag names the branch construct_epbe took for a bundle it
+    built, and the play's pooling_tag for a bundle from
+    EquilibriumOutcome.to_subgame or the oracle.  The two disagree at the
+    knife edge where the marginal band's start costs the low type exactly
+    its budget: the mimic weight q is 0, so the play of the semi-pooling
+    branch separates, yet the bundle is tagged "semi_pooling".
+    """
+
     profile: PolicyProfile
     strategy: PopulationStrategy
     wages: WageSchedule
@@ -248,7 +267,7 @@ class SubgameEquilibrium:
 
 def reservation(profile: PolicyProfile, params: MarketParams) -> tuple[float, float]:
     """Cheapest fee and the reservation payoff max(0, theta_L - f_min)."""
-    f_min = min(p.fee for p in profile)
+    f_min = min([p.fee for p in profile.policies])
     return f_min, max(0.0, params.theta_L - f_min)
 
 
@@ -261,9 +280,9 @@ def _reservation_atoms(
     toward enrolling, so the boundary theta_L == f_min stays in school).
     """
     if params.theta_L - f_min >= 0.0:
-        cheapest = [i for i, p in enumerate(profile) if p.fee == f_min]
+        cheapest = [i for i, p in enumerate(profile.policies) if p.fee == f_min]
         share = weight / len(cheapest)
-        return [StrategyAtom(i, 0.0, share) for i in cheapest]
+        return [_new(StrategyAtom, (i, 0.0, share)) for i in cheapest]
     return [StrategyAtom(OUTSIDE, 0.0, weight)]
 
 
@@ -288,51 +307,80 @@ class FrontierReport:
 
 
 def mimic_frontier(profile: PolicyProfile, params: MarketParams, tol: float = DEFAULT_TOL) -> FrontierReport:
-    """Partition a profile's signals into marginal / high / low sets (tol >= 0)."""
+    """Partition a profile's signals into marginal / high / low sets.
+
+    tol must be a finite number >= 0.  Each distinct Policy object is priced
+    once: PolicyProfile.symmetric and replace repeat one object, so its
+    schools share one marginal band.
+    """
+    require_tolerance(tol)
+    policies = profile.policies
     f_min, u_low = reservation(profile, params)
     cf = params.cost
-    band_bottom: list[float] = []  # minimum effort of each school's marginal band
-    band_index: list[int] = []  # that band's index in the school's policy
-    for policy in profile:
-        budget = params.theta_H - policy.fee - u_low
-        if budget < 0.0:
-            band_bottom.append(float("-inf"))
-            band_index.append(-1)
-            continue
-        thresholds = policy.monitoring.thresholds
-        j = cf.affordable_count(LOW, thresholds, budget)
-        band_bottom.append(thresholds[j - 1] if j else 0.0)
-        band_index.append(j)
-    marginal_effort = max(band_bottom)
-    if marginal_effort == float("-inf"):
+    theta_H = params.theta_H
+    bands: list[tuple[float, int]] = []  # each school's marginal band: (minimum effort, index in its policy)
+    priced: dict[int, tuple[float, int]] = {}  # id(policy) -> its band; the profile keeps every id alive
+    marginal_effort = -math.inf
+    for policy in policies:
+        band = priced.get(id(policy))
+        if band is None:
+            budget = theta_H - policy.fee - u_low
+            if budget < 0.0:
+                band = (-math.inf, -1)
+            else:
+                thresholds = policy.monitoring.thresholds
+                j = cf.affordable_count(LOW, thresholds, budget)
+                band = (thresholds[j - 1] if j else 0.0, j)
+            priced[id(policy)] = band
+        bands.append(band)
+        if band[0] > marginal_effort:
+            marginal_effort = band[0]
+    if marginal_effort == -math.inf:
         raise InvariantViolation("no school can attract the low type at any wage")
-    achievers = [i for i in range(profile.n) if band_bottom[i] >= marginal_effort - tol]
-    best_fee = min(profile[i].fee for i in achievers)
-    marginal_schools = tuple(i for i in achievers if profile[i].fee <= best_fee + tol)
-    marginal_signals = tuple(Signal(i, profile[i].monitoring.messages[band_index[i]]) for i in marginal_schools)
+    floor = marginal_effort - tol
+    achievers: list[int] = []
+    best_fee = math.inf
+    for i, (bottom, _) in enumerate(bands):
+        if bottom >= floor:
+            achievers.append(i)
+            if policies[i].fee < best_fee:
+                best_fee = policies[i].fee
+    fee_cut = best_fee + tol
+    marginal_band: dict[int, int] = {}  # marginal school -> its marginal band, in school order
+    marginal_signals: list[Signal] = []
+    for i in achievers:
+        policy = policies[i]
+        if policy.fee <= fee_cut:
+            j = marginal_band[i] = bands[i][1]
+            marginal_signals.append(_new(Signal, (i, policy.monitoring.messages[j])))
+    marginal_schools = tuple(marginal_band)
     cut = marginal_effort + tol
     high: list[Signal] = []
     low: list[Signal] = []
-    for i, policy in enumerate(profile):
+    for i, policy in enumerate(policies):
         mon = policy.monitoring
         messages = mon.messages
         k = _bisect.bisect_right(mon.thresholds, cut) + 1  # bands starting at or below the cut
-        j = band_index[i] if i in marginal_schools else k  # band left out of low; a marginal one is < k
-        for m in messages[:j] + messages[j + 1 : k]:
-            low.append(Signal(i, m))
+        j = marginal_band.get(i)
+        if j is None:
+            lows = messages[:k]
+        else:  # the marginal band, which is < k, is left out of low
+            lows = messages[:j] + messages[j + 1 : k]
+        for m in lows:
+            low.append(_new(Signal, (i, m)))
         for m in messages[k:]:
-            high.append(Signal(i, m))
-    i0 = marginal_schools[0]
+            high.append(_new(Signal, (i, m)))
+    fee_star = policies[marginal_schools[0]].fee
     return FrontierReport(
         f_min=f_min,
         u_low=u_low,
         marginal_effort=marginal_effort,
         marginal_schools=marginal_schools,
-        marginal_signals=marginal_signals,
+        marginal_signals=tuple(marginal_signals),
         high_signals=tuple(high),
         low_signals=tuple(low),
-        cost_low_marginal=cf.cost(LOW, marginal_effort) + profile[i0].fee,
-        cost_high_marginal=cf.cost(HIGH, marginal_effort) + profile[i0].fee,
+        cost_low_marginal=cf.cost(LOW, marginal_effort) + fee_star,
+        cost_high_marginal=cf.cost(HIGH, marginal_effort) + fee_star,
     )
 
 
@@ -359,10 +407,16 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
     """Build the canonical refined equilibrium of the subgame after `profile`.
 
     Branches between the semi-pooling and separating constructions described
-    in the module docstring.  Requires every fee <= theta_H.
+    in the module docstring.  Requires every fee <= theta_H and a finite
+    tol >= 0.  The bundle's construction_tag names the branch taken, not the
+    play: at the knife edge where the pooled wage is theta_H, the mimic
+    weight is 0, no low type pools, and the tag is still "semi_pooling"
+    (pooling_tag of the play says "separating").
     """
-    for i, p in enumerate(profile):
-        if p.fee > params.theta_H + tol:
+    policies = profile.policies
+    fee_cap = params.theta_H + tol
+    for i, p in enumerate(policies):
+        if p.fee > fee_cap:
             raise InputError(f"school {i} fee {p.fee} exceeds theta_H={params.theta_H}")
     fr = mimic_frontier(profile, params, tol)
     cf = params.cost
@@ -370,18 +424,32 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
     c_high_star = fr.cost_high_marginal
     gain = params.theta_H - fr.u_low
 
-    costs_high = {s: min_cost(profile, cf, HIGH, s) for s in fr.high_signals}
-    pooling = not any(gain > c - c_high_star + c_low_star + tol for c in costs_high.values())
+    # Each high signal's cheapest outlay, priced from its band start (a high
+    # band is never a school's first), and whether it is worth its premium.
+    costs_high: dict[Signal, float] = {}
+    efforts_high: dict[Signal, float] = {}
+    pooling = True
+    for s in fr.high_signals:
+        policy = policies[s.school]
+        mon = policy.monitoring
+        effort = mon.thresholds[mon.messages.index(s.message) - 1]
+        c = cf.cost(HIGH, effort) + policy.fee
+        costs_high[s] = c
+        efforts_high[s] = effort
+        if gain > c - c_high_star + c_low_star + tol:
+            pooling = False
 
     w_low, w_high = wage_offer(0.0, params), wage_offer(1.0, params)
     if pooling:
         w_bar = c_low_star + fr.u_low
         q, pooled_wage = _mixing_weight(w_bar, params, tol)
         share = 1.0 / len(fr.marginal_schools)
-        high_atoms = [StrategyAtom(i, fr.marginal_effort, share) for i in fr.marginal_schools]
+        e_star = fr.marginal_effort
+        high_atoms = [_new(StrategyAtom, (i, e_star, share)) for i in fr.marginal_schools]
         low_atoms: list[StrategyAtom] = []
         if q > 0.0:
-            low_atoms.extend(StrategyAtom(i, fr.marginal_effort, q * share) for i in fr.marginal_schools)
+            mimic = q * share
+            low_atoms = [_new(StrategyAtom, (i, e_star, mimic)) for i in fr.marginal_schools]
         if q < 1.0:
             low_atoms.extend(_reservation_atoms(profile, params, fr.f_min, 1.0 - q))
         # Wages follow beliefs except at the marginal signal, where the
@@ -394,7 +462,7 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
         cheapest = min(costs_high.values())
         winners = sorted(s for s, c in costs_high.items() if c <= cheapest + tol)
         share = 1.0 / len(winners)
-        high_atoms = [StrategyAtom(s.school, profile.min_effort(s), share) for s in winners]
+        high_atoms = [StrategyAtom(s.school, efforts_high[s], share) for s in winners]
         low_atoms = _reservation_atoms(profile, params, fr.f_min, 1.0)
         # The marginal signals are priced as low ones: only the high set,
         # which holds every winner, pays the top wage.
@@ -404,18 +472,13 @@ def construct_epbe(profile: PolicyProfile, params: MarketParams, tol: float = DE
         tag = "separating"
 
     beliefs = dict.fromkeys(fr.low_signals, 0.0)
-    beliefs.update(dict.fromkeys(fr.marginal_signals, mu_star))
-    beliefs.update(dict.fromkeys(fr.high_signals, 1.0))
     offers = dict.fromkeys(fr.low_signals, w_low)
-    offers.update(dict.fromkeys(fr.marginal_signals, w_star))
-    offers.update(dict.fromkeys(fr.high_signals, w_high))
+    for s in fr.marginal_signals:
+        beliefs[s] = mu_star
+        offers[s] = w_star
+    for s in fr.high_signals:
+        beliefs[s] = 1.0
+        offers[s] = w_high
 
-    return SubgameEquilibrium(
-        profile=profile,
-        strategy=PopulationStrategy(low=tuple(low_atoms), high=tuple(high_atoms)),
-        wages=WageSchedule(offers=offers),
-        beliefs=BeliefSystem(mu_high=beliefs),
-        payoff_L=payoff_L,
-        payoff_H=payoff_H,
-        construction_tag=tag,
-    )
+    strategy = PopulationStrategy(tuple(low_atoms), tuple(high_atoms))
+    return SubgameEquilibrium(profile, strategy, WageSchedule(offers), BeliefSystem(beliefs), payoff_L, payoff_H, tag)

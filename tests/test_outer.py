@@ -694,6 +694,16 @@ class TestDeviationAudit:
         with pytest.raises(InputError, match="1 profits for 2 schools"):
             deviation_audit(dataclasses.replace(outcome, profits=outcome.profits[:1]), sorting, grid)
 
+    @pytest.mark.parametrize("tol", [-1e-9, -0.1, math.nan, math.inf])
+    def test_negative_nan_or_infinite_tol_refused(self, screening, tol):
+        """Refused before the stored profits are checked against tol: a
+        negative or NaN one used to blame a matching profit."""
+        params = screening.with_(n_schools=2)
+        out = riley_rpbe(params)
+        grid = DeviationGrid.for_profile(out.profile, params)
+        with pytest.raises(InputError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+            deviation_audit(out, params, grid, tol)
+
     def test_riley_certified_both_modes(self, sorting, screening):
         for params in (sorting, screening):
             out = riley_rpbe(params.with_(n_schools=2))
@@ -771,6 +781,33 @@ class TestDeviationAudit:
         assert own and all(abs(e.gain) <= 1e-9 for e in own)
 
 
+def test_school_profit_is_one_entry_of_school_profits(sorting):
+    """_school_profit, which prices the audit's deviator alone, sums that
+    school's atoms in atom order as _school_profits does, bit for bit, on
+    plays with several atoms at one school and atoms outside."""
+    import random
+
+    from sigmarket.outer import _school_profit
+
+    prof = PolicyProfile.of(
+        Policy(fee=0.25, monitoring=StepMonitoringPolicy.cutoff(0.5)),
+        Policy(fee=0.1, monitoring=StepMonitoringPolicy.uninformative()),
+        Policy(fee=0.3, monitoring=StepMonitoringPolicy.cutoff(0.3)),
+    )
+    rng = random.Random(29)
+
+    def play():
+        weights = [rng.random() for _ in range(rng.randint(1, 6))]
+        schools = [rng.choice([None, 0, 0, 1, 2, 2]) for _ in weights]
+        return tuple(StrategyAtom(i, 0.0 if i is None else 0.5, w / sum(weights)) for i, w in zip(schools, weights))
+
+    for _ in range(300):
+        strategy = PopulationStrategy(low=play(), high=play())
+        profits = _school_profits(prof, sorting, strategy)
+        for school, policy in enumerate(prof):
+            assert repr(_school_profit(policy.fee, school, sorting, strategy)) == repr(profits[school])
+
+
 class TestAuditWorkCount:
     """Every deviation of every class of identical schools is answered by one
     construct_epbe call, looked up on `outer`, which calls mimic_frontier once,
@@ -809,6 +846,23 @@ class TestAuditWorkCount:
             deviation_audit(outcome, params, grid, pessimistic=pessimistic)
             per_kind = classes * len(_audit_deviations(outcome, params, grid))
             assert calls == {"construct_epbe": per_kind, "mimic_frontier": per_kind}
+
+    def test_identical_schools_priced_once(self, monkeypatch, sorting, screening):
+        """mimic_frontier prices each distinct policy object once: a riley
+        deviation profile holds two, the deviation and the one object
+        PolicyProfile.symmetric repeats, so CostFamily.affordable_count runs
+        at most twice per construction at every n (n times before)."""
+        calls = Counter()
+        monkeypatch.setattr(subgame, "mimic_frontier", self.counting(calls, "mimic_frontier", subgame.mimic_frontier))
+        monkeypatch.setattr(CostFamily, "affordable_count", self.counting(calls, "affordable_count", CostFamily.affordable_count))
+        for outcome, params, classes in self.audits(sorting, screening):
+            if classes != 1:
+                continue
+            grid = DeviationGrid.for_profile(outcome.profile, params)
+            calls.clear()
+            deviation_audit(outcome, params, grid)
+            assert calls["mimic_frontier"] == len(_audit_deviations(outcome, params, grid))
+            assert 0 < calls["affordable_count"] <= 2 * calls["mimic_frontier"], (outcome.profile.n, calls)
 
     @pytest.mark.parametrize("pessimistic", [False, True])
     def test_one_policy_per_deviation(self, monkeypatch, sorting, screening, pessimistic):

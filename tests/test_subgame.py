@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sigmarket import (
+    BeliefSystem,
     CostFamily,
     DeviationGrid,
     FrontierReport,
@@ -20,6 +22,7 @@ from sigmarket import (
     StepMonitoringPolicy,
     StrategyAtom,
     SubgameEquilibrium,
+    WageSchedule,
     construct_epbe,
     mimic_frontier,
     reservation,
@@ -311,6 +314,162 @@ class TestFrontierEquivalence:
         assert self.check(knife_edge_profiles()) == {"semi_pooling", "separating"}
 
 
+def reference_construct_epbe(profile, params, tol=DEFAULT_TOL):
+    """construct_epbe as it read before each distinct policy was priced once:
+    the frontier comes from signal_by_signal_frontier, every high signal is
+    priced through min_cost (PolicyProfile.min_effort) before the pooling
+    test, and the winners' efforts are read through min_effort again."""
+    from sigmarket.market import bayes_high
+    from sigmarket.monitoring import min_cost
+    from sigmarket.subgame import _mixing_weight
+
+    for i, p in enumerate(profile):
+        if p.fee > params.theta_H + tol:
+            raise InputError(f"school {i} fee {p.fee} exceeds theta_H={params.theta_H}")
+    fr = signal_by_signal_frontier(profile, params, tol)
+    cf = params.cost
+    c_low_star = fr.cost_low_marginal
+    c_high_star = fr.cost_high_marginal
+    gain = params.theta_H - fr.u_low
+
+    def reservation_atoms(weight):
+        if params.theta_L - fr.f_min >= 0.0:
+            cheapest = [i for i, p in enumerate(profile) if p.fee == fr.f_min]
+            share = weight / len(cheapest)
+            return [StrategyAtom(i, 0.0, share) for i in cheapest]
+        return [StrategyAtom(None, 0.0, weight)]
+
+    costs_high = {s: min_cost(profile, cf, "H", s) for s in fr.high_signals}
+    pooling = not any(gain > c - c_high_star + c_low_star + tol for c in costs_high.values())
+    w_low, w_high = wage_offer(0.0, params), wage_offer(1.0, params)
+    if pooling:
+        w_bar = c_low_star + fr.u_low
+        q, pooled_wage = _mixing_weight(w_bar, params, tol)
+        share = 1.0 / len(fr.marginal_schools)
+        high_atoms = [StrategyAtom(i, fr.marginal_effort, share) for i in fr.marginal_schools]
+        low_atoms = []
+        if q > 0.0:
+            low_atoms.extend(StrategyAtom(i, fr.marginal_effort, q * share) for i in fr.marginal_schools)
+        if q < 1.0:
+            low_atoms.extend(reservation_atoms(1.0 - q))
+        mu_star, w_star = bayes_high(1.0, q, params), pooled_wage
+        payoff_H = pooled_wage - c_high_star
+        payoff_L = pooled_wage - c_low_star if q >= 1.0 else fr.u_low
+        tag = "semi_pooling"
+    else:
+        cheapest = min(costs_high.values())
+        winners = sorted(s for s, c in costs_high.items() if c <= cheapest + tol)
+        share = 1.0 / len(winners)
+        high_atoms = [StrategyAtom(s.school, profile.min_effort(s), share) for s in winners]
+        low_atoms = reservation_atoms(1.0)
+        mu_star, w_star = 0.0, w_low
+        payoff_H = params.theta_H - cheapest
+        payoff_L = fr.u_low
+        tag = "separating"
+    beliefs = dict.fromkeys(fr.low_signals, 0.0)
+    beliefs.update(dict.fromkeys(fr.marginal_signals, mu_star))
+    beliefs.update(dict.fromkeys(fr.high_signals, 1.0))
+    offers = dict.fromkeys(fr.low_signals, w_low)
+    offers.update(dict.fromkeys(fr.marginal_signals, w_star))
+    offers.update(dict.fromkeys(fr.high_signals, w_high))
+    strategy = PopulationStrategy(low=tuple(low_atoms), high=tuple(high_atoms))
+    return SubgameEquilibrium(profile, strategy, WageSchedule(offers), BeliefSystem(beliefs), payoff_L, payoff_H, tag)
+
+
+def bench_audit_attempts(tmp_path, seed=5, stride=6):
+    """(deviation profile, params) of every canonical deviation of every
+    `stride`-th operation of the seed's bench audit pool, for each class's
+    representative, with bench/workloads.py loaded by path.  Riley
+    operations audit riley_rpbe, and planted ones their stored outcome, on
+    the grid the bench uses."""
+    import importlib.util
+    import random
+    from pathlib import Path
+
+    from sigmarket import EquilibriumOutcome
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.Inputs(tmp_path)
+    workloads._build_audit(random.Random(f"audit:{seed}"), inputs)
+    attempts = []
+    for op in inputs.ops[::stride]:
+        params = MarketParams.from_dict(json.loads(Path(op["params"]).read_text()))
+        if op["kind"] == "planted":
+            outcome = EquilibriumOutcome.from_dict(json.loads(Path(op["outcome"]).read_text()))
+        else:
+            outcome = riley_rpbe(params)
+        grid = DeviationGrid.for_profile(outcome.profile, params)
+        for fee, mon, _ in _audit_deviations(outcome, params, grid):
+            dev = Policy(fee=fee, monitoring=mon)
+            attempts.extend((outcome.profile.replace(members[0], dev), params) for members in outcome.profile.classes().values())
+    return attempts
+
+
+def shared_policies(prof):
+    """prof rebuilt from PolicyProfile.symmetric and replace so that equal
+    policies are one object."""
+    first = {}
+    out = PolicyProfile.symmetric(prof[0], prof.n)
+    for i, p in enumerate(prof):
+        if p != prof[0]:
+            out = out.replace(i, first.setdefault(p, p))
+    return out
+
+
+def distinct_policies(prof):
+    """prof with every policy an equal but distinct object."""
+    return PolicyProfile(tuple(Policy(p.fee, StepMonitoringPolicy(p.monitoring.thresholds, p.monitoring.messages)) for p in prof))
+
+
+class TestConstructEquivalence:
+    """construct_epbe prices each distinct policy object once and reads the
+    policy tuple directly; reference_construct_epbe is the code it replaced.
+    Bundles agree in every float, atom and dictionary order, and frontiers
+    agree with signal_by_signal_frontier."""
+
+    @staticmethod
+    def check(prof, params, tol):
+        eq = construct_epbe(prof, params, tol)
+        ref = reference_construct_epbe(prof, params, tol)
+        assert repr(eq.to_dict()) == repr(ref.to_dict())
+        assert eq.construction_tag == ref.construction_tag
+        assert list(eq.wages.offers.items()) == list(ref.wages.offers.items())
+        assert list(eq.beliefs.mu_high.items()) == list(ref.beliefs.mu_high.items())
+        assert mimic_frontier(prof, params, tol) == signal_by_signal_frontier(prof, params, tol)
+        return eq.construction_tag
+
+    def test_bench_audit_pool(self, tmp_path):
+        attempts = bench_audit_attempts(tmp_path)
+        assert {prof.n for prof, _ in attempts} == {2, 4, 8}
+        for tol in (1e-9, 0.0):
+            tags = Counter(self.check(prof, params, tol) for prof, params in attempts)
+            assert tags["semi_pooling"] > 1000 and tags["separating"] > 100, tags
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("rebuild", [shared_policies, distinct_policies])
+    def test_knife_edges(self, tol, rebuild):
+        cases = knife_edge_profiles()
+        for cf, t in KNIFE_EDGES.values():  # n = 4 with one policy object repeated around a deviator
+            params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=cf, n_schools=4)
+            for dev in (cutoff(0.0, math.nextafter(t, math.inf)), steps(0.0, t, math.nextafter(t + DEFAULT_TOL, math.inf))):
+                cases.append((PolicyProfile.symmetric(cutoff(0.0, t), 4).replace(1, dev), params))
+        tags = Counter()
+        for prof, params in cases:
+            rebuilt = rebuild(prof)
+            assert rebuilt == prof
+            tags[self.check(rebuilt, params, tol)] += 1
+        assert set(tags) == {"semi_pooling", "separating"}
+
+    def test_shared_policies_share_objects(self):
+        prof = PolicyProfile.of(cutoff(0.0, 0.5), cutoff(0.0, 0.5), cutoff(0.0, 0.7), cutoff(0.0, 0.5))
+        shared = shared_policies(prof)
+        assert len({id(p) for p in shared}) == 2
+        assert len({id(p) for p in distinct_policies(shared)}) == 4
+
+
 class TestConstructEpbe:
     def test_monopoly_pooling_example(self, sorting):
         prof = PolicyProfile.of(uninformative(1.5))
@@ -341,6 +500,42 @@ class TestConstructEpbe:
         assert {(a.school, a.effort) for a in eq.strategy.high} == {(0, 0.6)}
         assert eq.payoff_H == pytest.approx(1.4)
         assert eq.payoff_L == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("tol", [-1e-9, -0.1, math.nan, math.inf])
+    def test_negative_nan_or_infinite_tol_refused(self, screening, tol):
+        """A negative or NaN tol used to leave no school within tol of the
+        marginal effort, and min() of the empty achiever list raised a bare
+        ValueError.  An infinite one made every school marginal, one that
+        cannot attract the low type included (see the test below)."""
+        prof = PolicyProfile.of(cutoff(0.0, 1.5), cutoff(0.0, 1.5))
+        params = screening.with_(n_schools=2)
+        for call in (mimic_frontier, construct_epbe):
+            with pytest.raises(InputError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+                call(prof, params, tol)
+        assert construct_epbe(prof, params, 0.0).construction_tag == "separating"
+
+    def test_infinite_tol_no_longer_lists_a_signal_twice(self, sorting):
+        """School 1's fee leaves the low type no budget there; tol = inf made
+        it marginal at band -1 and listed signal 1:0 twice among the low ones."""
+        prof = PolicyProfile.of(cutoff(0.0, 1.5), cutoff(1.5, 0.25))
+        params = sorting.with_(n_schools=2)
+        fr = mimic_frontier(prof, params, 1e300)
+        assert fr.marginal_schools == (0,)
+        assert sorted(fr.low_signals + fr.marginal_signals + fr.high_signals) == sorted(prof.signals())
+        with pytest.raises(InputError, match="tol must be a finite number"):
+            mimic_frontier(prof, params, math.inf)
+
+    def test_tag_names_the_branch_at_the_knife_edge(self):
+        """The pooled wage is theta_H, so q = 0 and the play separates, while
+        construction_tag still names the semi-pooling branch (the README
+        example)."""
+        from sigmarket.subgame import pooling_tag
+
+        params = MarketParams(theta_L=0.0, theta_H=1.0, lam=0.25, cost=LIN)
+        eq = construct_epbe(PolicyProfile.of(cutoff(0.5, 0.25)), params)
+        assert eq.strategy == PopulationStrategy(low=(StrategyAtom(None, 0.0, 1.0),), high=(StrategyAtom(0, 0.25, 1.0),))
+        assert eq.construction_tag == "semi_pooling"
+        assert pooling_tag(eq.strategy.signal_mass(eq.profile, "H"), eq.strategy.signal_mass(eq.profile, "L")) == "separating"
 
     def test_fee_above_theta_h_rejected(self, sorting):
         prof = PolicyProfile.of(uninformative(2.5))
