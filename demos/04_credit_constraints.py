@@ -29,7 +29,7 @@ def main() -> None:
     for cap in (1.9, 1.5, 1.0, 0.75, 0.6):
         out = credit_monopoly_rpbe(params.with_(credit_cap=cap))
         if isinstance(out, CreditFamily):
-            member = out.zero_effort_member()
+            member = out.pooling_member(0.0)
         else:
             member = out
         w = welfare(member, params).total
@@ -52,7 +52,7 @@ def main() -> None:
     print(f"\nwith kappa_H = 0.3 (cheap separating effort), competition welfare = {comp2:.4g}:")
     for cap in (1.5, 0.75, 0.6):
         out = credit_monopoly_rpbe(cheap.with_(credit_cap=cap))
-        member = out.zero_effort_member() if isinstance(out, CreditFamily) else out
+        member = out.pooling_member(0.0) if isinstance(out, CreditFamily) else out
         w = welfare(member, cheap).total
         winner = "monopoly" if w > comp2 else "competition"
         print(f"  cap {cap:4.2f}: monopoly welfare {w:.4f} -> {winner} wins")

@@ -33,7 +33,6 @@ from .monitoring import (
     PolicyProfile,
     Signal,
     StepMonitoringPolicy,
-    min_cost,
     reduce_minimal,
 )
 from .outer import (
@@ -54,7 +53,6 @@ from .outer import (
     monopoly_rpbe,
     outcome_csv_row,
     riley_rpbe,
-    select_iis,
     semipooling_family,
     welfare,
 )
@@ -84,66 +82,6 @@ from .subgame import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BeliefSystem",
-    "BoundCertificate",
-    "CostFamily",
-    "CreditFamily",
-    "D1WageSets",
-    "DeviationGrid",
-    "EquilibriumOutcome",
-    "FamilyResult",
-    "FeeInterval",
-    "FeeSet",
-    "FierceVerdict",
-    "FrontierReport",
-    "HIGH",
-    "InputError",
-    "InvariantViolation",
-    "LOW",
-    "MarketParams",
-    "NumericError",
-    "Policy",
-    "PolicyProfile",
-    "PopulationStrategy",
-    "RangeError",
-    "SigMarketError",
-    "Signal",
-    "StepMonitoringPolicy",
-    "StrategyAtom",
-    "SubgameEquilibrium",
-    "VerificationReport",
-    "WageInterval",
-    "WageSchedule",
-    "WelfareReport",
-    "AuditReport",
-    "bayes_high",
-    "brute_force_equilibria",
-    "check_minimality",
-    "construct_epbe",
-    "credit_monopoly_rpbe",
-    "d1_wage_sets",
-    "deviation_audit",
-    "expected_type",
-    "is_fierce",
-    "low_per_high",
-    "max_welfare",
-    "mild_fee_set",
-    "mimic_frontier",
-    "min_cost",
-    "monopoly_rpbe",
-    "outcome_csv_row",
-    "outcome_equivalent",
-    "posterior_mean",
-    "reduce_minimal",
-    "reservation",
-    "riley_effort",
-    "riley_rpbe",
-    "select_iis",
-    "semipooling_family",
-    "strictly_included",
-    "verify_extended_d1",
-    "verify_pbe",
-    "wage_offer",
-    "welfare",
-]
+# The imports above are the one list of exports: every name they bind,
+# except the submodule objects (errors, market, ...) that they bind too.
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and type(value) is not type(errors))

@@ -98,7 +98,7 @@ def _write_csv(rows: list[list[str]], header, out: str | None, suffix: str = "")
 def _monopoly_outcome(params: MarketParams) -> EquilibriumOutcome:
     """The single monopoly outcome: a credit family gives its zero-effort member."""
     result = credit_monopoly_rpbe(params)
-    return result.zero_effort_member() if isinstance(result, CreditFamily) else result
+    return result.pooling_member(0.0) if isinstance(result, CreditFamily) else result
 
 
 def _solve_outcomes(params: MarketParams, tol: float):

@@ -53,6 +53,13 @@ def integer(value) -> int:
     return int(value)
 
 
+def require_count(value, name: str, least: int) -> None:
+    """Reject a count passed in code that is not an int >= least; booleans
+    are refused, as `integer` refuses them."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} must be >= {least} (an int, not a bool), got {value!r}")
+
+
 def real(value) -> float:
     """The read_field converter for real fields: float(value), booleans refused (ValueError)."""
     if isinstance(value, bool):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import InputError, RangeError, integer, read_field, real
+from .errors import InputError, RangeError, integer, read_field, real, require_count
 
 TypeLabel = Literal["L", "H"]
 
@@ -268,8 +268,7 @@ class MarketParams:
             raise InputError("theta_H must exceed theta_L")
         if not 0.0 < self.lam < 1.0:
             raise InputError(f"lam must lie strictly in (0, 1), got {self.lam}")
-        if self.n_schools < 1:
-            raise InputError(f"n_schools must be >= 1, got {self.n_schools}")
+        require_count(self.n_schools, "n_schools", 1)
         if self.credit_cap is not None and self.credit_cap <= 0:
             raise InputError(f"credit_cap must be positive, got {self.credit_cap}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, integer, read_field, real
-from .market import MAX_THRESHOLDS, CostFamily, TypeLabel
+from .market import MAX_THRESHOLDS
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,6 @@ class PolicyProfile:
         if not isinstance(data, list) or not data:
             raise InputError("profile JSON must be a nonempty array of policies")
         return cls(policies=tuple(Policy.from_dict(d) for d in data))
-
-
-def min_cost(profile: PolicyProfile, cf: CostFamily, type_label: TypeLabel, s: Signal) -> float:
-    """Cheapest total outlay c(type, e_{i,m}) + f_i to emit a signal."""
-    return cf.cost(type_label, profile.min_effort(s)) + profile[s.school].fee
 
 
 def reduce_minimal(policy: StepMonitoringPolicy, sent_messages) -> StepMonitoringPolicy:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Literal, NamedTuple
 
-from .errors import InputError, InvariantViolation, finite, read_field, require_tolerance
+from .errors import InputError, finite, read_field, require_count, require_tolerance
 from .market import (
     HIGH,
     LOW,
@@ -283,9 +283,6 @@ class CreditFamily:
         """The cap K, which every member charges."""
         return self.params.credit_cap
 
-    def zero_effort_member(self) -> EquilibriumOutcome:
-        return self.pooling_member(0.0)
-
     def pooling_member(self, e_l: float, tol: float = DEFAULT_TOL) -> EquilibriumOutcome:
         """All students exert e_l for the mean wage; e_l in [0, e_limit]."""
         if e_l < -tol or e_l > self.e_limit + tol:
@@ -320,6 +317,7 @@ class CreditFamily:
 
     def sample(self, num: int = 5, tol: float = DEFAULT_TOL) -> list[EquilibriumOutcome]:
         """Deterministic spread of members across both branches, each built at `tol`."""
+        require_count(num, "num", 1)
         members = [self.pooling_member(self.e_limit * k / num, tol) for k in range(num + 1)]
         for k in range(1, num):
             m = self.partial_member(0.0, k / num, tol)
@@ -624,23 +622,6 @@ def mild_fee_set(params: MarketParams) -> FeeSet:
     return FeeSet(points=(), intervals=(FeeInterval(lo=0.0, hi=hi, closed_lo=True, closed_hi=True),))
 
 
-def select_iis(family: list[EquilibriumOutcome] | FamilyResult) -> EquilibriumOutcome:
-    """Selection rule for fierce competition: keep the separating outcome.
-
-    Requiring non-enrollees' play to depend on a deviating school only
-    through enrollment composition removes every semi-pooling member, so
-    the separating (riley-labelled) member must be present.
-    """
-    members = list(family)
-    for m in members:
-        if m.label == "riley":
-            return m
-    raise InvariantViolation(
-        "family has no separating member; the separating outcome always exists, "
-        "so the caller assembled the family incorrectly"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Welfare
 # ---------------------------------------------------------------------------
@@ -749,10 +730,9 @@ class DeviationGrid:
         """n_points evenly spaced efforts over [0, e_max] plus every policy
         threshold, where e_max is 1.25 times the larger of the separating
         effort and the largest threshold."""
+        require_count(n_points, "n_points", 2)
         thresholds = profile.thresholds()
         e_max = 1.25 * max([riley_effort(params)] + list(thresholds))
-        if n_points < 2:
-            raise InputError("n_points must be >= 2")
         pts = {0.0, e_max}
         step = e_max / (n_points - 1)
         pts.update(round(k * step, 15) for k in range(n_points))

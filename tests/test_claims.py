@@ -113,21 +113,42 @@ def test_binding_fee_caps_reverse_the_welfare_ranking():
     burns a little.  A capped monopolist pools with low types, whose hiring
     destroys value; a slack-enough cap still beats competition, tighter ones
     lose to it.
+
+    For a cap c from mean productivity (0.5) up to theta_H (2), the capped
+    monopolist hires every high type plus alpha = (2 - c)/(c + 1) low types,
+    all at zero effort, for a pooled wage of exactly c: welfare is
+    3c / (2(c + 1)).  Competition's separating effort 1 costs high types 0.3,
+    so its welfare is 0.5 * (2 - 0.3) = 0.85, and the ranking flips where
+    the two formulas meet, at c* = 17/13.
     """
     params = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=CostFamily.linear(2.0, 0.3))
     duopoly = params.with_(n_schools=2)
     competition = certified_welfare(riley_rpbe(duopoly), duopoly)
-    assert competition == pytest.approx(0.85, abs=1e-12)
+    assert competition == pytest.approx(0.5 * (2.0 - 0.3), abs=1e-12)
     assert certified_welfare(monopoly_rpbe(params), params) == pytest.approx(1.0, abs=1e-12)
 
+    def capped_welfare(cap):
+        return 3.0 * cap / (2.0 * (cap + 1.0))
+
     capped = {}
-    for cap in (1.5, 0.75, 0.6):
+    for cap in (0.5, 0.6, 0.75, 1.3, 1.31, 1.5, 1.9):
         at_cap = params.with_(credit_cap=cap)
         outcome = credit_monopoly_rpbe(at_cap)
         assert not isinstance(outcome, CreditFamily)  # every cap here is at or above mean productivity
         assert outcome.label == "monopoly_credit"
+        assert outcome.employment == pytest.approx(((2.0 - cap) / (cap + 1.0), 1.0), abs=1e-12)
+        assert {a.effort for a in outcome.on_path.low + outcome.on_path.high} == {0.0}
         capped[cap] = certified_welfare(outcome, at_cap)
+        assert capped[cap] == pytest.approx(capped_welfare(cap), abs=1e-12)
     assert capped[1.5] == pytest.approx(0.9, abs=1e-12)
     assert capped[0.75] == pytest.approx(9.0 / 14.0, abs=1e-12)
     assert capped[0.6] == pytest.approx(0.5625, abs=1e-12)
     assert capped[1.5] > competition > capped[0.75] > capped[0.6]
+
+    # capped_welfare(c) = competition solves to c* = 2w / (3 - 2w) at w = competition
+    crossover = 2.0 * competition / (3.0 - 2.0 * competition)
+    assert crossover == pytest.approx(17.0 / 13.0, abs=1e-12)
+    assert capped_welfare(crossover) == pytest.approx(competition, abs=1e-12)
+    assert 1.30 < crossover < 1.31
+    assert capped[1.3] == pytest.approx(0.84783, abs=1e-5) and capped[1.3] < competition
+    assert capped[1.31] == pytest.approx(0.85065, abs=1e-5) and capped[1.31] > competition

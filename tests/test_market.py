@@ -267,3 +267,29 @@ def test_public_names_resolve_once():
     assert len(sigmarket.__all__) == len(set(sigmarket.__all__))
     for name in sigmarket.__all__:
         assert hasattr(sigmarket, name), name
+
+
+def test_every_export_has_a_caller():
+    """Each name in sigmarket.__all__ is loaded, as a name or an attribute,
+    somewhere in the library's own modules, the benchmark, the demos or the
+    acceptance suite: an export that only unit tests call has no caller.  No
+    export is a submodule."""
+    import ast
+    import pathlib
+    import types
+
+    import sigmarket
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = root / "src" / "sigmarket"
+    files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+    files += [*(root / "bench").glob("*.py"), *(root / "demos").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    loaded = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [name for name in sigmarket.__all__ if name not in loaded] == []
+    assert [name for name in sigmarket.__all__ if isinstance(getattr(sigmarket, name), types.ModuleType)] == []

@@ -12,7 +12,6 @@ from sigmarket import (
     PolicyProfile,
     Signal,
     StepMonitoringPolicy,
-    min_cost,
     reduce_minimal,
 )
 from sigmarket.market import MAX_THRESHOLDS
@@ -83,16 +82,6 @@ class TestMinEffort:
         assert StepMonitoringPolicy.cutoff(0.5).min_effort(0) == 0.0
         three = StepMonitoringPolicy(thresholds=(0.2, 0.9), messages=(0, 1, 2))
         assert three.min_effort(2) == 0.9
-
-
-class TestMinCost:
-    def test_examples(self):
-        prof = PolicyProfile.of(Policy(fee=0.3, monitoring=StepMonitoringPolicy.cutoff(0.5)))
-        assert min_cost(prof, LIN, "L", Signal(0, 1)) == pytest.approx(1.3)
-        assert min_cost(prof, LIN, "H", Signal(0, 1)) == pytest.approx(0.8)
-        free = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.uninformative()))
-        assert min_cost(free, LIN, "L", Signal(0, 0)) == 0.0
-        assert min_cost(free, LIN, "H", Signal(0, 0)) == 0.0
 
 
 def reference_reduce_minimal(policy, sent_messages):

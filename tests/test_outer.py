@@ -14,7 +14,6 @@ from sigmarket import (
     EquilibriumOutcome,
     FeeInterval,
     InputError,
-    InvariantViolation,
     MarketParams,
     Policy,
     PolicyProfile,
@@ -36,7 +35,6 @@ from sigmarket import (
     monopoly_rpbe,
     riley_effort,
     riley_rpbe,
-    select_iis,
     semipooling_family,
     verify_extended_d1,
     verify_pbe,
@@ -130,7 +128,7 @@ class TestCreditMonopoly:
         assert isinstance(fam, CreditFamily)
         assert fam.fee == 1.0
         assert fam.e_prime == pytest.approx(0.25, abs=1e-9)
-        zero = fam.zero_effort_member()
+        zero = fam.pooling_member(0.0)
         assert zero.wages.offer(Signal(0, 0)) == pytest.approx(1.5)
         assert zero.payoffs == (pytest.approx(0.5), pytest.approx(0.5))
         assert zero.profits == (pytest.approx(1.0),)
@@ -186,7 +184,7 @@ class TestCreditMonopoly:
             assert eq.strategy.enrollment_total("L") == pytest.approx(out.enrollment[0], abs=1e-12)
             assert eq.wages.offer(Signal(0, 0)) == pytest.approx(cap, abs=1e-12)
         fam = credit_monopoly_rpbe(sorting.with_(credit_cap=1.0))
-        member = fam.zero_effort_member()
+        member = fam.pooling_member(0.0)
         eq = construct_epbe(member.profile, sorting.with_(credit_cap=1.0))
         assert eq.strategy.enrollment_total("L") == 1.0
         assert eq.wages.offer(Signal(0, 0)) == pytest.approx(1.5)
@@ -194,6 +192,7 @@ class TestCreditMonopoly:
 
 SCREENING = MarketParams(theta_L=-1.0, theta_H=2.0, lam=0.5, cost=LIN)
 TIGHT_CAP = MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap=1.0)  # a credit family
+CUTOFF_ONE = PolicyProfile.of(Policy(fee=0.0, monitoring=StepMonitoringPolicy.cutoff(1.0)))
 
 
 @pytest.mark.parametrize(
@@ -220,6 +219,34 @@ TIGHT_CAP = MarketParams(theta_L=1.0, theta_H=2.0, lam=0.5, cost=LIN, credit_cap
 def test_market_guards(call, match):
     """Each guard on the market a solver reads raises InputError."""
     with pytest.raises(InputError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: SCREENING.with_(n_schools=2.5), "n_schools"),
+        (lambda: SCREENING.with_(n_schools=True), "n_schools"),
+        (lambda: credit_monopoly_rpbe(TIGHT_CAP).sample(0), "num"),
+        (lambda: credit_monopoly_rpbe(TIGHT_CAP).sample(-1), "num"),
+        (lambda: credit_monopoly_rpbe(TIGHT_CAP).sample(2.0), "num"),
+        (lambda: DeviationGrid.for_profile(CUTOFF_ONE, SCREENING, n_points=2.5), "n_points"),
+        (lambda: DeviationGrid.for_profile(CUTOFF_ONE, SCREENING, n_points=True), "n_points"),
+    ],
+    ids=[
+        "n_schools-fraction",
+        "n_schools-bool",
+        "sample-zero",
+        "sample-negative",
+        "sample-float",
+        "n_points-fraction",
+        "n_points-bool",
+    ],
+)
+def test_integer_parameters_refuse_bad_values(call, name):
+    """A count passed in code must be a true int in range: a fraction, a bool
+    or too small a value raises InputError naming the parameter."""
+    with pytest.raises(InputError, match=f"^{name} must be >= "):
         call()
 
 
@@ -572,17 +599,6 @@ class TestWelfare:
         assert max_welfare(sorting.with_(theta_L=-0.5)) == sorting.lam * sorting.theta_H
 
 
-class TestSelectIIS:
-    def test_riley_selected(self, screening):
-        p = screening.with_(theta_L=-3.0, n_schools=2)  # fierce via losses
-        r = riley_rpbe(p)
-        family = [r] + list(semipooling_family(p, "zero_fee", q_h=0.5))
-        assert select_iis(family) is r
-        assert select_iis([r]) is r
-        with pytest.raises(InvariantViolation):
-            select_iis([])
-
-
 def per_school_audit(outcome, params, grids, tol=1e-9):
     """Reference audit: every school replays every deviation itself.
 
@@ -746,7 +762,7 @@ class TestDeviationAudit:
         grid = DeviationGrid.for_profile(out.profile, capped)
         assert deviation_audit(out, capped, grid).max_gain <= 1e-9
         fam = credit_monopoly_rpbe(sorting.with_(credit_cap=1.0))
-        member = fam.zero_effort_member()
+        member = fam.pooling_member(0.0)
         grid2 = DeviationGrid.for_profile(member.profile, sorting.with_(credit_cap=1.0))
         assert deviation_audit(member, sorting.with_(credit_cap=1.0), grid2).max_gain <= 1e-9
 

@@ -317,10 +317,9 @@ class TestFrontierEquivalence:
 def reference_construct_epbe(profile, params, tol=DEFAULT_TOL):
     """construct_epbe as it read before each distinct policy was priced once:
     the frontier comes from signal_by_signal_frontier, every high signal is
-    priced through min_cost (PolicyProfile.min_effort) before the pooling
+    priced at its cheapest outlay c(H, min_effort) + fee before the pooling
     test, and the winners' efforts are read through min_effort again."""
     from sigmarket.market import bayes_high
-    from sigmarket.monitoring import min_cost
     from sigmarket.subgame import _mixing_weight
 
     for i, p in enumerate(profile):
@@ -339,7 +338,7 @@ def reference_construct_epbe(profile, params, tol=DEFAULT_TOL):
             return [StrategyAtom(i, 0.0, share) for i in cheapest]
         return [StrategyAtom(None, 0.0, weight)]
 
-    costs_high = {s: min_cost(profile, cf, "H", s) for s in fr.high_signals}
+    costs_high = {s: cf.cost("H", profile.min_effort(s)) + profile[s.school].fee for s in fr.high_signals}
     pooling = not any(gain > c - c_high_star + c_low_star + tol for c in costs_high.values())
     w_low, w_high = wage_offer(0.0, params), wage_offer(1.0, params)
     if pooling:
